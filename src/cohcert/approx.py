@@ -15,7 +15,7 @@ from scipy.optimize import minimize, nnls
 
 from .bounds import pattern_peak_bound
 from .optimize import OptimizationConfig
-from .patterns import PatternCoefficients
+from .patterns import PatternCoefficients, matrix_coefficients
 from .states import DensityMatrix, PureState, coherence_support, w_state
 
 __all__ = [
@@ -61,10 +61,7 @@ class MixtureApprox:
 def _component_coeffs(vec: np.ndarray, support, dim: int, sigma_mat: np.ndarray) -> np.ndarray:
     psi = np.zeros(dim, dtype=complex)
     psi[list(support)] = vec
-    rho = np.outer(psi, psi.conj())
-    return np.array(
-        [np.diagonal(rho, -m) @ np.diagonal(sigma_mat, m) for m in range(dim)]
-    )
+    return matrix_coefficients(np.outer(psi, psi.conj()), sigma_mat)
 
 
 def _coeff_residual_vector(coeffs: np.ndarray) -> np.ndarray:
@@ -73,10 +70,6 @@ def _coeff_residual_vector(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [[coeffs[0].real], np.sqrt(2.0) * coeffs[1:].real, np.sqrt(2.0) * coeffs[1:].imag]
     )
-
-
-def _target_coeffs(pat: PatternCoefficients) -> np.ndarray:
-    return np.concatenate([[complex(pat.c0)], pat.c])
 
 
 def _simplex_nnls(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -116,7 +109,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int
         raise ValueError(f"dimension mismatch: pattern {dim} vs projection {sigma_mat.shape[0]}")
     q_eff = min(q, dim)
     supports = list(combinations(range(dim), q_eff))
-    tgt = _target_coeffs(target)
+    tgt = target.one_sided()
     tgt_vec = _coeff_residual_vector(tgt)
 
     def mixture_coeffs(vecs, ws):

@@ -14,6 +14,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .patterns import overlap_coefficients
+
 __all__ = [
     "R3_CERTIFICATION_THRESHOLDS",
     "CertifierResult",
@@ -33,15 +35,20 @@ __all__ = [
 
 # Proven maxima of R_3 over C_k, exact rationals; index = k.
 R3_CERTIFICATION_THRESHOLDS = (Fraction(1), Fraction(5, 4), Fraction(179, 96))
+# Relative margin a value must clear above a threshold: a few hundred ulps,
+# above the round-off of the moment engine, so that a state sitting exactly
+# at a threshold (R_3(W_2) = 5/4) is never certified by float error alone.
+ROUNDOFF_MARGIN = 5e-14
 
 
 @dataclass(frozen=True)
 class CertifierResult:
     """Verdict of the R_n certifier.
 
-    ``certified_level`` is the largest k whose threshold the value strictly
-    exceeds, plus one; ``threshold_used`` is that exceeded threshold (0.0
-    when nothing is exceeded and only 1-coherence is claimed).
+    ``certified_level`` is the largest k whose threshold the value exceeds
+    by more than the relative round-off margin, plus one; ``threshold_used``
+    is that exceeded threshold (0.0 when nothing is exceeded and only
+    1-coherence is claimed).
     """
 
     n: int
@@ -53,13 +60,16 @@ class CertifierResult:
 def certify_r3(value: float) -> CertifierResult:
     """Classify an R_3 value against the proven thresholds 1, 5/4, 179/96.
 
-    Strict inequalities: exactly 5/4 certifies only 2-coherence.
+    Level k+1 is certified only when value > thr * (1 + ROUNDOFF_MARGIN), a
+    strict inequality with a relative margin of 5e-14 (about 225 ulps): a
+    value at a threshold up to round-off, such as a computed R_3(W_2) of
+    1.2499999999999996 or 1.2500000000000002, certifies only 2-coherence.
     """
     if value < 0:
         raise ValueError(f"R_3 must be nonnegative, got {value}")
     level, used = 1, 0.0
     for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
-        if value > thr:
+        if value > float(thr) * (1.0 + ROUNDOFF_MARGIN):
             level, used = k + 1, float(thr)
     return CertifierResult(n=3, value=float(value), certified_level=level, threshold_used=used)
 
@@ -110,8 +120,7 @@ def d_from_alpha(alpha) -> DVector:
         raise ValueError("alpha entries must be nonnegative")
     if abs(a.sum() - 1.0) > 1e-12:
         raise ValueError(f"alpha must sum to 1 within 1e-12, got {a.sum()!r}")
-    d = a.size
-    dn = np.array([np.dot(a[m:], a[: d - m]) for m in range(d)])
+    dn = overlap_coefficients(a)
     return DVector(dn[0], dn[1:] / dn[0])
 
 

@@ -8,6 +8,7 @@ with warnings (e.g. optimizer nonconvergence), 2 input error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import bounds, optimize, robustness
 from .approx import reproducibility_verdict
-from .patterns import fit_pattern_from_samples, moments, pattern_from_states, ratio
+from .patterns import fit_pattern_from_samples, moments, pattern_from_states, ratio_from_moments
 from .states import PureState, WernerParams, psi_star, w_state, werner_state
 
 SCHEMA_VERSION = 1
@@ -100,7 +101,13 @@ def read_pattern_csv(path: str) -> np.ndarray:
         raise CliInputError(f"{path}: malformed sample row: {exc}") from exc
     if not rows:
         raise CliInputError(f"{path}: no sample rows")
-    return np.array(rows)
+    arr = np.array(rows)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CliInputError(f"{path}: sample row {i + 1} is not finite: "
+                            f"t={arr[i, 0]!r}, p={arr[i, 1]!r}")
+    return arr
 
 
 def _jsonable(obj):
@@ -185,12 +192,13 @@ def _pattern_from_args(args, warnings):
 
 
 def _moment_block(pat):
-    ms = moments(pat, 5)
-    rats = {f"R_{n}": ratio(pat, n) for n in (3, 4, 5)}
+    ms = moments(pat, 5).values
+    if ms[0] <= 0.0:
+        raise CliInputError("dark pattern: M_1 = 0, ratios undefined")
     return {
         "coefficients": {"c0": pat.c0, "c": [{"re": z.real, "im": z.imag} for z in pat.c]},
-        "moments": {f"M_{n}": ms.order(n) for n in range(1, 6)},
-        "ratios": rats,
+        "moments": {f"M_{n}": float(ms[n - 1]) for n in range(1, 6)},
+        "ratios": {f"R_{n}": float(ratio_from_moments(ms, n)) for n in (3, 4, 5)},
     }
 
 
@@ -307,7 +315,7 @@ def cmd_optimize(args, warnings):
             "linear_fit": {"slope": scan.slope, "intercept": scan.intercept,
                            "max_abs_residual": float(np.abs(scan.residuals).max())},
         }
-        rows = [(int(k), repr(float(v))) for k, v in zip(scan.ks, scan.values)]
+        rows = ((int(k), repr(float(v))) for k, v in zip(scan.ks, scan.values))
         return data, rows, ("k", "max_value")
     res = optimize.maximize_rn_over_ck(args.n, args.k, cfg)
     if not res.converged:
@@ -367,8 +375,8 @@ def cmd_werner_sweep(args, warnings):
         "lambda_dec": {str(q): bounds.lambda_dec(args.k, q)
                        for q in range(1, args.k + 1)} if args.k >= 2 else {},
     }
-    rows = [(repr(float(l)), repr(series[3][i]), repr(series[4][i]), repr(series[5][i]))
-            for i, l in enumerate(lams)]
+    rows = ((repr(float(l)), repr(series[3][i]), repr(series[4][i]), repr(series[5][i]))
+            for i, l in enumerate(lams))
     return data, rows, ("lambda", "r3", "r4", "r5")
 
 
@@ -386,7 +394,7 @@ def cmd_gue_sweep(args, warnings):
             for r in sweep.records
         ],
     }
-    rows = [(r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)) for r in sweep.records]
+    rows = ((r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)) for r in sweep.records)
     return data, rows, ("seed", "tau", "D", "r3")
 
 
@@ -424,11 +432,11 @@ def cmd_approx(args, warnings):
             for w, s in approx.components
         ],
     }
-    rows = []
-    for i, t in enumerate(grid):
-        row = [repr(float(t)), repr(float(target_vals[i])), repr(float(mix_vals[i]))]
-        row.extend(repr(float(cp.evaluate(t)[0])) for cp in comp_patterns)
-        rows.append(row)
+    rows = (
+        [repr(float(t)), repr(float(target_vals[i])), repr(float(mix_vals[i]))]
+        + [repr(float(cp.evaluate(t)[0])) for cp in comp_patterns]
+        for i, t in enumerate(grid)
+    )
     header = ["t", "target_p", "approx_p"] + [
         f"component{i}_p" for i in range(len(comp_patterns))
     ]
@@ -508,9 +516,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one tree serves every call.
+_shared_parser = functools.lru_cache(maxsize=1)(make_parser)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     warnings: list = []
     try:
         data, csv_rows, csv_header = args.func(args, warnings)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bounds import r3_w_closed_form
-from .patterns import _moments_from_full
+from .patterns import batch_moments, matrix_coefficients, overlap_coefficients, ratio_from_moments
 from .states import WernerParams, psi_star, werner_state, w_state
 
 __all__ = [
@@ -48,15 +48,16 @@ class OptimizationConfig:
 
 
 def rn_of_alpha(alpha, n: int) -> float:
-    """Certifier value of a phase-free overlap vector (any positive scale).
+    """Certifier value of a phase-free overlap vector summing to 1.
+
+    R_n grows as the square of alpha's scale, so unnormalized vectors give
+    scaled values.
 
     The pattern coefficients are the autocorrelation of alpha, so moments
-    follow from repeated convolution with no quadrature error.
+    follow exactly from the moment engine.
     """
-    a = np.asarray(alpha, dtype=float)
-    full = np.correlate(a, a, "full")
-    ms = _moments_from_full(full, n)
-    return float(ms[n - 1] / ms[0] ** (n - 1))
+    ms = batch_moments(overlap_coefficients(np.asarray(alpha, dtype=float)), n)
+    return float(ratio_from_moments(ms, n))
 
 
 @dataclass(frozen=True)
@@ -173,13 +174,8 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
 
 
 def _rn_rho_chi(rho_mat: np.ndarray, chi: np.ndarray, n: int) -> float:
-    d = rho_mat.shape[0]
-    sig = np.outer(chi, chi.conj())
-    full = np.array(
-        [np.diagonal(rho_mat, -m) @ np.diagonal(sig, m) for m in range(d - 1, -d, -1)]
-    )
-    ms = _moments_from_full(full, n)
-    return float((ms[n - 1] / ms[0] ** (n - 1)).real)
+    ms = batch_moments(matrix_coefficients(rho_mat, np.outer(chi, chi.conj())), n)
+    return float(ratio_from_moments(ms, n))
 
 
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",

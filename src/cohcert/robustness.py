@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import R3_CERTIFICATION_THRESHOLDS
-from .patterns import _moments_from_full
+from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
 from .states import PureState, psi_star
 
 __all__ = [
@@ -107,13 +107,9 @@ class ToleranceSweep:
     crossings: list = field(repr=False)
 
 
-def _r3_psi_chi(psi: np.ndarray, chi: np.ndarray) -> float:
-    d = psi.size
-    rho = np.outer(psi, psi.conj())
-    sig = np.outer(chi, chi.conj())
-    full = np.array([np.diagonal(rho, -m) @ np.diagonal(sig, m) for m in range(d - 1, -d, -1)])
-    ms = _moments_from_full(full, 3)
-    return float((ms[2] / ms[0] ** 2).real)
+def _r3_psi_chi(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """R_3 of |psi> measured by |chi>; ``chi`` may carry leading batch axes."""
+    return ratio_from_moments(batch_moments(overlap_coefficients(psi * chi.conj()), 3), 3)
 
 
 def default_tau_grid() -> np.ndarray:
@@ -139,29 +135,36 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0,
     psi = psi or psi_star(k)
     psi_vec = psi.amplitudes
     threshold = float(R3_CERTIFICATION_THRESHOLDS[k - 2])
-    drift_free = _r3_psi_chi(psi_vec, psi_vec)
+    drift_free = float(_r3_psi_chi(psi_vec, psi_vec))
 
-    child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
-    records, crossings = [], []
-    for child in child_seeds:
-        child = int(child)
-        gue = sample_gue(psi_vec.size, child)
-        evals, evecs = np.linalg.eigh(gue.matrix)
-        coeffs = evecs.conj().T @ psi_vec
-        crossing = None
-        for tau in taus:
-            # tau = 0 must anchor the drift-free value exactly, round-off free
-            chi = psi_vec if tau == 0.0 else (evecs * np.exp(1j * evals * tau)) @ coeffs
-            dev = float(np.sum(np.abs(chi - psi_vec) ** 2))
-            r3 = _r3_psi_chi(psi_vec, chi)
-            records.append(SweepRecord(seed=child, tau=float(tau), deviation=dev, r3=r3, k=k))
-            if crossing is None and r3 < threshold:
-                crossing = dev
-        crossings.append((child, crossing))
+    seeds = [int(c) for c in np.random.SeedSequence(seed).generate_state(n_samples)]
+    evals, evecs = np.linalg.eigh(np.stack([sample_gue(psi_vec.size, s).matrix for s in seeds]))
+    coeffs = evecs.conj().swapaxes(1, 2) @ psi_vec
+    # chi[s, i] = e^{i H_s tau_i} psi for every sample and tau in one matmul
+    phases = np.exp(1j * taus[:, None] * evals[:, None, :])
+    chi = (phases * coeffs[:, None, :]) @ evecs.swapaxes(1, 2)
+    # tau = 0 must anchor the drift-free value exactly, round-off free
+    anchor = taus == 0.0
+    chi[:, anchor] = psi_vec
+    devs = np.sum(np.abs(chi - psi_vec) ** 2, axis=-1)
+    r3s = _r3_psi_chi(psi_vec, chi)
+    r3s[:, anchor] = drift_free
+
+    tau_list = taus.tolist()
+    records = [
+        SweepRecord(seed=s, tau=tau, deviation=dev, r3=r3, k=k)
+        for s, dev_row, r3_row in zip(seeds, devs.tolist(), r3s.tolist())
+        for tau, dev, r3 in zip(tau_list, dev_row, r3_row)
+    ]
+    below = r3s < threshold
+    first = below.argmax(axis=1)
+    crossings = [
+        (s, float(devs[i, first[i]]) if below[i, first[i]] else None)
+        for i, s in enumerate(seeds)
+    ]
 
     edges = np.linspace(0.0, bin_max, n_bins + 1)
-    devs = np.array([r.deviation for r in records])
-    r3s = np.array([r.r3 for r in records])
+    devs, r3s = devs.ravel(), r3s.ravel()
     idx = np.digitize(devs, edges) - 1
     mean = np.full(n_bins, np.nan)
     std = np.full(n_bins, np.nan)

@@ -231,3 +231,70 @@ def test_document_reproducibility_json(tmp_path):
     _, _, text2 = run_cli(["optimize", "--n", "3", "--k", "3", "--restarts", "3",
                            "--seed", "7"], tmp_path, name="r2.json")
     assert text1 == text2
+
+
+def test_shared_parser_leaks_no_defaults(tmp_path):
+    # one process alternates commands; each document must match the one a
+    # freshly built parser produces for the same command line
+    from cohcert import cli
+
+    path = write_samples_csv(tmp_path, lambda t: (1 + np.cos(t)) / 2)
+    commands = [
+        ["certify", "--input", path, "--dim", "3"],
+        ["gue-sweep", "--k", "3", "--samples", "2", "--seed", "5"],
+        ["optimize", "--n", "4", "--k", "2", "--restarts", "2"],
+        ["certify", "--state", "W:3"],
+    ]
+    shared = []
+    for i, argv in enumerate(commands):
+        shared.append(run_cli(argv, tmp_path, name=f"shared{i}.json")[2])
+    for i, argv in enumerate(commands):
+        cli._shared_parser.cache_clear()
+        assert run_cli(argv, tmp_path, name=f"fresh{i}.json")[2] == shared[i]
+
+
+@pytest.mark.parametrize("spec,level", [("W:1", 1), ("W:2", 2)])
+def test_certify_threshold_states_not_overclaimed(tmp_path, spec, level):
+    rc, doc, _ = run_cli(["certify", "--state", spec], tmp_path)
+    assert rc == 0
+    assert doc["data"]["verdict"]["certified_level"] == level
+
+
+@pytest.mark.parametrize("n,dim", [(16, 2), (32, 8), (63, 4), (100, 8), (256, 3)])
+def test_certify_fitted_w2_fringe_stays_level_2(tmp_path, n, dim):
+    # R_3 of (1 + cos t)/2 is exactly 5/4; round-off in the fit and the
+    # moments must not certify 3-coherence
+    path = write_samples_csv(tmp_path, lambda t: (1 + np.cos(t)) / 2, n=n)
+    rc, doc, _ = run_cli(["certify", "--input", path, "--dim", str(dim)], tmp_path)
+    assert rc == 0
+    assert doc["data"]["ratios"]["R_3"] == pytest.approx(1.25, abs=1e-12)
+    assert doc["data"]["verdict"]["certified_level"] == 2
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_certify_rejects_non_finite_rows(tmp_path, capsys, column, value):
+    row = ["1.0", "0.5"]
+    row[column] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,p\n0.0,0.5\n0.5,0.6\n" + ",".join(row) + "\n2.0,0.4\n")
+    rc = main(["certify", "--input", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "sample row 3" in captured.err and "not finite" in captured.err
+    with pytest.raises(CliInputError):
+        read_pattern_csv(str(bad))
+
+
+def test_certify_dark_pattern_is_input_error(capsys):
+    assert main(["certify", "--state", "vec:1,0", "--projection", "vec:0,1"]) == 2
+    assert "dark pattern" in capsys.readouterr().err
+
+
+def test_ratios_derive_from_reported_moments(tmp_path):
+    for spec in ("W:3", "PSI:4", "werner:4:0.3", "vec:0.3,0.9,0.5"):
+        _, doc, _ = run_cli(["moments", "--state", spec], tmp_path)
+        ms, rats = doc["data"]["moments"], doc["data"]["ratios"]
+        for n in (3, 4, 5):
+            assert rats[f"R_{n}"] == ms[f"M_{n}"] / ms["M_1"] ** (n - 1)

@@ -1,0 +1,161 @@
+"""Property tests of the coefficient kernel and the batched moment engine.
+
+Each property compares the vectorised code with an independent route: a
+direct trace of the time-evolved state, the matrix form of the kernel, the
+per-pattern engine, uniform sampling, and a per-record loop over the drift
+sweep built from outer products and coefficient convolution.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohcert import (
+    PatternCoefficients,
+    moment_by_sampling,
+    moments,
+    psi_star,
+    sample_gue,
+    tolerance_sweep,
+)
+from cohcert.patterns import (
+    batch_moments,
+    matrix_coefficients,
+    overlap_coefficients,
+    ratio_from_moments,
+)
+from conftest import rand_density, rand_pure
+
+TOL = 1e-12
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 7)
+
+
+def pattern(cs) -> PatternCoefficients:
+    return PatternCoefficients(cs[0].real, cs[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, d=dims, t=st.floats(0.0, 2 * np.pi))
+def test_kernel_matches_direct_trace(seed, d, t):
+    rng = np.random.default_rng(seed)
+    rho, sigma = rand_density(rng, d).matrix, rand_density(rng, d).matrix
+    u = np.diag(np.exp(-1j * np.arange(d) * t))
+    direct = np.trace(u @ rho @ u.conj().T @ sigma).real
+    assert pattern(matrix_coefficients(rho, sigma)).evaluate(t)[0] == pytest.approx(direct, abs=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, d=dims, batch=st.integers(1, 5))
+def test_fast_path_matches_matrix_form(seed, d, batch):
+    rng = np.random.default_rng(seed)
+    pairs = [(rand_pure(rng, d).amplitudes, rand_pure(rng, d).amplitudes) for _ in range(batch)]
+    z = np.array([psi * chi.conj() for psi, chi in pairs])
+    batched = overlap_coefficients(z)
+    assert batched.shape == (batch, d)
+    for row, (psi, chi) in zip(batched, pairs):
+        ref = matrix_coefficients(np.outer(psi, psi.conj()), np.outer(chi, chi.conj()))
+        np.testing.assert_allclose(overlap_coefficients(psi * chi.conj()), ref, rtol=0, atol=TOL)
+        np.testing.assert_allclose(row, ref, rtol=0, atol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, d=dims, nmax=st.integers(1, 6), batch=st.integers(1, 4))
+def test_batched_moments_match_single_and_sampling(seed, d, nmax, batch):
+    rng = np.random.default_rng(seed)
+    cs = np.array([
+        matrix_coefficients(rand_density(rng, d).matrix, rand_density(rng, d).matrix)
+        for _ in range(2 * batch)
+    ]).reshape(2, batch, d)
+    got = batch_moments(cs, nmax)
+    assert got.shape == (2, batch, nmax)
+    for idx in np.ndindex(2, batch):
+        pat = pattern(cs[idx])
+        np.testing.assert_allclose(got[idx], moments(pat, nmax).values, rtol=0, atol=TOL)
+        for n in range(1, nmax + 1):
+            sampled = moment_by_sampling(pat, n, 2 * n * (d - 1) + 3)
+            assert got[idx][n - 1] == pytest.approx(sampled, abs=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, d=dims, nmax=st.integers(1, 6))
+def test_real_coefficients_take_the_cosine_rows(seed, d, nmax):
+    alpha = np.random.default_rng(seed).random(d)
+    cs = overlap_coefficients(alpha / alpha.sum())
+    assert cs.dtype.kind == "f"
+    np.testing.assert_allclose(batch_moments(cs, nmax), batch_moments(cs.astype(complex), nmax),
+                               rtol=0, atol=TOL)
+
+
+# -- per-record reference for the drift sweep -------------------------------
+
+def _conv_moments(full: np.ndarray, nmax: int) -> np.ndarray:
+    """M_1..M_nmax as the DC coefficients of p^n, by repeated convolution."""
+    out, conv = np.empty(nmax), full
+    for n in range(nmax):
+        out[n] = conv[(len(conv) - 1) // 2].real
+        conv = np.convolve(conv, full)
+    return out
+
+
+def _r3_loop(psi: np.ndarray, chi: np.ndarray) -> float:
+    d = psi.size
+    rho, sig = np.outer(psi, psi.conj()), np.outer(chi, chi.conj())
+    full = np.array([np.diagonal(rho, -m) @ np.diagonal(sig, m) for m in range(d - 1, -d, -1)])
+    ms = _conv_moments(full, 3)
+    return float(ms[2] / ms[0] ** 2)
+
+
+def _sweep_loop(k, n_samples, seed, taus):
+    """One Python iteration per (sample, tau) record: (seed, tau, D, r3) rows
+    and each sample's crossed/not-crossed outcome."""
+    psi = psi_star(k).amplitudes
+    thr = (1.0, 1.25, 179 / 96)[k - 2]
+    rows, crossed = [], []
+    for child in np.random.SeedSequence(seed).generate_state(n_samples):
+        evals, evecs = np.linalg.eigh(sample_gue(psi.size, int(child)).matrix)
+        coeffs = evecs.conj().T @ psi
+        hit = False
+        for tau in taus:
+            chi = psi if tau == 0.0 else (evecs * np.exp(1j * evals * tau)) @ coeffs
+            r3 = _r3_loop(psi, chi)
+            rows.append((int(child), float(tau), float(np.sum(np.abs(chi - psi) ** 2)), r3))
+            hit = hit or r3 < thr
+        crossed.append(hit)
+    return rows, crossed
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.sampled_from([3, 4]), n_samples=st.integers(1, 4), seed=st.integers(0, 2**31),
+       extra_taus=st.lists(st.floats(1e-4, 3.0), max_size=5))
+def test_batched_sweep_matches_record_loop(k, n_samples, seed, extra_taus):
+    taus = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 10), extra_taus])
+    sweep = tolerance_sweep(k, n_samples, tau_grid=taus, seed=seed)
+    rows, crossed = _sweep_loop(k, n_samples, seed, taus)
+    assert len(sweep.records) == len(rows)
+    for rec, (s, tau, dev, r3) in zip(sweep.records, rows):
+        assert (rec.seed, rec.tau, rec.k) == (s, tau, k)
+        assert rec.deviation == pytest.approx(dev, abs=TOL)
+        assert rec.r3 == pytest.approx(r3, abs=TOL)
+        if tau == 0.0:
+            assert rec.deviation == 0.0 and rec.r3 == sweep.drift_free_r3
+    assert [c is not None for _, c in sweep.crossings] == crossed
+    assert sweep.drift_free_r3 == pytest.approx(_r3_loop(*(psi_star(k).amplitudes,) * 2), abs=TOL)
+
+
+def test_default_sweep_matches_record_loop():
+    sweep = tolerance_sweep(4, 6, seed=11)
+    rows, crossed = _sweep_loop(4, 6, 11, sweep.tau_grid)
+    np.testing.assert_allclose([r.r3 for r in sweep.records], [r[3] for r in rows],
+                               rtol=0, atol=TOL)
+    np.testing.assert_allclose([r.deviation for r in sweep.records], [r[2] for r in rows],
+                               rtol=0, atol=TOL)
+    assert [c is not None for _, c in sweep.crossings] == crossed
+
+
+def test_ratio_from_moments_batches():
+    ms = batch_moments(np.array([[0.5, 0.25], [1.0, 0.0]]), 3)
+    np.testing.assert_allclose(ratio_from_moments(ms, 3), [1.25, 1.0], rtol=1e-14)
+    assert isinstance(ratio_from_moments(ms[0], 3), np.floating)
