@@ -18,38 +18,10 @@ import numpy as np
 from . import bounds, optimize, robustness
 from .approx import reproducibility_verdict
 from .patterns import fit_pattern_from_samples, moments, pattern_from_states, ratio_from_moments
+from .reference import PUBLISHED_TABLE1, PUBLISHED_TABLE2, PUBLISHED_TABLE3, PUBLISHED_VERTEX
 from .states import PureState, WernerParams, psi_star, w_state, werner_state
 
 SCHEMA_VERSION = 1
-
-# Published reference values used for the side-by-side comparisons.
-PUBLISHED_TABLE1 = {1: (1.0, 1.0), 2: (1.25, 1.25), 3: (179 / 96, 1.77)}
-PUBLISHED_TABLE2 = {
-    (3, 2): (1.25, 1.25, (0.50, 0.50)),
-    (3, 3): (1.77, 1.74, (0.31, 0.38, 0.31)),
-    (3, 4): (2.32, 2.27, (0.22, 0.28, 0.28, 0.22)),
-    (3, 5): (2.88, 2.80, (0.17, 0.21, 0.23, 0.21, 0.17)),
-    (4, 2): (2.19, 2.19, (0.50, 0.50)),
-    (4, 3): (4.61, 4.56, (0.32, 0.36, 0.32)),
-    (4, 4): (8.02, 7.90, (0.23, 0.27, 0.27, 0.23)),
-    (4, 5): (12.42, 12.21, (0.18, 0.21, 0.22, 0.21, 0.18)),
-    (5, 2): (3.94, 3.94, (0.50, 0.50)),
-    (5, 3): (12.39, 12.28, (0.32, 0.36, 0.32)),
-    (5, 4): (28.71, 28.39, (0.24, 0.26, 0.26, 0.24)),
-    (5, 5): (55.52, 54.84, (0.19, 0.21, 0.21, 0.21, 0.19)),
-}
-PUBLISHED_TABLE3 = {
-    3: (0.18, 0.13, 0.10, 0.08, 0.06, 0.06, 0.05, 0.04),
-    4: (0.28, 0.19, 0.14, 0.11, 0.09, 0.08, 0.07, 0.06),
-    5: (0.33, 0.22, 0.16, 0.13, 0.11, 0.09, 0.08, 0.07),
-}
-PUBLISHED_VERTEX = {
-    "k3d3": (1.25, 1.58, 1.86),
-    "k3_general_generic": (1.25, 1.27),
-    "k3_general_ratio12": (1.25, 1.33),
-    "k4d4": 2.44,
-}
-
 
 class CliInputError(Exception):
     """Bad user input; reported with exit code 2."""
@@ -65,11 +37,8 @@ def parse_state_spec(spec: str):
     parts = spec.split(":")
     kind = parts[0].lower()
     try:
-        if kind == "w" and len(parts) == 2:
-            psi = w_state(int(parts[1]))
-            return psi.density(), psi
-        if kind == "psi" and len(parts) == 2:
-            psi = psi_star(int(parts[1]))
+        if kind in ("w", "psi") and len(parts) == 2:
+            psi = (w_state if kind == "w" else psi_star)(int(parts[1]))
             return psi.density(), psi
         if kind == "werner" and len(parts) == 3:
             k = int(parts[1])
@@ -164,16 +133,22 @@ def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
+def _state_and_projection(spec: str, projection: str | None):
+    """(DensityMatrix, projection PureState) from a state spec and --projection."""
+    rho, proj = parse_state_spec(spec)
+    if projection:
+        _, proj = parse_state_spec(projection)
+        if proj.dim != rho.dim:
+            raise CliInputError("projection dimension does not match the state")
+    return rho, proj
+
+
 def _pattern_from_args(args, warnings):
     """Build the pattern requested by --state/--input, plus context info."""
-    if bool(args.state) == bool(getattr(args, "input", None)):
+    if bool(args.state) == bool(args.input):
         raise CliInputError("provide exactly one of --state or --input")
     if args.state:
-        rho, proj = parse_state_spec(args.state)
-        if getattr(args, "projection", None):
-            _, proj = parse_state_spec(args.projection)
-            if proj.dim != rho.dim:
-                raise CliInputError("projection dimension does not match the state")
+        rho, proj = _state_and_projection(args.state, args.projection)
         pat = pattern_from_states(rho, proj.density())
         info = {"source": "state", "state": args.state,
                 "projection_dim": proj.dim}
@@ -399,15 +374,10 @@ def cmd_gue_sweep(args, warnings):
 
 
 def cmd_approx(args, warnings):
-    rho, proj = parse_state_spec(args.target)
-    if args.projection:
-        _, proj = parse_state_spec(args.projection)
-        if proj.dim != rho.dim:
-            raise CliInputError("projection dimension does not match the target")
+    rho, proj = _state_and_projection(args.target, args.projection)
     target = pattern_from_states(rho, proj.density())
     cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-    verdict = reproducibility_verdict(target, proj.density(), args.q,
-                                      n_components=args.components, cfg=cfg)
+    verdict = reproducibility_verdict(target, proj.density(), args.q, cfg=cfg)
     approx = verdict.approx
     if not approx.converged:
         warnings.append("mixture fit did not converge; residual is an upper bound")
@@ -422,8 +392,8 @@ def cmd_approx(args, warnings):
     data = {
         "target": args.target,
         "q": args.q,
-        "n_components": args.components,
         "residual": approx.residual,
+        "residual_lower_bound": approx.lower_bound,
         "exceeds_q_coherence": verdict.exceeds_coherence,
         "peak_bound_exceeded": verdict.peak_exceeded,
         "components": [
@@ -454,6 +424,14 @@ def _add_common(parser, needs_restarts=False):
                             help="convergence tolerance for numeric searches")
 
 
+def _add_pattern_source(parser):
+    parser.add_argument("--state",
+                        help="state spec: W:k | PSI:k | werner:k:lambda | vec:a0,a1,...")
+    parser.add_argument("--input", help="CSV of pattern samples with header t,p (radians)")
+    parser.add_argument("--projection", help="override the projection (pure state spec)")
+    parser.add_argument("--dim", type=int, default=8, help="fit dimension for CSV input")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohcert",
@@ -461,21 +439,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", help="compute moments/ratios and the coherence verdict")
-    p.add_argument("--state", help="state spec: W:k | PSI:k | werner:k:lambda | vec:a0,a1,...")
-    p.add_argument("--input", help="CSV of pattern samples with header t,p (radians)")
-    p.add_argument("--projection", help="override the projection (pure state spec)")
-    p.add_argument("--dim", type=int, default=8, help="fit dimension for CSV input")
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("moments", help="moments and ratios only, no verdict")
-    p.add_argument("--state")
-    p.add_argument("--input")
-    p.add_argument("--projection")
-    p.add_argument("--dim", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_moments)
+    for name, func, text in (
+            ("certify", cmd_certify, "compute moments/ratios and the coherence verdict"),
+            ("moments", cmd_moments, "moments and ratios only, no verdict")):
+        p = sub.add_parser(name, help=text)
+        _add_pattern_source(p)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("tables", help="reproduce the threshold tables and growth series")
     _add_common(p, needs_restarts=True)
@@ -508,7 +478,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="best q-coherent mixture approximation of a pattern")
     p.add_argument("--target", required=True, help="state spec for the target pattern")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--components", type=int, default=3)
     p.add_argument("--projection", help="projection state spec (default: W on target levels)")
     p.add_argument("--plot-points", type=int, default=256)
     _add_common(p, needs_restarts=True)

@@ -45,6 +45,8 @@ class OptimizationConfig:
             raise ValueError("restarts must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 def rn_of_alpha(alpha, n: int) -> float:
@@ -62,6 +64,12 @@ def rn_of_alpha(alpha, n: int) -> float:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """Best restart of a maximization: argmax ``alpha``, maximum ``value``.
+
+    Nelder-Mead stops at ``fatol = tol`` and ``xatol = tol ** 0.5``: ``value``
+    is resolved to about ``tol`` (1e-10), ``alpha`` only to about 1e-5.
+    """
+
     alpha: np.ndarray
     value: float
     converged: bool

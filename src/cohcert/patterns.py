@@ -2,16 +2,17 @@
 
 A pattern p(t) = c0 + 2 sum_m Re(c_m e^{-imt}) collects the detection
 probability over one 2*pi period.  This module holds the one coefficient
-kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form and a pure-state
-fast path) and the one moment engine, which takes M_n = <p^n> exactly as the
-mean over an alias-free grid and accepts leading batch axes.  Sampling on a
-user-chosen grid is kept as an independent cross-check oracle.
+kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form, its adjoint and
+a pure-state fast path) and the one moment engine, which takes M_n = <p^n>
+exactly as the mean over an alias-free grid and accepts leading batch axes.
+Sampling on a user-chosen grid is kept as an independent cross-check oracle.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .states import DensityMatrix, PureState
 
@@ -28,9 +29,10 @@ __all__ = [
     "moment_by_sampling",
     "fit_pattern_from_samples",
 ]
-# The kernel (matrix_coefficients, overlap_coefficients) and the engine
-# (batch_moments, ratio_from_moments) are unvalidated array building blocks
-# shared by the other modules; they stay out of the public API.
+# The kernel (matrix_coefficients, overlap_coefficients, its adjoint
+# coefficient_gradient) and the engine (batch_moments, ratio_from_moments)
+# are unvalidated array building blocks shared by the other modules; they
+# stay out of the public API.
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
@@ -146,10 +148,22 @@ def _as_matrix(state) -> np.ndarray:
 def matrix_coefficients(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Kernel, matrix form: c_m = sum_p rho_{p,p-m} sigma_{p-m,p}, m = 0..d-1.
 
-    Covers mixed states and mixed projections; one pattern per call.
+    Covers mixed states and mixed projections; ``rho`` may also be a stack
+    of states (n, d, d), giving one row of coefficients per state.
     """
-    d = rho.shape[0]
-    return np.array([np.diagonal(rho, -m) @ np.diagonal(sigma, m) for m in range(d)])
+    d = sigma.shape[0]
+    return np.array([np.diagonal(rho, -m, -2, -1) @ np.diagonal(sigma, m) for m in range(d)]).T
+
+
+def coefficient_gradient(r, sigma: np.ndarray) -> np.ndarray:
+    """Adjoint of the matrix kernel: the Hermitian G with Tr(G drho) = dF.
+
+    F(rho) = r_0^2 + 2 sum_m |r_m|^2 is the mean-square pattern distance for
+    the one-sided coefficient residual r = c(rho) - c_target, so
+    G[p-m, p] = 2 conj(r_m) sigma[p-m, p], G[p, p-m] = its conjugate and
+    G[p, p] = 2 r_0 sigma[p, p].
+    """
+    return 2.0 * sigma * toeplitz(r)
 
 
 def overlap_coefficients(z) -> np.ndarray:
@@ -221,26 +235,24 @@ def pattern_from_states(rho, sigma) -> PatternCoefficients:
 
     ``sigma`` may be mixed, covering measurements that fluctuate over a set
     of projections; for pure rho and sigma this is the Ramsey fringe
-    |<chi|U(t)|psi>|^2.
+    |<chi|U(t)|psi>|^2.  Validated states keep p(t) inside [0, 1], so no
+    range check runs here.
     """
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
     cs = matrix_coefficients(r, s)
-    pat = PatternCoefficients(cs[0].real, cs[1:])
-    if not pat.is_physical():
-        raise ValueError("states produced a pattern outside [0, 1]")
-    return pat
+    return PatternCoefficients(cs[0].real, cs[1:])
 
 
 def pattern_from_overlaps(ov: OverlapVector) -> PatternCoefficients:
-    """Pattern c0 = sum a_p^2, c_m = sum_p a_{p+m} a_p e^{i(phi_{p+m}-phi_p)}."""
+    """Pattern c0 = sum a_p^2, c_m = sum_p a_{p+m} a_p e^{i(phi_{p+m}-phi_p)}.
+
+    Validation keeps p(t) <= (sum_p a_p)^2 <= 1, so no range check runs here.
+    """
     cs = overlap_coefficients(ov.alpha * np.exp(1j * ov.phi))
-    pat = PatternCoefficients(cs[0].real, cs[1:])
-    if not pat.is_physical():
-        raise ValueError("overlaps produced a pattern outside [0, 1]")
-    return pat
+    return PatternCoefficients(cs[0].real, cs[1:])
 
 
 def moment(pat: PatternCoefficients, n: int) -> float:

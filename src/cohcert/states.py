@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reference import PUBLISHED_TABLE2
+
 __all__ = [
     "HarmonicBasis",
     "PureState",
@@ -155,40 +157,23 @@ def w_state(k: int, dim: int | None = None) -> PureState:
     return PureState(amps)
 
 
-# Best-known amplitude-squared profiles maximizing R_n over k adjacent
-# levels, keyed by (n, k).  Seeds for the optimizer; k > 5 must be computed.
-_PSI_STAR_SQUARED = {
-    (3, 2): (0.50, 0.50),
-    (3, 3): (0.31, 0.38, 0.31),
-    (3, 4): (0.22, 0.28, 0.28, 0.22),
-    (3, 5): (0.17, 0.21, 0.23, 0.21, 0.17),
-    (4, 2): (0.50, 0.50),
-    (4, 3): (0.32, 0.36, 0.32),
-    (4, 4): (0.23, 0.27, 0.27, 0.23),
-    (4, 5): (0.18, 0.21, 0.22, 0.21, 0.18),
-    (5, 2): (0.50, 0.50),
-    (5, 3): (0.32, 0.36, 0.32),
-    (5, 4): (0.24, 0.26, 0.26, 0.24),
-    (5, 5): (0.19, 0.21, 0.21, 0.21, 0.19),
-}
-
-
 def psi_star(k: int, order: int = 3, dim: int | None = None) -> PureState:
     """Best-known state maximizing the order-``order`` certifier over k levels.
 
-    Built-in profiles cover order in {3, 4, 5} and k in {2..5}; they are
-    renormalized (two of the published rows sum to 1.01 after rounding).
+    Built-in profiles are the published Table-2 amplitude-squared profiles,
+    covering order in {3, 4, 5} and k in {2..5}; they are renormalized (two
+    of the published rows sum to 1.01 after rounding).
     For larger k run the numeric optimizer instead.
     """
     if k == 1:
         return w_state(1, dim)
     key = (order, k)
-    if key not in _PSI_STAR_SQUARED:
+    if key not in PUBLISHED_TABLE2:
         raise ValueError(
             f"no built-in profile for (order={order}, k={k}); "
             "use cohcert.optimize.maximize_rn_over_ck"
         )
-    prof = np.array(_PSI_STAR_SQUARED[key], dtype=float)
+    prof = np.array(PUBLISHED_TABLE2[key][2], dtype=float)
     prof = prof / prof.sum()
     d = k if dim is None else dim
     if k > d:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcert import (
     OptimizationConfig,
@@ -7,6 +9,7 @@ from cohcert import (
     WernerParams,
     best_q_approximation,
     coherence_support,
+    lambda_patt,
     pattern_distance,
     pattern_from_states,
     reproducibility_verdict,
@@ -88,8 +91,6 @@ def test_best_q_approx_validation():
     with pytest.raises(ValueError):
         best_q_approximation(werner_pattern(0.3), w_state(3).density(), 0)
     with pytest.raises(ValueError):
-        best_q_approximation(werner_pattern(0.3), w_state(3).density(), 2, n_components=0)
-    with pytest.raises(ValueError):
         best_q_approximation(werner_pattern(0.3), w_state(2).density(), 2)
 
 
@@ -100,14 +101,6 @@ def test_residual_nonincreasing_in_q():
     r3 = best_q_approximation(target, chi, 3, cfg=FAST).residual
     assert r3 <= r2 + 1e-12
     assert r3 < 1e-8  # q = k reproduces everything
-
-
-def test_residual_nonincreasing_in_components():
-    target = werner_pattern(0.18)
-    chi = w_state(3).density()
-    r1 = best_q_approximation(target, chi, 2, n_components=1, cfg=FAST).residual
-    r3 = best_q_approximation(target, chi, 2, n_components=3, cfg=FAST).residual
-    assert r3 <= r1 + 1e-12
 
 
 def test_verdict_brackets_pattern_threshold():
@@ -138,3 +131,55 @@ def test_verdict_peak_bound_consistency():
     target = pattern_from_states(werner_state(WernerParams(3, 0.3)), sigma)
     verdict = reproducibility_verdict(target, sigma, 2, cfg=FAST)
     assert verdict.peak_exceeded is None
+
+
+def werner_grid():
+    for k in range(3, 7):
+        for q in range(1, k):
+            for lam in np.linspace(0.0, 1.0, 21):
+                if abs(lam - lambda_patt(k, q)) >= 0.02:
+                    yield k, q, float(lam)
+
+
+def test_verdict_matches_pattern_threshold_on_werner_grid():
+    # the verdict is proven both ways: exceeding below lambda_patt, reproduced above
+    for k, q, lam in werner_grid():
+        verdict = reproducibility_verdict(werner_pattern(lam, k), w_state(k).density(), q)
+        approx = verdict.approx
+        assert verdict.exceeds_coherence == (lam < lambda_patt(k, q)), (k, q, lam)
+        assert 0.0 <= approx.lower_bound <= approx.residual, (k, q, lam)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_incoherent_residual_is_off_dc_power(k):
+    # q = 1 mixtures are diagonal: they match c0 under W_k and no frequency above it
+    for lam in (0.0, 0.3, 0.7):
+        target = werner_pattern(lam, k)
+        approx = best_q_approximation(target, w_state(k).density(), 1)
+        power = 2.0 * float(np.sum(np.abs(target.c) ** 2))
+        assert approx.residual == pytest.approx(power, abs=1e-12)
+        assert approx.lower_bound == pytest.approx(power, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), q=st.integers(1, 6))
+def test_lower_bound_certifies_residual_random_projection(seed, d, q):
+    rng = np.random.default_rng(seed)
+    sigma = rand_density(rng, d)
+    target = pattern_from_states(rand_density(rng, d), sigma)
+    approx = best_q_approximation(target, sigma, q)
+    assert approx.converged
+    assert 0.0 <= approx.lower_bound <= approx.residual
+    assert all(coherence_support(s) <= q for _, s in approx.components)
+
+
+def test_iteration_cap_reports_nonconvergence():
+    # werner:4:0.8 needs four atoms; one iteration leaves the gap open
+    target = werner_pattern(0.8, 4)
+    capped = best_q_approximation(target, w_state(4).density(), 2,
+                                  cfg=OptimizationConfig(max_iters=1))
+    assert not capped.converged
+    assert 0.0 <= capped.lower_bound <= capped.residual
+    assert capped.residual > 1e-6
+    with pytest.raises(ValueError):
+        OptimizationConfig(max_iters=0)

@@ -187,6 +187,16 @@ def test_approx_command(tmp_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_approx_does_not_overclaim_above_decoherence(tmp_path):
+    # lambda = 0.9 > lambda_dec(5, 2) = 3/4: the state is 2-coherent, and so is its pattern
+    rc, doc, _ = run_cli(["approx", "--target", "werner:5:0.9", "--q", "2"], tmp_path)
+    assert rc == 0
+    data = doc["data"]
+    assert not data["exceeds_q_coherence"]
+    assert data["residual"] < 1e-8
+    assert 0.0 <= data["residual_lower_bound"] <= data["residual"]
+
+
 def test_approx_csv_series(tmp_path):
     out = tmp_path / "approx.csv"
     rc = main(["approx", "--target", "werner:3:0.54", "--q", "2", "--restarts", "4",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcert import (
     DensityMatrix,
@@ -67,6 +69,24 @@ def test_pattern_from_states_mixed_projection():
 def test_pattern_dimension_mismatch():
     with pytest.raises(ValueError):
         pattern_from_states(w_state(2).density(), w_state(3).density())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 7), pure=st.booleans())
+def test_validated_inputs_give_patterns_in_unit_range(seed, d, pure):
+    # pattern_from_states/overlaps run no range check: validation implies 0 <= p <= 1
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0, 2 * np.pi, 64 * d, endpoint=False)
+    if pure:
+        rho, sigma = rand_pure(rng, d), rand_pure(rng, d)
+    else:
+        rank = int(rng.integers(1, d + 1))
+        rho, sigma = rand_density(rng, d, rank), rand_density(rng, d, rank)
+    scale = 1.0 if rng.random() < 0.5 else rng.random()
+    overlaps = OverlapVector(rand_simplex(rng, d) * scale, rng.uniform(0, 2 * np.pi, d))
+    for pat in (pattern_from_states(rho, sigma), pattern_from_overlaps(overlaps)):
+        vals = pat.evaluate(t)
+        assert vals.min() >= -1e-9 and vals.max() <= 1.0 + 1e-9
 
 
 def test_pattern_from_overlaps_examples():
