@@ -18,7 +18,7 @@ for k, thr in enumerate(cc.R3_CERTIFICATION_THRESHOLDS, start=1):
 
 print("\npolytope vertex bounds behind those numbers:")
 for case in ("k3d3", "k3_general_generic", "k3_general_ratio12", "k4d4"):
-    maxima = [round(rec.r3_max, 4) for rec in cc.vertex_table(case)]
+    maxima = ", ".join(str(rec.r3_max) for rec in cc.vertex_table(case))
     print(f"  {case:22s} vertex maxima {maxima}")
 
 print("\nnumeric maxima and optimal profiles (32 restarts each):")

@@ -27,7 +27,7 @@ for lam in (0.18, 0.36, 0.54):
     print(f"    peak above the 2/3 bound: {verdict.peak_exceeded}")
 
 print(f"\npattern-level threshold equals the state-level one: "
-      f"lambda_patt = lambda_dec = {cc.lambda_patt(3, 2)}")
+      f"lambda_dec = {cc.lambda_dec(3, 2)}")
 
 # the scalar certifier is slightly more conservative than the full pattern
 rec = cc.lambda_threshold(3, 3, threshold=float(cc.R3_CERTIFICATION_THRESHOLDS[1]))

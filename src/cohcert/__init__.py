@@ -22,7 +22,6 @@ from .bounds import (
     d_from_alpha,
     hessian_principal_minors,
     lambda_dec,
-    lambda_patt,
     pattern_peak_bound,
     r3_from_d,
     r3_w_closed_form,

@@ -2,10 +2,12 @@
 
 The third-moment certifier R_3 admits proven maxima over k-coherent states:
 1 for k=1, 5/4 for k=2 and 179/96 for k=3 (any Hamiltonian, any projection),
-plus 2.44 for 4 adjacent levels.  Exceeding a maximum certifies at least
+plus 39/16 for 4 adjacent levels.  Exceeding a maximum certifies at least
 (k+1)-coherence.  The bounds come from a frequency-grouped reparametrization
 D_n = sum_p a_{p+n} a_p in which R_3 is convex on a linear-constraint
-polytope, so only polytope vertices need checking.
+polytope, so only polytope vertices need checking; each published vertex
+family attains its maximum at a rational end point of its D_0 range, so the
+maxima are evaluated exactly in Fraction arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +31,6 @@ __all__ = [
     "r3_w_closed_form",
     "w_resonance_counts",
     "lambda_dec",
-    "lambda_patt",
     "pattern_peak_bound",
 ]
 
@@ -124,6 +125,18 @@ def d_from_alpha(alpha) -> DVector:
     return DVector(dn[0], dn[1:] / dn[0])
 
 
+def _r3(d0, dtilde):
+    """R_3 of D_0 and the sequence Dt_1..Dt_nf in the arithmetic of its
+    arguments: floats give floats, Fractions the exact value."""
+    nf = len(dtilde)
+    total = sum(x * x for x in dtilde)
+    for i in range(1, nf):
+        # ordered pairs (i, j) with j = 1..nf-i land on frequency i+j
+        for j in range(1, nf - i + 1):
+            total += dtilde[i - 1] * dtilde[j - 1] * dtilde[i + j - 1]
+    return d0 + 6 * d0 * total
+
+
 def r3_from_d(dv: DVector) -> float:
     """R_3 = 6 D_0 (1/6 + sum_i Dt_i^2 + sum_{i+j=k} Dt_i Dt_j Dt_k).
 
@@ -131,16 +144,7 @@ def r3_from_d(dv: DVector) -> float:
     convention reproduces R_3(W_2) = 5/4 and R_3(W_3) = 47/27 exactly and
     matches the moment engine on random states.
     """
-    dt = dv.dtilde
-    nf = dt.size
-    total = 1.0 / 6.0 + float(np.dot(dt, dt))
-    for i in range(1, nf + 1):
-        top = nf - i
-        if top < 1:
-            break
-        # ordered pairs (i, j) with j = 1..nf-i land on frequency i+j
-        total += dt[i - 1] * float(np.dot(dt[:top], dt[i : i + top]))
-    return 6.0 * dv.d0 * total
+    return float(_r3(dv.d0, dv.dtilde.tolist()))
 
 
 def w_resonance_counts(k: int) -> tuple[int, int]:
@@ -169,21 +173,17 @@ def r3_w_closed_form(k: int) -> float:
 
 
 def lambda_dec(k: int, q: int) -> float:
-    """Mixing parameter above which the k-level Werner-like state is only q-coherent."""
+    """Mixing parameter above which the k-level Werner-like state is only q-coherent.
+
+    Under the optimal projection onto W_k it is also the value above which
+    the Werner pattern is reproducible by q-coherent mixtures: a single
+    pattern then resolves q-coherence fully.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if not 1 <= q <= k:
         raise ValueError(f"q must lie in 1..{k}, got {q}")
     return (k - q) / (k - 1)
-
-
-def lambda_patt(k: int, q: int) -> float:
-    """Mixing parameter above which the Werner pattern is reproducible by C_q.
-
-    Valid for the optimal projection onto W_k, where it coincides with
-    :func:`lambda_dec`: a single pattern then resolves q-coherence fully.
-    """
-    return lambda_dec(k, q)
 
 
 def pattern_peak_bound(q: int, k: int) -> float:
@@ -204,64 +204,71 @@ VERTEX_CASES = ("k3d3", "k3_general_generic", "k3_general_ratio12", "k4d4")
 class VertexRecord:
     """One polytope vertex family: coordinates as functions of D_0.
 
-    ``coords`` maps absolute frequency -> expression of D_0.  ``r3_max`` is
-    the maximum of :func:`r3_from_d` over ``d0_range`` (dense grid plus
-    golden-section refinement), attained at ``d0_argmax``.
+    ``coords`` maps absolute frequency -> expression of D_0, exact for a
+    Fraction argument.  ``r3_max`` is the maximum of R_3 over ``d0_range``,
+    an exact Fraction attained at the end point ``d0_argmax``: R_3 has no
+    interior critical point above its end-point values on any published
+    family (the test suite proves this symbolically).
     """
 
     case: str
-    d0_range: tuple[float, float]
-    coords: Mapping[int, Callable[[float], float]] = field(repr=False)
-    r3_max: float = float("nan")
-    d0_argmax: float = float("nan")
+    d0_range: tuple[Fraction, Fraction]
+    coords: Mapping[int, Callable] = field(repr=False)
+
+    def _dtilde(self, d0) -> list:
+        """Dt_1..Dt_nf at ``d0``, in the arithmetic of ``d0``."""
+        return [self.coords[f](d0) if f in self.coords else 0
+                for f in range(1, max(self.coords) + 1)]
 
     def dvector(self, d0: float) -> DVector:
         lo, hi = self.d0_range
         if not lo - 1e-12 <= d0 <= hi + 1e-12:
             raise ValueError(f"D_0 = {d0} outside vertex range [{lo}, {hi}]")
-        nf = max(self.coords)
-        dt = np.zeros(nf)
-        for f, expr in self.coords.items():
-            dt[f - 1] = expr(d0)
-        return DVector(d0, dt)
+        return DVector(d0, self._dtilde(d0))
 
-    def r3_at(self, d0: float) -> float:
-        return r3_from_d(self.dvector(d0))
+    def r3_at(self, d0):
+        """R_3 of the family at ``d0``; exact for a Fraction ``d0``."""
+        return _r3(d0, self._dtilde(d0))
+
+    @property
+    def d0_argmax(self) -> Fraction:
+        return max(self.d0_range, key=self.r3_at)
+
+    @property
+    def r3_max(self) -> Fraction:
+        return self.r3_at(self.d0_argmax)
 
     def constraints_satisfied(self, d0: float, tol: float = 1e-9) -> bool:
         vals = {f: expr(d0) for f, expr in self.coords.items()}
         return _case_constraints_ok(self.case, d0, vals, tol)
 
 
-def _case_constraints_ok(case: str, d0: float, vals: dict, tol: float,
-                         require_plane: bool = False) -> bool:
+def _case_constraints_ok(case: str, d0: float, vals: dict, tol: float) -> bool:
     """Inequality families bounding each case's region.
 
-    ``require_plane`` additionally demands the normalization plane
-    D_0 (1 + 2 sum Dt) = 1.  The Hessian positivity region is the plain
-    box/triangle; vertex records generally sit on the plane (one published
-    k=d=4 family does not and is kept verbatim).
+    The normalization plane D_0 (1 + 2 sum Dt) = 1 is not required: vertex
+    records generally sit on it, but one published k=d=4 family does not
+    and is kept verbatim.
     """
     lower2 = max(0.0, (1 - 2 * d0) / (4 * d0))
-    plane_gap = abs(sum(vals.values()) - (1 - d0) / (2 * d0))
     if case == "k3d3":
         d1, d2 = vals[1], vals[2]
-        ok = (
+        return (
             1 / 3 - tol <= d0 <= 1 + tol
             and lower2 - tol <= d2 <= 0.5 + tol
             and -tol <= d1 <= 1 + tol
             and 1 - 2 * d1 + 2 * d2 >= -tol
         )
-    elif case in ("k3_general_generic", "k3_general_ratio12"):
+    if case in ("k3_general_generic", "k3_general_ratio12"):
         vs = list(vals.values())
-        ok = (
+        return (
             1 / 3 - tol <= d0 <= 1 + tol
             and all(lower2 - tol <= v <= 0.5 + tol for v in vs)
         )
-    elif case == "k4d4":
+    if case == "k4d4":
         d1, d2, d3 = vals[1], vals[2], vals[3]
         lower3 = max(0.0, (1 - 3 * d0) / (6 * d0))
-        ok = (
+        return (
             1 / 4 - tol <= d0 <= 1 + tol
             and lower2 - tol <= d2 <= 0.5 + tol
             and lower3 - tol <= d3 <= 0.5 + tol
@@ -269,32 +276,10 @@ def _case_constraints_ok(case: str, d0: float, vals: dict, tol: float,
             and d1 + d3 <= 1 + tol
             and 1 - 2 * d1 + 2 * d2 - 2 * d3 >= -tol
         )
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return ok and (not require_plane or plane_gap <= tol)
+    raise ValueError(f"unknown case {case!r}")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
-    """Dense grid plus golden-section refinement of a 1-d maximum."""
-    grid = np.linspace(lo, hi, 257)
-    vals = np.array([f(x) for x in grid])
-    i = int(np.argmax(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    candidates = [lo, hi, 0.5 * (a + b)]
-    best = max(candidates, key=f)
-    return f(best), best
+_QUARTER, _THIRD, _HALF, _ONE = Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)
 
 
 def _low2(x):
@@ -306,53 +291,49 @@ def _low2(x):
 # triple (1, 2, 3): extra resonances only add nonnegative terms, so this
 # upper-bounds every admissible level placement.  The assignment of the
 # coordinate 1/2 to frequency 2 (generic column) respectively frequency 1
-# (1:2-ratio column) is fixed by matching the published maxima, which the
-# test suite pins to {1.25, 1.27} and {1.25, 1.33}.
+# (1:2-ratio column) is fixed by matching the published maxima 61/48 and
+# 4/3 (printed as 1.27 and 1.33).
 _VERTEX_DEFS = {
     "k3d3": [
-        ((0.5, 1.0), {1: lambda x: (1 - x) / (2 * x), 2: lambda x: 0.0}),
-        ((1 / 3, 0.5), {1: lambda x: (1 - 2 * x) / (2 * x), 2: lambda x: 0.5}),
-        ((1 / 3, 0.5), {1: lambda x: 1 / (4 * x), 2: _low2}),
+        ((_HALF, _ONE), {1: lambda x: (1 - x) / (2 * x), 2: lambda x: 0}),
+        ((_THIRD, _HALF), {1: lambda x: (1 - 2 * x) / (2 * x), 2: lambda x: _HALF}),
+        ((_THIRD, _HALF), {1: lambda x: 1 / (4 * x), 2: _low2}),
     ],
     "k3_general_generic": [
-        ((0.5, 1.0), {1: lambda x: 0.0, 2: lambda x: 0.0, 3: lambda x: (1 - x) / (2 * x)}),
-        ((1 / 3, 0.5), {1: _low2, 2: lambda x: 0.5, 3: _low2}),
+        ((_HALF, _ONE), {1: lambda x: 0, 2: lambda x: 0, 3: lambda x: (1 - x) / (2 * x)}),
+        ((_THIRD, _HALF), {1: _low2, 2: lambda x: _HALF, 3: _low2}),
     ],
     "k3_general_ratio12": [
-        ((0.5, 1.0), {1: lambda x: (1 - x) / (2 * x), 2: lambda x: 0.0, 3: lambda x: 0.0}),
-        ((1 / 3, 0.5), {1: lambda x: 0.5, 2: _low2, 3: _low2}),
+        ((_HALF, _ONE), {1: lambda x: (1 - x) / (2 * x), 2: lambda x: 0, 3: lambda x: 0}),
+        ((_THIRD, _HALF), {1: lambda x: _HALF, 2: _low2, 3: _low2}),
     ],
     "k4d4": [
-        ((0.5, 1.0), {1: lambda x: (1 - x) / (4 * x), 2: lambda x: 0.0, 3: lambda x: 0.0}),
-        ((1 / 3, 0.5), {1: lambda x: (1 - 2 * x) / (2 * x), 2: lambda x: 0.5, 3: lambda x: 0.0}),
-        ((1 / 3, 0.5), {1: _low2, 2: _low2, 3: lambda x: 0.5}),
-        ((1 / 3, 0.5), {1: lambda x: 1 / (4 * x), 2: _low2, 3: lambda x: 0.0}),
-        ((0.25, 1 / 3), {1: lambda x: (1 - 3 * x) / (2 * x), 2: lambda x: 0.5, 3: lambda x: 0.5}),
-        ((0.25, 1 / 3), {1: lambda x: (2 - 3 * x) / (6 * x), 2: lambda x: 0.5,
-                         3: lambda x: (1 - 3 * x) / (6 * x)}),
-        ((0.25, 1 / 3), {1: _low2, 2: _low2, 3: lambda x: 0.5}),
+        ((_HALF, _ONE), {1: lambda x: (1 - x) / (4 * x), 2: lambda x: 0, 3: lambda x: 0}),
+        ((_THIRD, _HALF), {1: lambda x: (1 - 2 * x) / (2 * x), 2: lambda x: _HALF,
+                           3: lambda x: 0}),
+        ((_THIRD, _HALF), {1: _low2, 2: _low2, 3: lambda x: _HALF}),
+        ((_THIRD, _HALF), {1: lambda x: 1 / (4 * x), 2: _low2, 3: lambda x: 0}),
+        ((_QUARTER, _THIRD), {1: lambda x: (1 - 3 * x) / (2 * x), 2: lambda x: _HALF,
+                              3: lambda x: _HALF}),
+        ((_QUARTER, _THIRD), {1: lambda x: (2 - 3 * x) / (6 * x), 2: lambda x: _HALF,
+                              3: lambda x: (1 - 3 * x) / (6 * x)}),
+        ((_QUARTER, _THIRD), {1: _low2, 2: _low2, 3: lambda x: _HALF}),
     ],
 }
 
 
 def vertex_table(case: str) -> list[VertexRecord]:
-    """Vertex families of a case with their R_3 maxima over D_0.
+    """Vertex families of a case with their exact R_3 maxima over D_0.
 
-    The k=d=3 maxima {1.25, 19/12, 179/96} and the k=d=4 overall maximum
+    The k=d=3 maxima {5/4, 19/12, 179/96} and the k=d=4 overall maximum
     39/16 are the certification-relevant bounds; the 3-level general
-    placement families give {1.25, 61/48} (generic) and {1.25, 4/3} (1:2
+    placement families give {5/4, 61/48} (generic) and {5/4, 4/3} (1:2
     frequency ratio).
     """
     if case not in _VERTEX_DEFS:
         raise ValueError(f"unknown case {case!r}; choose from {VERTEX_CASES}")
-    records = []
-    for d0_range, coords in _VERTEX_DEFS[case]:
-        stub = VertexRecord(case=case, d0_range=d0_range, coords=coords)
-        val, arg = _golden_max(stub.r3_at, *d0_range)
-        records.append(
-            VertexRecord(case=case, d0_range=d0_range, coords=coords, r3_max=val, d0_argmax=arg)
-        )
-    return records
+    return [VertexRecord(case=case, d0_range=d0_range, coords=coords)
+            for d0_range, coords in _VERTEX_DEFS[case]]
 
 
 # Frequencies carrying the variables of each case's Hessian.  The general

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bounds, optimize, robustness
 from .approx import reproducibility_verdict
-from .patterns import fit_pattern_from_samples, moments, pattern_from_states, ratio_from_moments
+from .patterns import (batch_moments, fit_pattern_from_samples, moments, pattern_from_states,
+                       ratio_from_moments)
 from .reference import PUBLISHED_TABLE1, PUBLISHED_TABLE2, PUBLISHED_TABLE3, PUBLISHED_VERTEX
 from .states import PureState, WernerParams, psi_star, w_state, werner_state
 
@@ -227,7 +228,6 @@ def cmd_tables(args, warnings):
             "abs_diff_best": abs(best - pub_best),
         })
     table2 = []
-    fig1 = []
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5):
             res = optimize.maximize_rn_over_ck(n, k, cfg)
@@ -308,10 +308,11 @@ def cmd_vertex_check(args, warnings):
         for rec in records:
             grid = np.linspace(rec.d0_range[0], rec.d0_range[1], 50)
             rows.append({
-                "d0_range": list(rec.d0_range),
-                "r3_max": rec.r3_max,
-                "d0_argmax": rec.d0_argmax,
-                "coords_at_argmax": {str(f): expr(rec.d0_argmax)
+                "d0_range": [float(x) for x in rec.d0_range],
+                "r3_max": float(rec.r3_max),
+                "r3_max_exact": str(rec.r3_max),
+                "d0_argmax": float(rec.d0_argmax),
+                "coords_at_argmax": {str(f): float(expr(rec.d0_argmax))
                                      for f, expr in rec.coords.items()},
                 "constraints_ok": bool(all(rec.constraints_satisfied(x) for x in grid)),
             })
@@ -330,15 +331,14 @@ def cmd_vertex_check(args, warnings):
 
 def cmd_werner_sweep(args, warnings):
     lams = np.linspace(0.0, 1.0, args.points)
-    series = {n: [optimize.werner_rn(args.k, float(l), n) for l in lams] for n in (3, 4, 5)}
+    ms = batch_moments(optimize.werner_coefficients(args.k, lams, w_state(args.k).amplitudes), 5)
+    series = {n: ratio_from_moments(ms, n).tolist() for n in (3, 4, 5)}
     thresholds = []
     if args.k >= 3:
-        for n in (3, 4, 5):
-            thr = optimize.rn_of_alpha(np.full(args.k - 1, 1.0 / (args.k - 1)), n)
-            rec = optimize.lambda_threshold(n, args.k, thr)
+        for rec in optimize.decoherence_threshold_table(k_values=(args.k,)):
             if not rec.reachable:
-                warnings.append(f"threshold unreachable for (n={n}, k={args.k})")
-            thresholds.append({"n": n, "lambda_thr": rec.lambda_thr,
+                warnings.append(f"threshold unreachable for (n={rec.n}, k={args.k})")
+            thresholds.append({"n": rec.n, "lambda_thr": rec.lambda_thr,
                                "threshold": rec.threshold, "projection": rec.projection,
                                "reachable": rec.reachable})
     data = {
@@ -413,14 +413,25 @@ def cmd_approx(args, warnings):
     return data, rows, header
 
 
+def _above(kind, lo):
+    """argparse type: a ``kind`` number > ``lo``; anything else (NaN too) exits 2."""
+    def parse(text):
+        value = kind(text)
+        if not value > lo:
+            raise argparse.ArgumentTypeError(f"must be > {lo}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(parser, needs_restarts=False):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     if needs_restarts:
-        parser.add_argument("--restarts", type=int, default=32,
+        parser.add_argument("--restarts", type=_above(int, 0), default=32,
                             help="multi-start restarts for numeric searches")
-        parser.add_argument("--tol", type=float, default=1e-10,
+        parser.add_argument("--tol", type=_above(float, 0), default=1e-10,
                             help="convergence tolerance for numeric searches")
 
 
@@ -453,8 +464,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize R_n over k-coherent states")
     p.add_argument("--n", type=int, default=3, choices=(3, 4, 5))
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--scan", type=int, default=0,
+    p.add_argument("--k", type=_above(int, 1), default=3)
+    p.add_argument("--scan", type=_above(int, 1), default=0,
                    help="scan k = 2..SCAN and fit the linear growth")
     _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_optimize)
@@ -464,22 +475,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_vertex_check)
 
     p = sub.add_parser("werner-sweep", help="certifier values on the Werner family")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--k", type=_above(int, 0), default=3)
+    p.add_argument("--points", type=_above(int, 0), default=101)
     _add_common(p)
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("gue-sweep", help="faulty-measurement Monte Carlo sweep")
     p.add_argument("--k", type=int, default=4, choices=(3, 4))
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_above(int, 0), default=100)
     _add_common(p)
     p.set_defaults(func=cmd_gue_sweep)
 
     p = sub.add_parser("approx", help="best q-coherent mixture approximation of a pattern")
     p.add_argument("--target", required=True, help="state spec for the target pattern")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_above(int, 0), required=True)
     p.add_argument("--projection", help="projection state spec (default: W on target levels)")
-    p.add_argument("--plot-points", type=int, default=256)
+    p.add_argument("--plot-points", type=_above(int, 0), default=256)
     _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_approx)
     return parser

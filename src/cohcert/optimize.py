@@ -6,11 +6,16 @@ equal to projection).  The simplex is handled by the square-then-normalize
 reparametrization a_p = x_p^2 / sum x^2, optimized by multi-start
 Nelder-Mead; restarts use splittable per-restart seeding so parallel and
 serial execution agree bit for bit.
+
+The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
+R_n is a polynomial in 1 - lam and a threshold is one of its roots.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import minimize
 
 from .bounds import r3_w_closed_form
@@ -29,6 +34,7 @@ __all__ = [
     "lambda_threshold",
     "decoherence_threshold_table",
 ]
+# werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,13 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
                       intercept=float(intercept), residuals=residuals, converged=all_conv)
 
 
-def _rn_rho_chi(rho_mat: np.ndarray, chi: np.ndarray, n: int) -> float:
-    ms = batch_moments(matrix_coefficients(rho_mat, np.outer(chi, chi.conj())), n)
-    return float(ratio_from_moments(ms, n))
+def werner_coefficients(k: int, lam, chi) -> np.ndarray:
+    """Coefficients of werner(k, lam) under the normalised projection ``chi``:
+    c_0 = 1/k and c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``."""
+    c_w = overlap_coefficients(w_state(k).amplitudes * np.conj(chi))
+    cs = np.multiply.outer(1.0 - np.asarray(lam, dtype=float), c_w)
+    cs[..., 0] = 1.0 / k
+    return cs
 
 
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",
@@ -195,13 +205,13 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     best-known pure maximizer, and "optimize" maximizes over real
     projection states by multi-start Nelder-Mead.
     """
-    rho = werner_state(WernerParams(k, lam)).matrix
-    if projection == "w":
-        return _rn_rho_chi(rho, w_state(k).amplitudes, n)
-    if projection == "psi":
-        return _rn_rho_chi(rho, psi_star(k, order=n).amplitudes, n)
+    params = WernerParams(k, lam)
+    if projection in ("w", "psi"):
+        chi = (w_state(k) if projection == "w" else psi_star(k, order=n)).amplitudes
+        return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam, chi), n), n))
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")
+    rho = werner_state(params).matrix
     cfg = cfg or OptimizationConfig(restarts=8)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
@@ -209,7 +219,9 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
         nrm = np.linalg.norm(x)
         if nrm == 0:
             return 0.0
-        return -_rn_rho_chi(rho, x.astype(complex) / nrm, n)
+        chi = x.astype(complex) / nrm
+        ms = batch_moments(matrix_coefficients(rho, np.outer(chi, chi.conj())), n)
+        return -float(ratio_from_moments(ms, n))
 
     best = -np.inf
     for i, child in enumerate(children):
@@ -230,43 +242,41 @@ class ThresholdRecord:
     """Mixing parameter at which R_n stops certifying on the Werner family.
 
     ``reachable`` is False when the certifier never attains ``threshold``
-    even at lam = 0 (lambda_thr is then reported as 0).
+    even at lam = 0 (lambda_thr is then reported as 0), or stays above it
+    even at lam = 1 (lambda_thr is then 1).
     """
 
     n: int
     k: int
     lambda_thr: float
-    method: str
     projection: str
     threshold: float
     reachable: bool
 
 
-def lambda_threshold(n: int, k: int, threshold: float,
-                     projection: str = "w", xtol: float = 1e-6) -> ThresholdRecord:
-    """Bisect for R_n(werner(k, lam), projection) = threshold.
+def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
+    """Solve R_n(werner(k, lam)) = threshold under the W_k projection.
 
-    R_n of the Werner family is strictly decreasing in lam (the pattern's
-    oscillating part scales with 1 - lam), so the root is unique whenever
-    the threshold is bracketed.
+    With u = 1 - lam and mu_j = <q^j> for the centred W_k pattern q, M_1 = 1/k
+    and R_n = sum_j C(n, j) k^(j-1) mu_j u^j, kept in the u basis (better
+    conditioned than lam).  dR_n/du = n k^(n-1) <q p^(n-1)> >= 0 since p >= 0
+    grows with q and <q> = 0, so a bracketed root is unique.
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    f = lambda lam: werner_rn(k, lam, n, projection=projection) - threshold
-    f0, f1 = f(0.0), f(1.0)
-    desc = f"werner({k}) under {projection} projection"
-    if f0 <= 0:
-        return ThresholdRecord(n, k, 0.0, "bisection", desc, threshold, reachable=False)
-    if f1 >= 0:
-        return ThresholdRecord(n, k, 1.0, "bisection", desc, threshold, reachable=False)
-    lo, hi = 0.0, 1.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdRecord(n, k, 0.5 * (lo + hi), "bisection", desc, threshold, reachable=True)
+    q = werner_coefficients(k, 0.0, w_state(k).amplitudes)
+    q[0] = 0.0
+    mu = np.concatenate([[1.0], batch_moments(q, n)])
+    rn = Polynomial([comb(n, j) * float(k) ** (j - 1) * mu[j] for j in range(n + 1)])
+    desc = f"werner({k}) under w projection"
+    if rn(1.0) <= threshold:
+        return ThresholdRecord(n, k, 0.0, desc, threshold, reachable=False)
+    if rn(0.0) >= threshold:
+        return ThresholdRecord(n, k, 1.0, desc, threshold, reachable=False)
+    # the root nearest the segment [0, 1] of the real axis is the bracketed one
+    u = min((rn - threshold).roots(),
+            key=lambda r: abs(r.imag) + max(-r.real, r.real - 1, 0.0)).real
+    return ThresholdRecord(n, k, 1.0 - u, desc, threshold, reachable=True)
 
 
 def decoherence_threshold_table(n_values=(3, 4, 5), k_values=range(3, 11)):
@@ -277,9 +287,5 @@ def decoherence_threshold_table(n_values=(3, 4, 5), k_values=range(3, 11)):
     table tracks (the slightly larger best-known maxima over C_{k-1} would
     shift the n=3 row down by up to 0.02).
     """
-    records = []
-    for n in n_values:
-        for k in k_values:
-            thr = rn_of_alpha(np.full(k - 1, 1.0 / (k - 1)), n)
-            records.append(lambda_threshold(n, k, thr, projection="w"))
-    return records
+    return [lambda_threshold(n, k, rn_of_alpha(np.full(k - 1, 1.0 / (k - 1)), n))
+            for n in n_values for k in k_values]

@@ -9,7 +9,7 @@ from cohcert import (
     WernerParams,
     best_q_approximation,
     coherence_support,
-    lambda_patt,
+    lambda_dec,
     pattern_distance,
     pattern_from_states,
     reproducibility_verdict,
@@ -137,16 +137,16 @@ def werner_grid():
     for k in range(3, 7):
         for q in range(1, k):
             for lam in np.linspace(0.0, 1.0, 21):
-                if abs(lam - lambda_patt(k, q)) >= 0.02:
+                if abs(lam - lambda_dec(k, q)) >= 0.02:
                     yield k, q, float(lam)
 
 
 def test_verdict_matches_pattern_threshold_on_werner_grid():
-    # the verdict is proven both ways: exceeding below lambda_patt, reproduced above
+    # the verdict is proven both ways: exceeding below lambda_dec, reproduced above
     for k, q, lam in werner_grid():
         verdict = reproducibility_verdict(werner_pattern(lam, k), w_state(k).density(), q)
         approx = verdict.approx
-        assert verdict.exceeds_coherence == (lam < lambda_patt(k, q)), (k, q, lam)
+        assert verdict.exceeds_coherence == (lam < lambda_dec(k, q)), (k, q, lam)
         assert 0.0 <= approx.lower_bound <= approx.residual, (k, q, lam)
 
 

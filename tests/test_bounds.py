@@ -9,7 +9,6 @@ from cohcert import (
     d_from_alpha,
     hessian_principal_minors,
     lambda_dec,
-    lambda_patt,
     pattern_peak_bound,
     r3_from_d,
     r3_w_closed_form,
@@ -103,23 +102,46 @@ def test_resonance_counts_reproduce_closed_form():
 
 def test_vertex_table_k3d3():
     maxima = [rec.r3_max for rec in vertex_table("k3d3")]
-    assert maxima == pytest.approx([1.25, 19 / 12, 179 / 96], abs=1e-8)
+    assert maxima == [Fraction(5, 4), Fraction(19, 12), Fraction(179, 96)]
 
 
 def test_vertex_table_k3_general():
     generic = [rec.r3_max for rec in vertex_table("k3_general_generic")]
-    assert generic == pytest.approx([1.25, 61 / 48], abs=1e-8)
+    assert generic == [Fraction(5, 4), Fraction(61, 48)]
     ratio12 = [rec.r3_max for rec in vertex_table("k3_general_ratio12")]
-    assert ratio12 == pytest.approx([1.25, 4 / 3], abs=1e-8)
+    assert ratio12 == [Fraction(5, 4), Fraction(4, 3)]
 
 
 def test_vertex_table_k4d4_overall():
     recs = vertex_table("k4d4")
-    assert max(r.r3_max for r in recs) == pytest.approx(39 / 16, abs=1e-8)
+    assert [r.r3_max for r in recs] == [
+        Fraction(1), Fraction(19, 12), Fraction(5, 4), Fraction(179, 96),
+        Fraction(31, 16), Fraction(39, 16), Fraction(31, 16)]
     best = max(recs, key=lambda r: r.r3_max)
-    assert best.d0_argmax == pytest.approx(0.25, abs=1e-6)
+    assert best.d0_argmax == Fraction(1, 4)
     dv = best.dvector(0.25)
     assert dv.dtilde[1] == pytest.approx(0.5)
+
+
+def test_vertex_maxima_sit_at_range_end_points():
+    # R_3 along each family is a rational function of D_0 with no pole on
+    # the closed range, so its maximum lies at an end point or at a zero of
+    # the derivative's numerator; every interior zero falls short
+    import sympy
+
+    x = sympy.Symbol("x")
+    for case in VERTEX_CASES:
+        for rec in vertex_table(case):
+            lo, hi = (sympy.Rational(v) for v in rec.d0_range)
+            r3 = sympy.cancel(sympy.sympify(rec.r3_at(x)))
+            assert r3.subs(x, rec.d0_argmax) == rec.r3_max == max(r3.subs(x, lo), r3.subs(x, hi))
+            num, den = sympy.fraction(sympy.cancel(sympy.diff(r3, x)))
+            assert not any(lo <= z <= hi for z in sympy.real_roots(sympy.Poly(den, x)))
+            if num == 0:
+                continue
+            for z in sympy.real_roots(sympy.Poly(num, x)):
+                if lo < z < hi:
+                    assert r3.subs(x, z) < rec.r3_max, (case, rec.d0_range, z)
 
 
 def test_vertex_table_unknown_case():
@@ -199,7 +221,6 @@ def test_lambda_dec_examples():
     assert lambda_dec(3, 2) == pytest.approx(0.5)
     assert lambda_dec(5, 5) == 0.0
     assert lambda_dec(10, 9) == pytest.approx(1 / 9)
-    assert lambda_patt(3, 2) == lambda_dec(3, 2)
     with pytest.raises(ValueError):
         lambda_dec(1, 1)
     with pytest.raises(ValueError):

@@ -149,6 +149,22 @@ def test_werner_sweep_command(tmp_path):
     assert thr3["lambda_thr"] == pytest.approx(0.1777, abs=1e-3)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_werner_sweep_matches_per_lambda_values(tmp_path, k):
+    # per-lambda werner_rn, and the pattern of the validated density matrix
+    from cohcert import WernerParams, pattern_from_states, ratio, w_state, werner_rn, werner_state
+
+    _, doc, _ = run_cli(["werner-sweep", "--k", str(k), "--points", "21"], tmp_path)
+    data = doc["data"]
+    for n in (3, 4, 5):
+        per_lambda = [werner_rn(k, lam, n) for lam in data["lambda_grid"]]
+        assert data[f"r{n}"] == pytest.approx(per_lambda, rel=1e-13)
+        from_matrix = [ratio(pattern_from_states(werner_state(WernerParams(k, lam)),
+                                                 w_state(k).density()), n)
+                       for lam in data["lambda_grid"]]
+        assert data[f"r{n}"] == pytest.approx(from_matrix, rel=1e-13)
+
+
 def test_werner_sweep_csv(tmp_path):
     out = tmp_path / "ws.csv"
     rc = main(["werner-sweep", "--k", "3", "--points", "5", "--format", "csv",
@@ -221,6 +237,28 @@ def test_tables_command(tmp_path):
     assert all(r["abs_diff"] <= 0.01 for r in data["table3"])
     fit = data["fig1"]["linear_fit"]
     assert 0.5 < fit["slope"] < 0.6
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--target", "werner:3:0.5", "--q", "0"],
+    ["approx", "--target", "werner:3:0.5", "--q", "2", "--tol", "0"],
+    ["approx", "--target", "werner:3:0.5", "--q", "2", "--restarts", "0"],
+    ["approx", "--target", "werner:3:0.5", "--q", "2", "--plot-points", "-1"],
+    ["tables", "--restarts", "0"],
+    ["tables", "--tol", "nan"],
+    ["optimize", "--k", "1"],
+    ["optimize", "--scan", "1"],
+    ["gue-sweep", "--samples", "0"],
+    ["werner-sweep", "--k", "0"],
+    ["werner-sweep", "--points", "-1"],
+])
+def test_out_of_range_numeric_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --" in captured.err and "Traceback" not in captured.err
 
 
 def test_csv_rejected_for_non_series(tmp_path):

@@ -3,12 +3,18 @@ import pytest
 
 from cohcert import (
     OptimizationConfig,
+    WernerParams,
+    decoherence_threshold_table,
     growth_scan,
     lambda_threshold,
     maximize_rn_over_ck,
+    pattern_from_states,
     r3_w_closed_form,
+    ratio,
     rn_of_alpha,
+    w_state,
     werner_rn,
+    werner_state,
 )
 
 FAST = OptimizationConfig(restarts=6, seed=0)
@@ -110,9 +116,9 @@ def test_werner_rn_projection_modes():
 
 def test_lambda_threshold_k3():
     rec = lambda_threshold(3, 3, 5 / 4)
-    assert rec.reachable and rec.method == "bisection"
+    assert rec.reachable
     assert rec.lambda_thr == pytest.approx(0.1777, abs=1e-3)
-    # bisection hits 1e-6: residual of the defining equation is tiny
+    # the root solves the defining equation
     assert werner_rn(3, rec.lambda_thr, 3) == pytest.approx(5 / 4, abs=1e-5)
 
 
@@ -132,3 +138,13 @@ def test_lambda_threshold_orderings():
     lam33 = lambda_threshold(3, 3, rn_of_alpha(np.full(2, 0.5), 3)).lambda_thr
     lam34 = lambda_threshold(3, 4, rn_of_alpha(np.full(3, 1 / 3), 3)).lambda_thr
     assert lam34 < lam33
+
+
+def test_decoherence_thresholds_solve_defining_equation():
+    # R_n evaluated through the density matrix, independent of the polynomial
+    records = decoherence_threshold_table()
+    assert len(records) == 24
+    for rec in records:
+        rho = werner_state(WernerParams(rec.k, rec.lambda_thr))
+        value = ratio(pattern_from_states(rho, w_state(rec.k).density()), rec.n)
+        assert value == pytest.approx(rec.threshold, rel=1e-12), (rec.n, rec.k)
