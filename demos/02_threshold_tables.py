@@ -26,7 +26,8 @@ cfg = cc.OptimizationConfig(restarts=32, seed=0)
 for n in (3, 4, 5):
     for k in (2, 3, 4, 5):
         res = cc.maximize_rn_over_ck(n, k, cfg)
-        print(f"  R_{n}, k={k}: max {res.value:8.4f}   alpha^2 {np.round(res.alpha, 3)}")
+        print(f"  R_{n}, k={k}: max {res.value:8.4f}   alpha^2 {np.round(res.alpha, 3)}"
+              f"   {res.n_agree}/{cfg.restarts} restarts agree")
 
 print("\nequal superpositions lag slightly behind the optimum:")
 for k in (2, 3, 4, 5, 10, 20):

@@ -203,20 +203,23 @@ def cmd_moments(args, warnings):
     return {"pattern": info, **_moment_block(pat)}, None, None
 
 
+def _search(res) -> dict:
+    """Restart diagnostics of one maximization, as embedded in documents."""
+    return {"nfev": res.nfev, "nit": res.nit, "n_agree": res.n_agree, "spread": res.spread}
+
+
 def cmd_tables(args, warnings):
     cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
     table1 = []
-    best_known = {}
     for k in (1, 2, 3):
         thr = bounds.R3_CERTIFICATION_THRESHOLDS[k - 1]
         if k == 1:
-            best = 1.0
+            best, search = 1.0, None
         else:
             res = optimize.maximize_rn_over_ck(3, k, cfg)
             if not res.converged:
                 warnings.append(f"optimizer did not converge for (n=3, k={k})")
-            best = res.value
-        best_known[k] = best
+            best, search = res.value, _search(res)
         pub_thr, pub_best = PUBLISHED_TABLE1[k]
         table1.append({
             "k": k,
@@ -226,6 +229,7 @@ def cmd_tables(args, warnings):
             "published_threshold": pub_thr,
             "published_best_known": pub_best,
             "abs_diff_best": abs(best - pub_best),
+            "search": search,
         })
     table2 = []
     for n in (3, 4, 5):
@@ -244,6 +248,7 @@ def cmd_tables(args, warnings):
                 "profile_computed": list(res.alpha),
                 "published_profile": list(pub_prof),
                 "profile_max_entry_diff": float(np.max(np.abs(res.alpha - np.array(pub_prof)))),
+                "search": _search(res),
             })
     table3 = []
     for rec in optimize.decoherence_threshold_table():
@@ -261,8 +266,9 @@ def cmd_tables(args, warnings):
     if not scan.converged:
         warnings.append("optimizer did not converge for some k in the growth scan")
     fig1 = [
-        {"k": int(k), "max_computed": float(v), "w_closed_form": bounds.r3_w_closed_form(int(k))}
-        for k, v in zip(scan.ks, scan.values)
+        {"k": int(k), "max_computed": res.value, "w_closed_form": bounds.r3_w_closed_form(int(k)),
+         "search": _search(res)}
+        for k, res in zip(scan.ks, scan.results)
     ]
     data = {
         "table1": table1,
@@ -285,8 +291,8 @@ def cmd_optimize(args, warnings):
             warnings.append("optimizer did not converge for some k in the scan")
         data = {
             "n": scan.n,
-            "rows": [{"k": int(k), "max_value": float(v)}
-                     for k, v in zip(scan.ks, scan.values)],
+            "rows": [{"k": int(k), "max_value": res.value, "search": _search(res)}
+                     for k, res in zip(scan.ks, scan.results)],
             "linear_fit": {"slope": scan.slope, "intercept": scan.intercept,
                            "max_abs_residual": float(np.abs(scan.residuals).max())},
         }
@@ -296,7 +302,7 @@ def cmd_optimize(args, warnings):
     if not res.converged:
         warnings.append(f"optimizer did not converge for (n={args.n}, k={args.k})")
     data = {"n": args.n, "k": args.k, "max_value": res.value,
-            "alpha": list(res.alpha), "converged": res.converged}
+            "alpha": list(res.alpha), "converged": res.converged, "search": _search(res)}
     return data, None, None
 
 

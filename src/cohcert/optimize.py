@@ -3,9 +3,9 @@
 The search space for max R_n over k-coherent states reduces to nonnegative
 overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
 equal to projection).  The simplex is handled by the square-then-normalize
-reparametrization a_p = x_p^2 / sum x^2, optimized by multi-start
-Nelder-Mead; restarts use splittable per-restart seeding so parallel and
-serial execution agree bit for bit.
+reparametrization a_p = x_p^2 / sum x^2 and searched by multi-start
+L-BFGS-B (Liu & Nocedal 1989) on the exact chain-rule gradient of R_n; each
+restart draws its start point from its own spawned seed.
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
 R_n is a polynomial in 1 - lam and a threshold is one of its roots.
@@ -19,7 +19,8 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import minimize
 
 from .bounds import r3_w_closed_form
-from .patterns import batch_moments, matrix_coefficients, overlap_coefficients, ratio_from_moments
+from .patterns import (batch_moments, coefficient_gradient, matrix_coefficients, overlap_coefficients,
+                       overlap_gradient, ratio_from_moments, ratio_gradient)
 from .states import WernerParams, psi_star, werner_state, w_state
 
 __all__ = [
@@ -72,13 +73,26 @@ def rn_of_alpha(alpha, n: int) -> float:
 class OptimizeResult:
     """Best restart of a maximization: argmax ``alpha``, maximum ``value``.
 
-    Nelder-Mead stops at ``fatol = tol`` and ``xatol = tol ** 0.5``: ``value``
-    is resolved to about ``tol`` (1e-10), ``alpha`` only to about 1e-5.
+    L-BFGS-B stops at ``ftol = gtol = tol``, resolving ``value`` to ``tol``
+    relative and ``alpha`` to about 1e-8.  Summed over restarts: ``nfev``,
+    ``nit``; ``n_agree`` restarts end within ``tol * max(1, value)`` of
+    ``value`` (the scale of the ``ftol`` test); ``spread`` = best - worst.
     """
 
     alpha: np.ndarray
     value: float
     converged: bool
+    nfev: int
+    nit: int
+    n_agree: int
+    spread: float
+
+
+def _multistart(fun, starts, cfg: OptimizationConfig, args=()):
+    """L-BFGS-B on ``fun`` (value and gradient, minimized) from every start."""
+    options = dict(ftol=cfg.tol, gtol=cfg.tol, maxiter=cfg.max_iters)
+    return [minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+            for x0 in starts]
 
 
 def _start_points(n: int, k: int, rng_children, extra=()):
@@ -102,6 +116,16 @@ def _start_points(n: int, k: int, rng_children, extra=()):
             yield draw / draw.sum()
 
 
+def _neg_rn_over_simplex(x, n: int):
+    """-R_n at a = x^2 / S, S = sum x^2, and its gradient in x:
+    g_x = (2 x / S)(g_a - a . g_a) for g_a = dR_n/da."""
+    s = x @ x
+    a = x * x / s
+    r, g = ratio_gradient(overlap_coefficients(a), n)
+    ga = overlap_gradient(a, g)
+    return -r, (-2.0 / s) * x * (ga - a @ ga)
+
+
 def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
                         extra_starts=()) -> OptimizeResult:
     """Maximize R_n over states populating k adjacent levels.
@@ -117,39 +141,24 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
         raise ValueError(f"k must be >= 2, got {k}")
     cfg = cfg or OptimizationConfig()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    def neg(x):
-        a = x * x
-        s = a.sum()
-        if s <= 0:
-            return 0.0
-        return -rn_of_alpha(a / s, n)
-
-    best_val, best_alpha, converged = -np.inf, None, False
-    for start in _start_points(n, k, children, extra_starts):
-        res = minimize(
-            neg,
-            np.sqrt(start),
-            method="Nelder-Mead",
-            options=dict(
-                xatol=cfg.tol ** 0.5,
-                fatol=cfg.tol,
-                maxiter=cfg.max_iters,
-                maxfev=4 * cfg.max_iters,
-            ),
-        )
-        if -res.fun > best_val:
-            a = res.x ** 2
-            best_val, best_alpha = -res.fun, a / a.sum()
-        converged = converged or bool(res.success)
+    starts = (np.sqrt(a) for a in _start_points(n, k, children, extra_starts))
+    runs = _multistart(_neg_rn_over_simplex, starts, cfg, args=(n,))
+    values = np.array([-res.fun for res in runs])
+    best_val = values.max()
+    a = runs[int(values.argmax())].x ** 2
     if n == 3:
         assert best_val >= r3_w_closed_form(k) - cfg.tol
-    return OptimizeResult(alpha=best_alpha, value=float(best_val), converged=converged)
+    return OptimizeResult(
+        alpha=a / a.sum(), value=float(best_val), converged=any(res.success for res in runs),
+        nfev=sum(res.nfev for res in runs), nit=sum(res.nit for res in runs),
+        n_agree=int(np.sum(values >= best_val - cfg.tol * max(1.0, best_val))),
+        spread=float(best_val - values.min()))
 
 
 @dataclass(frozen=True)
 class GrowthScan:
-    """Maxima of R_n for k = 2..k_max with a straight-line fit."""
+    """Maxima of R_n for k = 2..k_max with a straight-line fit; ``results``
+    holds the maximizer's result, diagnostics included, for each k."""
 
     n: int
     ks: np.ndarray
@@ -157,7 +166,11 @@ class GrowthScan:
     slope: float
     intercept: float
     residuals: np.ndarray
-    converged: bool
+    results: tuple
+
+    @property
+    def converged(self) -> bool:
+        return all(res.converged for res in self.results)
 
 
 def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -> GrowthScan:
@@ -170,21 +183,19 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
         raise ValueError("k_max must be >= 2")
     cfg = cfg or OptimizationConfig()
     ks = np.arange(2, k_max + 1)
-    values, prev, all_conv = [], None, True
+    results = []
     for k in ks:
         extra = []
-        if prev is not None:
+        if results:
+            prev = results[-1].alpha
             padded = np.concatenate([prev, [prev[-1] * 0.5]])
             extra.append(padded / padded.sum())
-        res = maximize_rn_over_ck(n, int(k), cfg, extra_starts=extra)
-        values.append(res.value)
-        prev = res.alpha
-        all_conv = all_conv and res.converged
-    values = np.array(values)
+        results.append(maximize_rn_over_ck(n, int(k), cfg, extra_starts=extra))
+    values = np.array([res.value for res in results])
     slope, intercept = np.polyfit(ks, values, 1)
     residuals = values - (slope * ks + intercept)
     return GrowthScan(n=n, ks=ks, values=values, slope=float(slope),
-                      intercept=float(intercept), residuals=residuals, converged=all_conv)
+                      intercept=float(intercept), residuals=residuals, results=tuple(results))
 
 
 def werner_coefficients(k: int, lam, chi) -> np.ndarray:
@@ -196,6 +207,24 @@ def werner_coefficients(k: int, lam, chi) -> np.ndarray:
     return cs
 
 
+def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
+    """-R_n of a real ``rho`` under sigma = x x^T / S, S = sum x^2, and its
+    gradient in x.
+
+    For real matrices the kernel is symmetric in rho and sigma, so the
+    kernel's adjoint with rho in sigma's place gives G with
+    dR_n = Tr(G dsigma), and g_x = (2 / S)(G x - (x . G x / S) x).
+    ``coefficient_gradient(h, .)`` weighs dc_0 by 2 h_0 and dc_m by 4 h_m,
+    so h = dR_n/dc / (2, 4, 4, ...).
+    """
+    s = x @ x
+    r, g = ratio_gradient(matrix_coefficients(rho, np.outer(x, x) / s), n)
+    h = g / 4.0
+    h[0] *= 2.0
+    gx = coefficient_gradient(h, rho) @ x
+    return -r, (-2.0 / s) * (gx - (x @ gx / s) * x)
+
+
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",
               cfg: OptimizationConfig | None = None) -> float:
     """R_n of the k-level Werner-like state under a chosen projection.
@@ -203,7 +232,9 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     projection: "w" projects onto the equal superposition W_k (the optimal
     measurement for Werner-like states at lam = 0), "psi" onto the
     best-known pure maximizer, and "optimize" maximizes over real
-    projection states by multi-start Nelder-Mead.
+    projection states by multi-start L-BFGS-B on the exact gradient in chi
+    (restarts and tolerances from ``cfg``; the first restart starts at W_k,
+    so the result is never below the "w" value).
     """
     params = WernerParams(k, lam)
     if projection in ("w", "psi"):
@@ -211,30 +242,14 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
         return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam, chi), n), n))
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")
-    rho = werner_state(params).matrix
+    # the Werner state is real, so real projections give real coefficients
+    rho = werner_state(params).matrix.real
     cfg = cfg or OptimizationConfig(restarts=8)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    def neg(x):
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            return 0.0
-        chi = x.astype(complex) / nrm
-        ms = batch_moments(matrix_coefficients(rho, np.outer(chi, chi.conj())), n)
-        return -float(ratio_from_moments(ms, n))
-
-    best = -np.inf
-    for i, child in enumerate(children):
-        if i == 0:
-            x0 = np.full(k, 1.0 / np.sqrt(k))
-        else:
-            rng = np.random.default_rng(child)
-            x0 = rng.random(k) + 0.05
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-14,
-                                    maxiter=cfg.max_iters, maxfev=4 * cfg.max_iters))
-        best = max(best, -res.fun)
-    return best
+    starts = (np.full(k, 1.0 / np.sqrt(k)) if i == 0
+              else np.random.default_rng(child).random(k) + 0.05
+              for i, child in enumerate(children))
+    return max(-res.fun for res in _multistart(_neg_rn_over_projection, starts, cfg, args=(rho, n)))
 
 
 @dataclass(frozen=True)

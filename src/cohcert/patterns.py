@@ -2,9 +2,10 @@
 
 A pattern p(t) = c0 + 2 sum_m Re(c_m e^{-imt}) collects the detection
 probability over one 2*pi period.  This module holds the one coefficient
-kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form, its adjoint and
-a pure-state fast path) and the one moment engine, which takes M_n = <p^n>
-exactly as the mean over an alias-free grid and accepts leading batch axes.
+kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form, a pure-state
+fast path and the adjoint of each) and the one moment engine, which takes
+M_n = <p^n> exactly as the mean over an alias-free grid and accepts leading
+batch axes; the gradient of R_n in the coefficients uses the same grid.
 Sampling on a user-chosen grid is kept as an independent cross-check oracle.
 """
 
@@ -29,10 +30,10 @@ __all__ = [
     "moment_by_sampling",
     "fit_pattern_from_samples",
 ]
-# The kernel (matrix_coefficients, overlap_coefficients, its adjoint
-# coefficient_gradient) and the engine (batch_moments, ratio_from_moments)
-# are unvalidated array building blocks shared by the other modules; they
-# stay out of the public API.
+# The kernel (matrix_coefficients, overlap_coefficients, their adjoints
+# coefficient_gradient and overlap_gradient) and the engine (batch_moments,
+# ratio_from_moments, ratio_gradient) are unvalidated array building blocks
+# shared by the other modules; they stay out of the public API.
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
@@ -228,6 +229,36 @@ def ratio_from_moments(ms, n: int):
     """R_n = M_n / M_1^{n-1} along the last axis of a moment array."""
     # indexing the transpose keeps one pattern's moments numpy scalars
     return (ms.T[n - 1] / ms.T[0] ** (n - 1)).T
+
+
+def ratio_gradient(c: np.ndarray, n: int):
+    """R_n of one pattern with real one-sided coefficients ``c``, and dR_n/dc.
+
+    On the engine's grid t_j, with p_j = sum_m w_m c_m cos(m t_j),
+    dM_n/dc_m = n mean(p^(n-1) w_m cos(m t_j)); p^(n-1) cos(m t) stays below
+    the grid's alias frequency, so this mean is exact like the moments.
+    Since M_1 = c_0, dR_n/dc = (dM_n/dc) / M_1^(n-1) - (n-1) R_n / M_1 e_0.
+    """
+    cos_basis, _, _, weights = _moment_grid(c.size, n)
+    p = np.dot(c, cos_basis)
+    q = p ** (n - 1)
+    m1, mn = np.dot(weights, p), np.dot(weights, q * p)
+    scale = m1 ** (n - 1)
+    r = mn / scale
+    g = np.dot(cos_basis, weights * q) * (n / scale)
+    g[0] -= (n - 1) * r / m1
+    return r, g
+
+
+def overlap_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of ``overlap_coefficients`` for a real vector ``a``.
+
+    Given g = dF/dc, returns dF/da_q = sum_m g_m (a_{q+m} + a_{q-m}): one
+    convolution of ``a`` with the two-sided kernel g_|m| (2 g_0 at m = 0).
+    """
+    two_sided = np.concatenate((g[:0:-1], g))
+    two_sided[g.size - 1] *= 2.0
+    return np.convolve(a, two_sided, "valid")
 
 
 def pattern_from_states(rho, sigma) -> PatternCoefficients:

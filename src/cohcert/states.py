@@ -46,8 +46,9 @@ def _readonly(arr):
 class PureState:
     """A normalized state vector over the harmonic basis.
 
-    The Euclidean norm must equal 1 within 1e-12; use :meth:`normalized`
-    to build a state from an unnormalized amplitude vector.
+    Amplitudes must be finite and their Euclidean norm must equal 1 within
+    1e-12; use :meth:`normalized` to build a state from an unnormalized
+    amplitude vector.
     """
 
     __slots__ = ("amplitudes",)
@@ -56,6 +57,8 @@ class PureState:
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-d vector")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
@@ -68,6 +71,8 @@ class PureState:
     def normalized(cls, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex)
         nrm = np.linalg.norm(amps)
+        if not np.isfinite(nrm):
+            raise ValueError("amplitudes must be finite")
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(amps / nrm)

@@ -346,3 +346,39 @@ def test_ratios_derive_from_reported_moments(tmp_path):
         ms, rats = doc["data"]["moments"], doc["data"]["ratios"]
         for n in (3, 4, 5):
             assert rats[f"R_{n}"] == ms[f"M_{n}"] / ms["M_1"] ** (n - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--state", "vec:1,inf"],
+    ["certify", "--state", "vec:1,nan"],
+    ["approx", "--target", "vec:1,inf", "--q", "1"],
+    ["approx", "--target", "vec:1,nan", "--q", "1"],
+])
+def test_non_finite_vec_spec_is_input_error(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "amplitudes must be finite" in captured.err
+
+
+SEARCH_FIELDS = {"nfev", "nit", "n_agree", "spread"}
+
+
+def assert_search(search, restarts):
+    assert set(search) == SEARCH_FIELDS
+    assert 1 <= search["n_agree"] <= restarts and search["spread"] >= 0.0
+    assert search["nfev"] >= search["nit"] + restarts  # one evaluation per start and iteration
+
+
+def test_documents_embed_restart_diagnostics(tmp_path):
+    _, doc, _ = run_cli(["tables", "--restarts", "3"], tmp_path)
+    data = doc["data"]
+    assert data["table1"][0]["search"] is None  # k = 1 needs no search
+    for row in data["table1"][1:] + data["table2"] + data["fig1"]["rows"]:
+        assert_search(row["search"], 3)
+    _, doc, _ = run_cli(["optimize", "--n", "4", "--k", "3", "--restarts", "5"], tmp_path)
+    assert_search(doc["data"]["search"], 5)
+    _, doc, _ = run_cli(["optimize", "--scan", "4", "--restarts", "2"], tmp_path)
+    for row in doc["data"]["rows"]:
+        assert_search(row["search"], 2)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohcert import (
+    DensityMatrix,
     OptimizationConfig,
+    PureState,
     WernerParams,
     decoherence_threshold_table,
     growth_scan,
@@ -16,6 +20,8 @@ from cohcert import (
     werner_rn,
     werner_state,
 )
+from cohcert.optimize import _neg_rn_over_projection, _neg_rn_over_simplex
+from conftest import rand_density
 
 FAST = OptimizationConfig(restarts=6, seed=0)
 
@@ -148,3 +154,69 @@ def test_decoherence_thresholds_solve_defining_equation():
         rho = werner_state(WernerParams(rec.k, rec.lambda_thr))
         value = ratio(pattern_from_states(rho, w_state(rec.k).density()), rec.n)
         assert value == pytest.approx(rec.threshold, rel=1e-12), (rec.n, rec.k)
+
+
+interior = st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8).map(np.array)
+
+
+def central_differences(f, x, h=1e-6):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=interior, n=st.sampled_from([3, 4, 5]))
+def test_simplex_gradient_matches_central_differences(x, n):
+    value, grad = _neg_rn_over_simplex(x, n)
+    assert -value == pytest.approx(rn_of_alpha(x * x / (x @ x), n), rel=1e-12)
+    num = central_differences(lambda y: -rn_of_alpha(y * y / (y @ y), n), x)
+    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=interior, n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
+       mix=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_projection_gradient_matches_central_differences(x, n, lam, mix, seed):
+    # a Werner state, or one mixed with a random real state (whose diagonal,
+    # unlike the Werner state's, is not flat, so c_0 varies with chi)
+    other = rand_density(np.random.default_rng(seed), x.size).matrix.real
+    rho = DensityMatrix((1 - mix) * werner_state(WernerParams(x.size, lam)).matrix + mix * other)
+
+    def neg_rn(y):
+        return -ratio(pattern_from_states(rho, PureState.normalized(y)), n)
+
+    value, grad = _neg_rn_over_projection(x, rho.matrix.real, n)
+    assert value == pytest.approx(neg_rn(x), rel=1e-12)
+    num = central_differences(neg_rn, x)
+    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+
+
+# maxima of the derivative-free Nelder-Mead search this maximizer replaced,
+# at the default configuration (32 restarts, seed 0)
+NELDER_MEAD_TABLE2 = {
+    (3, 2): 1.2500000000000004, (3, 3): 1.7731757562901076,
+    (3, 4): 2.3211587502792486, (3, 5): 2.877424150737198,
+    (4, 2): 2.1875000000000018, (4, 3): 4.610242731688358,
+    (4, 4): 8.02448509049689, (4, 5): 12.419597625897474,
+    (5, 2): 3.9375000000000027, (5, 3): 12.38865052208671,
+    (5, 4): 28.71276102403669, (5, 5): 55.51686801550089,
+}
+
+
+def test_table2_maxima_not_below_derivative_free_search():
+    for (n, k), previous in NELDER_MEAD_TABLE2.items():
+        assert maximize_rn_over_ck(n, k).value >= previous - 1e-12, (n, k)
+
+
+def test_restart_diagnostics():
+    cfg = OptimizationConfig(restarts=7, seed=4)
+    for n, k in ((3, 2), (3, 3), (4, 5)):
+        res = maximize_rn_over_ck(n, k, cfg)
+        assert 1 <= res.n_agree <= cfg.restarts
+        assert res.spread >= 0.0
+        assert res.nfev >= res.nit + cfg.restarts  # one evaluation per start and iteration
+    # at (3, 3) some restarts end on a local maximum about 0.52 lower
+    res = maximize_rn_over_ck(3, 3)
+    assert res.n_agree < 32 and res.spread == pytest.approx(0.5232, abs=1e-3)
+    scan = growth_scan(4, cfg=cfg)
+    assert [r.value for r in scan.results] == list(scan.values)
+    assert scan.converged == all(r.converged for r in scan.results)

@@ -31,6 +31,15 @@ def test_pure_state_norm_enforced():
         PureState.normalized([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 0.0], [np.nan, 0.0]])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # NaN compares false with the norm tolerance, so the norm check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        PureState(bad)
+    with pytest.raises(ValueError, match="finite"):
+        PureState.normalized(bad)
+
+
 def test_pure_state_immutable():
     psi = w_state(2)
     with pytest.raises(AttributeError):
