@@ -80,9 +80,14 @@ def read_pattern_csv(path: str) -> np.ndarray:
     return arr
 
 
-def _jsonable(obj):
+_SCALARS = frozenset((str, int, float, bool, type(None), np.float64))
+_STR = frozenset((str,))
+
+
+def _default(obj):
+    """JSON form of a value the encoder has no rule for."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj]
+        return obj.tolist()
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -90,10 +95,77 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return dict(obj)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """Compact sorted-key encoder whose item separator carries the indent of ``depth``.
+
+    A container of scalars encoded by it reads as ``indent=2`` output once a
+    newline and indent follow its opening and precede its closing bracket.
+    Called as ``encoder(obj, 0)``; both forms return an iterable of chunks.
+    """
+    item_separator = ",\n" + "  " * depth
+    if json.encoder.c_make_encoder is None:  # no C accelerator: the pure-Python encoder
+        return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": "),
+                                default=_default, check_circular=False).iterencode
+    return json.encoder.c_make_encoder(None, _default, json.encoder.encode_basestring_ascii,
+                                       None, ": ", item_separator, True, False, True)
+
+
+def _write(obj, depth: int, out: list) -> None:
+    """Append the ``indent=2`` JSON text of ``obj``, nested ``depth`` levels deep, to ``out``."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        out.extend(_flat_encoder(0)(obj, 0))
+        return
+    if kind is dict:
+        flat = _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
+    elif kind is list or kind is tuple:
+        flat = _SCALARS.issuperset(map(type, obj))
+    else:
+        _write(_default(obj), depth, out)
+        return
+    if not obj:
+        out.append("{}" if kind is dict else "[]")
+        return
+    pad = "\n" + "  " * (depth + 1)
+    if flat:
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))
+        out += text[0], pad, text[1:-1], pad[:-2], text[-1]
+        return
+    sep = pad
+    if kind is dict:
+        out.append("{")
+        # keys are compared as the strings they print as
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out += sep, json.encoder.encode_basestring_ascii(key), ": "
+            _write(value, depth + 1, out)
+            sep = "," + pad
+    else:
+        out.append("[")
+        for value in obj:
+            out.append(sep)
+            _write(value, depth + 1, out)
+            sep = "," + pad
+    out += pad[:-2], "}" if kind is dict else "]"
+
+
+def to_json(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written in one pass.
+
+    numpy scalars and arrays become Python numbers and lists, complex numbers
+    ``{"re": ..., "im": ...}``, and dict keys print and sort as ``str(key)``.
+    Containers of scalars go through one C encoder call each, so a document
+    of many flat records encodes at about the speed of the compact encoder.
+    """
+    out: list = []
+    _write(obj, 0, out)
+    return "".join(out)
 
 
 def build_document(command: str, params: dict, data, warnings, seed) -> dict:
@@ -101,8 +173,8 @@ def build_document(command: str, params: dict, data, warnings, seed) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
-        "params": _jsonable(params),
-        "data": _jsonable(data),
+        "params": params,
+        "data": data,
         "warnings": list(warnings),
     }
 
@@ -126,7 +198,7 @@ def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = to_json(doc) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -371,12 +443,11 @@ def cmd_gue_sweep(args, warnings):
     data = {
         "summary": summary,
         "records": [
-            {"seed": r.seed, "tau": r.tau, "D": r.deviation, "r3": r.r3}
-            for r in sweep.records
+            {"seed": seed, "tau": tau, "D": dev, "r3": r3}
+            for seed, tau, dev, r3, _ in sweep.records
         ],
     }
-    rows = ((r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)) for r in sweep.records)
-    return data, rows, ("seed", "tau", "D", "r3")
+    return data, robustness.sweep_csv_rows(sweep), robustness.SWEEP_CSV_HEADER
 
 
 def cmd_approx(args, warnings):

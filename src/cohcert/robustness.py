@@ -9,6 +9,7 @@ how fast they underestimate it.
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "drifted_projection",
     "measurement_deviation",
     "tolerance_sweep",
+    "SWEEP_CSV_HEADER",
+    "sweep_csv_rows",
     "write_sweep_csv",
     "sweep_summary",
 ]
@@ -75,8 +78,7 @@ def measurement_deviation(chi_tau: PureState, chi0: PureState) -> float:
     return float(np.sum(np.abs(a - b) ** 2))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     seed: int
     tau: float
     deviation: float
@@ -152,7 +154,7 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0,
 
     tau_list = taus.tolist()
     records = [
-        SweepRecord(seed=s, tau=tau, deviation=dev, r3=r3, k=k)
+        SweepRecord(s, tau, dev, r3, k)
         for s, dev_row, r3_row in zip(seeds, devs.tolist(), r3s.tolist())
         for tau, dev, r3 in zip(tau_list, dev_row, r3_row)
     ]
@@ -182,13 +184,20 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0,
     )
 
 
+SWEEP_CSV_HEADER = ("seed", "tau", "D", "r3")
+
+
+def sweep_csv_rows(sweep: ToleranceSweep):
+    """One ``SWEEP_CSV_HEADER`` row per record, floats at full precision."""
+    return ((r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)) for r in sweep.records)
+
+
 def write_sweep_csv(sweep: ToleranceSweep, path) -> None:
     """Record rows as ``seed,tau,D,r3`` for external plotting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "tau", "D", "r3"])
-        for r in sweep.records:
-            writer.writerow([r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)])
+        writer.writerow(SWEEP_CSV_HEADER)
+        writer.writerows(sweep_csv_rows(sweep))
 
 
 def sweep_summary(sweep: ToleranceSweep) -> dict:

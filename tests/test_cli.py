@@ -1,9 +1,13 @@
 import json
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cohcert.cli import main, parse_state_spec, read_pattern_csv, CliInputError
+from cohcert.cli import main, parse_state_spec, read_pattern_csv, to_json, CliInputError
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -382,3 +386,126 @@ def test_documents_embed_restart_diagnostics(tmp_path):
     _, doc, _ = run_cli(["optimize", "--scan", "4", "--restarts", "2"], tmp_path)
     for row in doc["data"]["rows"]:
         assert_search(row["search"], 2)
+
+
+def test_document_booleans_are_json_booleans(tmp_path):
+    _, doc, _ = run_cli(["optimize", "--n", "3", "--k", "4", "--restarts", "4"], tmp_path)
+    assert doc["data"]["converged"] is True
+    _, doc, _ = run_cli(["vertex-check"], tmp_path)
+    assert all(v["constraints_ok"] is True
+               for case in doc["data"].values() for v in case["vertices"])
+    _, doc, _ = run_cli(["werner-sweep", "--k", "3", "--points", "5"], tmp_path)
+    assert len(doc["data"]["thresholds"]) == 3
+    assert all(row["reachable"] is True for row in doc["data"]["thresholds"])
+    for lam, exceeds in (("0.1", True), ("0.54", False)):
+        _, doc, _ = run_cli(["approx", "--target", f"werner:3:{lam}", "--q", "2"], tmp_path)
+        assert doc["data"]["exceeds_q_coherence"] is exceeds
+        assert doc["data"]["peak_bound_exceeded"] is exceeds
+
+
+def reference_form(obj):
+    """The conversion documents went through before ``to_json``, booleans kept."""
+    if isinstance(obj, np.ndarray):
+        return [reference_form(x) for x in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {str(k): reference_form(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_form(x) for x in obj]
+    return obj
+
+
+def reference_encoding(obj):
+    return json.dumps(reference_form(obj), sort_keys=True, indent=2)
+
+
+json_text = st.text(st.sampled_from(list('aZ0 "\\/\n\t\x00\x7féλ€😀')), max_size=6) | st.text(max_size=4)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), json_text,
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.complex_numbers(),
+    hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+)
+# integer keys sort differently as numbers and as the strings they print as
+json_keys = json_text | st.integers(-20, 200)
+Pair = namedtuple("Pair", "a b")
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(json_keys, kids, max_size=4)
+                  | st.dictionaries(json_keys, kids, max_size=2).map(OrderedDict)
+                  | st.builds(Pair, kids, kids)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({10: 1.0, 2: 2.0})
+@example({"a": [{10: "x", 2: None, "1": True}], "b": {}})
+@example([[], (), {}, [1.5, float("nan"), -float("inf")], {"k": np.float64(0.1)}])
+def test_to_json_matches_reference_encoding(obj):
+    assert to_json(obj) == reference_encoding(obj)
+
+
+def test_to_json_without_c_encoder(monkeypatch):
+    # the pure-Python encoder serves where the C accelerator is missing
+    from cohcert import cli, tolerance_sweep
+
+    sweep = tolerance_sweep(3, 2, seed=4)
+    obj = {"records": [r._asdict() for r in sweep.records], "bins": sweep.bin_mean,
+           "flat": {"b": True, "a": None, "c": "\u00e9"}, 10: [1, 2.5], 2: ()}
+    expected = reference_encoding(obj)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    cli._flat_encoder.cache_clear()
+    try:
+        assert to_json(obj) == expected
+    finally:
+        monkeypatch.undo()
+        cli._flat_encoder.cache_clear()
+    assert to_json(obj) == expected
+
+
+SEEDED_COMMANDS = [
+    ["certify", "--state", "W:3"],
+    ["certify", "--input", "{csv}", "--dim", "4"],
+    ["moments", "--state", "werner:4:0.3", "--projection", "vec:1,2,1,1"],
+    ["tables", "--restarts", "2", "--seed", "3"],
+    ["optimize", "--n", "4", "--k", "3", "--restarts", "3", "--seed", "5"],
+    ["optimize", "--scan", "4", "--restarts", "2"],
+    ["vertex-check"],
+    ["werner-sweep", "--k", "3", "--points", "11"],
+    ["gue-sweep", "--k", "4", "--samples", "3", "--seed", "3"],
+    ["approx", "--target", "werner:3:0.1", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+def test_seeded_documents_equal_reference_encoding(tmp_path, monkeypatch, argv):
+    from cohcert import cli
+
+    path = write_samples_csv(tmp_path, lambda t: 0.4 + 0.3 * np.cos(t) + 0.1 * np.sin(2 * t))
+    docs = []
+    build = cli.build_document
+    monkeypatch.setattr(cli, "build_document", lambda *a: docs.append(build(*a)) or docs[-1])
+    _, _, text = run_cli([path if a == "{csv}" else a for a in argv], tmp_path)
+    assert text == reference_encoding(docs[0]) + "\n"
+
+
+def test_gue_sweep_csv_matches_write_sweep_csv(tmp_path):
+    from cohcert import tolerance_sweep, write_sweep_csv
+
+    out, lib = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    main(["gue-sweep", "--k", "4", "--samples", "3", "--seed", "8", "--format", "csv",
+          "--out", str(out)])
+    write_sweep_csv(tolerance_sweep(4, 3, seed=8), lib)
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert b"".join(l for l in lines if not l.startswith(b"#")) == lib.read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from cohcert import (
     OptimizationConfig,
     PureState,
+    SweepRecord,
     drifted_projection,
     maximize_rn_over_ck,
     measurement_deviation,
@@ -141,3 +142,13 @@ def test_sweep_csv_and_summary(tmp_path):
     assert summary["threshold"] == pytest.approx(5 / 4)
     assert summary["drift_free_r3"] == pytest.approx(1.7731, abs=1e-3)
     assert len(summary["bin_mean"]) == len(summary["bin_edges"]) - 1
+
+
+def test_sweep_record_fields():
+    rec = tolerance_sweep(3, 1, seed=2).records[5]
+    assert SweepRecord._fields == ("seed", "tau", "deviation", "r3", "k")
+    assert (rec.seed, rec.tau, rec.deviation, rec.r3, rec.k) == tuple(rec)
+    assert rec.k == 3 and rec.tau > 0.0
+    with pytest.raises(AttributeError):
+        rec.r3 = 0.0
+    assert rec == SweepRecord(*rec) and rec != rec._replace(r3=rec.r3 + 1.0)
