@@ -19,7 +19,7 @@ print("  c0 =", pattern.c0)
 print("  AC coefficients:", np.round(pattern.c, 6))
 
 ms = cc.moments(pattern, 5)
-print("  moments M_1..M_5:", np.round(ms.values, 6))
+print("  moments M_1..M_5:", np.round(ms, 6))
 
 r3 = cc.ratio(pattern, 3)
 verdict = cc.certify_r3(r3)

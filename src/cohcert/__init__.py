@@ -41,7 +41,6 @@ from .optimize import (
     werner_rn,
 )
 from .patterns import (
-    MomentVector,
     OverlapVector,
     PatternCoefficients,
     PatternFit,
@@ -54,7 +53,6 @@ from .patterns import (
     ratio,
 )
 from .robustness import (
-    GueSample,
     SweepRecord,
     ToleranceSweep,
     drifted_projection,
@@ -66,7 +64,6 @@ from .robustness import (
 )
 from .states import (
     DensityMatrix,
-    HarmonicBasis,
     PureState,
     WernerParams,
     coherence_support,

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import minimize, nnls  # noqa: F401
 
 from .bounds import pattern_peak_bound
-from .optimize import OptimizationConfig
 from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
 from .states import DensityMatrix, PureState, coherence_support, w_state
 
@@ -29,6 +28,7 @@ __all__ = [
 ]
 
 DECISION_TOL = 1e-6
+MAX_ITERS = 2000  # Frank-Wolfe iteration cap
 # Relative gap stop: on irreproducible patterns the gap stalls at round-off of the residual.
 GAP_RTOL = 1e-6
 ROUNDOFF_RESIDUAL = 1e-28  # round-off of an exact reproduction
@@ -61,7 +61,6 @@ class MixtureApprox:
     q: int
     components: list
     residual: float
-    target_pattern: PatternCoefficients = field(repr=False)
     converged: bool = True
     lower_bound: float = 0.0
 
@@ -89,18 +88,18 @@ def _simplex_nnls(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int,
-                         cfg: OptimizationConfig | None = None) -> MixtureApprox:
+                         tol: float = 1e-10) -> MixtureApprox:
     """Closest pattern to ``target`` from mixtures of q-coherent states.
 
     The projection ``chi`` stays fixed.  Fully-corrective Frank-Wolfe from
     the equal superposition of the first q levels; it stops when the duality
-    gap falls to ``cfg.tol + GAP_RTOL * residual`` and gives up after
-    ``cfg.max_iters`` iterations.  ``cfg.restarts`` and ``cfg.seed`` are not
-    read.
+    gap falls to ``tol + GAP_RTOL * residual`` and gives up after
+    ``MAX_ITERS`` iterations.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    cfg = cfg or OptimizationConfig()
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
     dim = target.dim
     sigma_mat = chi.matrix
     if sigma_mat.shape[0] != dim:
@@ -112,7 +111,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int
     psis = np.zeros((1, dim), dtype=complex)
     psis[0, supports[0]] = 1.0 / np.sqrt(supports.shape[1])
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         coeffs = matrix_coefficients(psis[:, :, None] * psis[:, None, :].conj(), sigma_mat)
         weights = _simplex_nnls(_coeff_residual_vector(coeffs).T, tgt_vec)
         psis, coeffs, weights = psis[weights > 0], coeffs[weights > 0], weights[weights > 0]
@@ -124,7 +123,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int
         tr_grad_rho = float(np.einsum("i,ij,jk,ik->", weights, psis.conj(), grad, psis).real)
         gap = max(tr_grad_rho - float(vals[best, 0]), 0.0)
         lower = max(residual - gap, 0.0)
-        if gap <= cfg.tol + GAP_RTOL * residual or residual <= ROUNDOFF_RESIDUAL:
+        if gap <= tol + GAP_RTOL * residual or residual <= ROUNDOFF_RESIDUAL:
             converged = True
             break
         psis = np.vstack([psis, np.zeros(dim, dtype=complex)])
@@ -135,7 +134,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int
     assert abs(sum(w for w, _ in components) - 1.0) <= 1e-10
     assert all(coherence_support(s) <= q for _, s in components)
     return MixtureApprox(q=q, components=components, residual=residual,
-                         target_pattern=target, converged=converged, lower_bound=lower)
+                         converged=converged, lower_bound=lower)
 
 
 @dataclass(frozen=True)
@@ -169,18 +168,17 @@ def _w_projection_k(chi: DensityMatrix) -> int | None:
 
 
 def reproducibility_verdict(target: PatternCoefficients, chi: DensityMatrix, q: int,
-                            cfg: OptimizationConfig | None = None,
-                            decision_tol: float = DECISION_TOL) -> ReproducibilityVerdict:
+                            tol: float = 1e-10) -> ReproducibilityVerdict:
     """Decide whether a pattern lies beyond reach of q-coherent mixtures.
 
-    Claims non-reproducibility only when the Frank-Wolfe lower bound on the
-    best q-coherent residual exceeds ``decision_tol``, so the claim is
+    Claims non-reproducibility only when the Frank-Wolfe lower bound (fit to
+    ``tol``) on the best q-coherent residual exceeds ``DECISION_TOL``, so the claim is
     proven, not inferred from a search that found nothing better.  An
     exceeded peak bound is reported alongside as an independent analytic
     confirmation.
     """
-    approx = best_q_approximation(target, chi, q, cfg=cfg)
-    exceeds = approx.lower_bound > decision_tol
+    approx = best_q_approximation(target, chi, q, tol)
+    exceeds = approx.lower_bound > DECISION_TOL
     peak = None
     k = _w_projection_k(chi)
     if k is not None and q <= k:

@@ -33,6 +33,7 @@ __all__ = [
     "lambda_dec",
     "pattern_peak_bound",
 ]
+# certifies, the rule certify_r3 applies, is shared with the drift sweep, not public API.
 
 # Proven maxima of R_3 over C_k, exact rationals; index = k.
 R3_CERTIFICATION_THRESHOLDS = (Fraction(1), Fraction(5, 4), Fraction(179, 96))
@@ -58,19 +59,22 @@ class CertifierResult:
     threshold_used: float
 
 
+def certifies(value, threshold):
+    """The certification rule, elementwise: value > threshold * (1 + ROUNDOFF_MARGIN)."""
+    return value > float(threshold) * (1.0 + ROUNDOFF_MARGIN)
+
+
 def certify_r3(value: float) -> CertifierResult:
     """Classify an R_3 value against the proven thresholds 1, 5/4, 179/96.
 
-    Level k+1 is certified only when value > thr * (1 + ROUNDOFF_MARGIN), a
-    strict inequality with a relative margin of 5e-14 (about 225 ulps): a
-    value at a threshold up to round-off, such as a computed R_3(W_2) of
-    1.2499999999999996 or 1.2500000000000002, certifies only 2-coherence.
+    Level k+1 is certified when ``certifies(value, thr)`` holds for thr, the
+    proven maximum over k-coherent states.
     """
     if value < 0:
         raise ValueError(f"R_3 must be nonnegative, got {value}")
     level, used = 1, 0.0
     for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
-        if value > float(thr) * (1.0 + ROUNDOFF_MARGIN):
+        if certifies(value, thr):
             level, used = k + 1, float(thr)
     return CertifierResult(n=3, value=float(value), certified_level=level, threshold_used=used)
 
@@ -197,9 +201,6 @@ def pattern_peak_bound(q: int, k: int) -> float:
 # Vertex tables
 # ---------------------------------------------------------------------------
 
-VERTEX_CASES = ("k3d3", "k3_general_generic", "k3_general_ratio12", "k4d4")
-
-
 @dataclass(frozen=True)
 class VertexRecord:
     """One polytope vertex family: coordinates as functions of D_0.
@@ -320,6 +321,8 @@ _VERTEX_DEFS = {
         ((_QUARTER, _THIRD), {1: _low2, 2: _low2, 3: lambda x: _HALF}),
     ],
 }
+
+VERTEX_CASES = tuple(_VERTEX_DEFS)
 
 
 def vertex_table(case: str) -> list[VertexRecord]:

@@ -200,8 +200,11 @@ def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
     else:
         text = to_json(doc) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -240,7 +243,7 @@ def _pattern_from_args(args, warnings):
 
 
 def _moment_block(pat):
-    ms = moments(pat, 5).values
+    ms = moments(pat, 5)
     if ms[0] <= 0.0:
         raise CliInputError("dark pattern: M_1 = 0, ratios undefined")
     return {
@@ -282,31 +285,11 @@ def _search(res) -> dict:
 
 def cmd_tables(args, warnings):
     cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-    table1 = []
-    for k in (1, 2, 3):
-        thr = bounds.R3_CERTIFICATION_THRESHOLDS[k - 1]
-        if k == 1:
-            best, search = 1.0, None
-        else:
-            res = optimize.maximize_rn_over_ck(3, k, cfg)
-            if not res.converged:
-                warnings.append(f"optimizer did not converge for (n=3, k={k})")
-            best, search = res.value, _search(res)
-        pub_thr, pub_best = PUBLISHED_TABLE1[k]
-        table1.append({
-            "k": k,
-            "threshold_exact": str(thr),
-            "threshold": float(thr),
-            "best_known_computed": best,
-            "published_threshold": pub_thr,
-            "published_best_known": pub_best,
-            "abs_diff_best": abs(best - pub_best),
-            "search": search,
-        })
+    maxima = {}
     table2 = []
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5):
-            res = optimize.maximize_rn_over_ck(n, k, cfg)
+            res = maxima[n, k] = optimize.maximize_rn_over_ck(n, k, cfg)
             if not res.converged:
                 warnings.append(f"optimizer did not converge for (n={n}, k={k})")
             w_val = optimize.rn_of_alpha(np.full(k, 1.0 / k), n)
@@ -322,6 +305,21 @@ def cmd_tables(args, warnings):
                 "profile_max_entry_diff": float(np.max(np.abs(res.alpha - np.array(pub_prof)))),
                 "search": _search(res),
             })
+    table1 = []
+    for k in (1, 2, 3):
+        thr = bounds.R3_CERTIFICATION_THRESHOLDS[k - 1]
+        best, search = (1.0, None) if k == 1 else (maxima[3, k].value, _search(maxima[3, k]))
+        pub_thr, pub_best = PUBLISHED_TABLE1[k]
+        table1.append({
+            "k": k,
+            "threshold_exact": str(thr),
+            "threshold": float(thr),
+            "best_known_computed": best,
+            "published_threshold": pub_thr,
+            "published_best_known": pub_best,
+            "abs_diff_best": abs(best - pub_best),
+            "search": search,
+        })
     table3 = []
     for rec in optimize.decoherence_threshold_table():
         published = PUBLISHED_TABLE3[rec.n][rec.k - 3]
@@ -453,8 +451,7 @@ def cmd_gue_sweep(args, warnings):
 def cmd_approx(args, warnings):
     rho, proj = _state_and_projection(args.target, args.projection)
     target = pattern_from_states(rho, proj.density())
-    cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-    verdict = reproducibility_verdict(target, proj.density(), args.q, cfg=cfg)
+    verdict = reproducibility_verdict(target, proj.density(), args.q, args.tol)
     approx = verdict.approx
     if not approx.converged:
         warnings.append("mixture fit did not converge; residual is an upper bound")
@@ -517,7 +514,8 @@ def _add_pattern_source(parser):
                         help="state spec: W:k | PSI:k | werner:k:lambda | vec:a0,a1,...")
     parser.add_argument("--input", help="CSV of pattern samples with header t,p (radians)")
     parser.add_argument("--projection", help="override the projection (pure state spec)")
-    parser.add_argument("--dim", type=int, default=8, help="fit dimension for CSV input")
+    parser.add_argument("--dim", type=_above(int, 0), default=8,
+                        help="fit dimension for CSV input")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -37,13 +37,14 @@ __all__ = [
 ]
 # werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
+MAX_ITERS = 2000  # L-BFGS-B iteration cap of every restart
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Multi-start local search settings; the seed fixes every restart."""
 
     restarts: int = 32
-    max_iters: int = 2000
     tol: float = 1e-10
     seed: int = 0
 
@@ -52,8 +53,6 @@ class OptimizationConfig:
             raise ValueError("restarts must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 def rn_of_alpha(alpha, n: int) -> float:
@@ -90,7 +89,7 @@ class OptimizeResult:
 
 def _multistart(fun, starts, cfg: OptimizationConfig, args=()):
     """L-BFGS-B on ``fun`` (value and gradient, minimized) from every start."""
-    options = dict(ftol=cfg.tol, gtol=cfg.tol, maxiter=cfg.max_iters)
+    options = dict(ftol=cfg.tol, gtol=cfg.tol, maxiter=MAX_ITERS)
     return [minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options=options)
             for x0 in starts]
 
@@ -230,15 +229,14 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     """R_n of the k-level Werner-like state under a chosen projection.
 
     projection: "w" projects onto the equal superposition W_k (the optimal
-    measurement for Werner-like states at lam = 0), "psi" onto the
-    best-known pure maximizer, and "optimize" maximizes over real
-    projection states by multi-start L-BFGS-B on the exact gradient in chi
-    (restarts and tolerances from ``cfg``; the first restart starts at W_k,
-    so the result is never below the "w" value).
+    measurement for Werner-like states at lam = 0), and "optimize"
+    maximizes over real projection states by multi-start L-BFGS-B on the
+    exact gradient in chi (restarts and tolerances from ``cfg``; the first
+    restart starts at W_k, so the result is never below the "w" value).
     """
     params = WernerParams(k, lam)
-    if projection in ("w", "psi"):
-        chi = (w_state(k) if projection == "w" else psi_star(k, order=n)).amplitudes
+    if projection == "w":
+        chi = w_state(k).amplitudes
         return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam, chi), n), n))
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")

@@ -20,7 +20,6 @@ from .states import DensityMatrix, PureState
 __all__ = [
     "PatternCoefficients",
     "OverlapVector",
-    "MomentVector",
     "PatternFit",
     "pattern_from_states",
     "pattern_from_overlaps",
@@ -123,18 +122,6 @@ class OverlapVector:
     @property
     def dim(self):
         return self.alpha.size
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments M_1..M_nmax of a pattern (index with .order(n))."""
-
-    values: np.ndarray
-
-    def order(self, n: int) -> float:
-        if not 1 <= n <= len(self.values):
-            raise ValueError(f"moment order {n} outside 1..{len(self.values)}")
-        return float(self.values[n - 1])
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -293,11 +280,11 @@ def moment(pat: PatternCoefficients, n: int) -> float:
     return float(batch_moments(pat.one_sided(), n)[n - 1])
 
 
-def moments(pat: PatternCoefficients, nmax: int) -> MomentVector:
-    """All moments M_1..M_nmax in one pass."""
+def moments(pat: PatternCoefficients, nmax: int) -> np.ndarray:
+    """All moments M_1..M_nmax in one pass; entry n - 1 holds M_n."""
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    return MomentVector(batch_moments(pat.one_sided(), nmax))
+    return batch_moments(pat.one_sided(), nmax)
 
 
 def ratio(pat: PatternCoefficients, n: int) -> float:

@@ -13,12 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import R3_CERTIFICATION_THRESHOLDS
+from .bounds import R3_CERTIFICATION_THRESHOLDS, certifies
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
 from .states import PureState, psi_star
 
 __all__ = [
-    "GueSample",
     "SweepRecord",
     "ToleranceSweep",
     "sample_gue",
@@ -31,38 +30,40 @@ __all__ = [
     "sweep_summary",
 ]
 
+# tau = 0 (drift-free anchor) plus 50 log-spaced points in [1e-3, 1]
+DEFAULT_TAU_GRID = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)])
+DEFAULT_TAU_GRID.setflags(write=False)
+# R_3 is averaged over N_BINS equal deviation bins covering [0, BIN_MAX)
+N_BINS = 12
+BIN_MAX = 0.6
 
-@dataclass(frozen=True)
-class GueSample:
-    """A GUE draw H = (A + A^dag)/2 with standard normal real/imag entries.
 
-    Diagonal entries are real with variance 1; off-diagonal complex entries
-    have total variance 1, putting the spectral support near [-2 sqrt(d),
-    2 sqrt(d)].  The scale convention is immaterial downstream because
-    results are reported against the deviation D, not tau.
+def sample_gue(d: int, seed: int) -> np.ndarray:
+    """Draw one GUE matrix H = (A + A^dag)/2 of dimension d, reproducibly from ``seed``.
+
+    A has standard normal real/imag entries, so every entry of H has variance
+    1 and the spectrum lies near [-2 sqrt(d), 2 sqrt(d)]; the scale is
+    immaterial downstream, where results are reported against D, not tau.
     """
-
-    matrix: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def sample_gue(d: int, seed: int) -> GueSample:
-    """Draw one GUE matrix of dimension d, reproducibly from ``seed``."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return GueSample(matrix=(a + a.conj().T) / 2.0, seed=int(seed))
+    return (a + a.conj().T) / 2.0
+
+
+def _drift(h: np.ndarray, psi: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """e^{i H tau} psi for every tau, shape ``h.shape[:-2] + (taus.size, d)``:
+    one eigendecomposition per H (leading axes of ``h`` are a batch)."""
+    evals, evecs = np.linalg.eigh(h)
+    coeffs = evecs.conj().swapaxes(-1, -2) @ psi
+    phases = np.exp(1j * taus[:, None] * evals[..., None, :])
+    return (phases * coeffs[..., None, :]) @ evecs.swapaxes(-1, -2)
 
 
 def drifted_projection(psi: PureState, h, tau: float) -> PureState:
     """Evolve the projection state: e^{i H tau} |psi>, via eigendecomposition."""
-    mat = h.matrix if isinstance(h, GueSample) else np.asarray(h)
-    evals, evecs = np.linalg.eigh(mat)
-    out = (evecs * np.exp(1j * evals * tau)) @ (evecs.conj().T @ psi.amplitudes)
+    out = _drift(np.asarray(h), psi.amplitudes, np.array([float(tau)]))[0]
     return PureState(out / np.linalg.norm(out))
 
 
@@ -90,8 +91,8 @@ class SweepRecord(NamedTuple):
 class ToleranceSweep:
     """Full record set of a drift sweep plus D-binned ensemble statistics.
 
-    ``crossings`` holds, per sample, the first deviation at which R_3 drops
-    below the certification threshold for k-coherence (None if it never
+    ``crossings`` holds, per sample, the first deviation at which R_3 stops
+    certifying k-coherence under ``bounds.certifies`` (None if it never
     does on the grid).  Binning covers deviations up to ``bin_edges[-1]``;
     records beyond that window are kept but not binned.
     """
@@ -114,37 +115,26 @@ def _r3_psi_chi(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return ratio_from_moments(batch_moments(overlap_coefficients(psi * chi.conj()), 3), 3)
 
 
-def default_tau_grid() -> np.ndarray:
-    """tau = 0 (drift-free anchor) plus 50 log-spaced points in [1e-3, 1]."""
-    return np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)])
-
-
-def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0,
-                    psi: PureState | None = None, n_bins: int = 12,
-                    bin_max: float = 0.6) -> ToleranceSweep:
+def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0) -> ToleranceSweep:
     """Ensemble of drifted-measurement sweeps for the best-known k-coherent state.
 
-    For every sample (one GUE Hamiltonian) and every tau, records the
-    deviation D and R_3(psi, chi(tau)); emits mean/std of R_3 binned by D
-    plus the per-sample first crossing of the k-coherence certification
-    threshold.  Bit-for-bit reproducible from (seed, k, tau_grid).
+    For every sample (one GUE Hamiltonian) and every tau (``DEFAULT_TAU_GRID``
+    unless given), records the deviation D and R_3(psi, chi(tau)); emits
+    mean/std of R_3 binned by D plus the per-sample first crossing of the
+    k-coherence certification threshold.  Bit-for-bit reproducible from
+    (seed, k, tau_grid).
     """
     if k not in (3, 4):
         raise ValueError("tolerance sweeps cover k = 3 or 4 (proven thresholds)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    taus = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    psi = psi or psi_star(k)
-    psi_vec = psi.amplitudes
+    taus = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    psi_vec = psi_star(k).amplitudes
     threshold = float(R3_CERTIFICATION_THRESHOLDS[k - 2])
     drift_free = float(_r3_psi_chi(psi_vec, psi_vec))
 
     seeds = [int(c) for c in np.random.SeedSequence(seed).generate_state(n_samples)]
-    evals, evecs = np.linalg.eigh(np.stack([sample_gue(psi_vec.size, s).matrix for s in seeds]))
-    coeffs = evecs.conj().swapaxes(1, 2) @ psi_vec
-    # chi[s, i] = e^{i H_s tau_i} psi for every sample and tau in one matmul
-    phases = np.exp(1j * taus[:, None] * evals[:, None, :])
-    chi = (phases * coeffs[:, None, :]) @ evecs.swapaxes(1, 2)
+    chi = _drift(np.stack([sample_gue(psi_vec.size, s) for s in seeds]), psi_vec, taus)
     # tau = 0 must anchor the drift-free value exactly, round-off free
     anchor = taus == 0.0
     chi[:, anchor] = psi_vec
@@ -158,20 +148,20 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0,
         for s, dev_row, r3_row in zip(seeds, devs.tolist(), r3s.tolist())
         for tau, dev, r3 in zip(tau_list, dev_row, r3_row)
     ]
-    below = r3s < threshold
+    below = ~certifies(r3s, threshold)
     first = below.argmax(axis=1)
     crossings = [
         (s, float(devs[i, first[i]]) if below[i, first[i]] else None)
         for i, s in enumerate(seeds)
     ]
 
-    edges = np.linspace(0.0, bin_max, n_bins + 1)
+    edges = np.linspace(0.0, BIN_MAX, N_BINS + 1)
     devs, r3s = devs.ravel(), r3s.ravel()
     idx = np.digitize(devs, edges) - 1
-    mean = np.full(n_bins, np.nan)
-    std = np.full(n_bins, np.nan)
-    count = np.zeros(n_bins, dtype=int)
-    for b in range(n_bins):
+    mean = np.full(N_BINS, np.nan)
+    std = np.full(N_BINS, np.nan)
+    count = np.zeros(N_BINS, dtype=int)
+    for b in range(N_BINS):
         sel = idx == b
         count[b] = int(sel.sum())
         if count[b]:

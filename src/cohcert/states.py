@@ -12,7 +12,6 @@ import numpy as np
 from .reference import PUBLISHED_TABLE2
 
 __all__ = [
-    "HarmonicBasis",
     "PureState",
     "DensityMatrix",
     "WernerParams",
@@ -25,17 +24,6 @@ __all__ = [
 
 NORM_TOL = 1e-12
 PSD_FLOOR = -1e-10
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Energy eigenbasis of dimension ``dim`` with unit level spacing."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"basis dimension must be >= 1, got {self.dim}")
 
 
 def _readonly(arr):

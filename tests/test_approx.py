@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohcert.approx
 from cohcert import (
-    OptimizationConfig,
     PureState,
     WernerParams,
     best_q_approximation,
@@ -18,9 +18,6 @@ from cohcert import (
 )
 from cohcert.patterns import PatternCoefficients
 from conftest import rand_density
-
-FAST = OptimizationConfig(restarts=8, seed=0)
-
 
 def werner_pattern(lam, k=3):
     rho = werner_state(WernerParams(k, lam))
@@ -66,7 +63,7 @@ def test_sqrt_distance_satisfies_metric_axioms():
 
 def test_best_q_approx_reproducible_werner():
     # above the decoherence threshold 1/2, 2-coherent mixtures reproduce exactly
-    approx = best_q_approximation(werner_pattern(0.54), w_state(3).density(), 2, cfg=FAST)
+    approx = best_q_approximation(werner_pattern(0.54), w_state(3).density(), 2)
     assert approx.residual < 1e-8
     weights = [w for w, _ in approx.components]
     assert all(w >= 0 for w in weights)
@@ -76,14 +73,14 @@ def test_best_q_approx_reproducible_werner():
 
 @pytest.mark.parametrize("lam", [0.18, 0.36])
 def test_best_q_approx_irreproducible_werner(lam):
-    approx = best_q_approximation(werner_pattern(lam), w_state(3).density(), 2, cfg=FAST)
+    approx = best_q_approximation(werner_pattern(lam), w_state(3).density(), 2)
     assert approx.residual > 1e-6
 
 
 def test_best_q_approx_self_reproduction():
     psi = PureState.normalized(np.array([0.8, 0.6, 0.0]))
     target = pattern_from_states(psi.density(), w_state(3).density())
-    approx = best_q_approximation(target, w_state(3).density(), 2, cfg=FAST)
+    approx = best_q_approximation(target, w_state(3).density(), 2)
     assert approx.residual < 1e-10
 
 
@@ -97,22 +94,22 @@ def test_best_q_approx_validation():
 def test_residual_nonincreasing_in_q():
     target = werner_pattern(0.3)
     chi = w_state(3).density()
-    r2 = best_q_approximation(target, chi, 2, cfg=FAST).residual
-    r3 = best_q_approximation(target, chi, 3, cfg=FAST).residual
+    r2 = best_q_approximation(target, chi, 2).residual
+    r3 = best_q_approximation(target, chi, 3).residual
     assert r3 <= r2 + 1e-12
     assert r3 < 1e-8  # q = k reproduces everything
 
 
 def test_verdict_brackets_pattern_threshold():
     chi = w_state(3).density()
-    below = reproducibility_verdict(werner_pattern(0.49), chi, 2, cfg=FAST)
+    below = reproducibility_verdict(werner_pattern(0.49), chi, 2)
     assert below.exceeds_coherence
-    above = reproducibility_verdict(werner_pattern(0.51), chi, 2, cfg=FAST)
+    above = reproducibility_verdict(werner_pattern(0.51), chi, 2)
     assert not above.exceeds_coherence
 
 
 def test_verdict_full_class_reproduces_everything():
-    verdict = reproducibility_verdict(werner_pattern(0.1), w_state(3).density(), 3, cfg=FAST)
+    verdict = reproducibility_verdict(werner_pattern(0.1), w_state(3).density(), 3)
     assert not verdict.exceeds_coherence
     assert verdict.residual < 1e-8
 
@@ -120,7 +117,7 @@ def test_verdict_full_class_reproduces_everything():
 def test_verdict_peak_bound_consistency():
     chi = w_state(3).density()
     for lam in (0.1, 0.3, 0.49, 0.6, 0.9):
-        verdict = reproducibility_verdict(werner_pattern(lam), chi, 2, cfg=FAST)
+        verdict = reproducibility_verdict(werner_pattern(lam), chi, 2)
         assert verdict.peak_exceeded is not None
         if verdict.peak_exceeded:
             # the analytic shortcut may only confirm the fit verdict
@@ -129,7 +126,7 @@ def test_verdict_peak_bound_consistency():
     rng = np.random.default_rng(3)
     sigma = rand_density(rng, 3)
     target = pattern_from_states(werner_state(WernerParams(3, 0.3)), sigma)
-    verdict = reproducibility_verdict(target, sigma, 2, cfg=FAST)
+    verdict = reproducibility_verdict(target, sigma, 2)
     assert verdict.peak_exceeded is None
 
 
@@ -173,13 +170,13 @@ def test_lower_bound_certifies_residual_random_projection(seed, d, q):
     assert all(coherence_support(s) <= q for _, s in approx.components)
 
 
-def test_iteration_cap_reports_nonconvergence():
+def test_iteration_cap_reports_nonconvergence(monkeypatch):
     # werner:4:0.8 needs four atoms; one iteration leaves the gap open
     target = werner_pattern(0.8, 4)
-    capped = best_q_approximation(target, w_state(4).density(), 2,
-                                  cfg=OptimizationConfig(max_iters=1))
+    monkeypatch.setattr(cohcert.approx, "MAX_ITERS", 1)
+    capped = best_q_approximation(target, w_state(4).density(), 2)
     assert not capped.converged
     assert 0.0 <= capped.lower_bound <= capped.residual
     assert capped.residual > 1e-6
     with pytest.raises(ValueError):
-        OptimizationConfig(max_iters=0)
+        best_q_approximation(target, w_state(4).density(), 2, tol=0.0)

@@ -16,7 +16,7 @@ from cohcert import (
     vertex_table,
     w_resonance_counts,
 )
-from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, VERTEX_CASES
+from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, VERTEX_CASES, certifies
 from conftest import rand_simplex
 
 
@@ -38,6 +38,15 @@ def test_certify_strictness_at_thresholds():
     assert certify_r3(1.0 + 1e-12).certified_level == 2
     assert certify_r3(179 / 96).certified_level == 3
     assert certify_r3(179 / 96 + 1e-9).certified_level == 4
+
+
+def test_certifies_is_the_rule_of_certify_r3():
+    margins = np.array([-1e-15, 0.0, 1e-14, 4e-14, 6e-14, 1e-12])
+    for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
+        values = float(thr) * (1 + margins)
+        got = certifies(values, thr).tolist()
+        assert got == [False] * 4 + [True] * 2
+        assert got == [certify_r3(v).certified_level > k for v in values]
 
 
 def test_certify_monotone():

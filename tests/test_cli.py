@@ -255,6 +255,8 @@ def test_tables_command(tmp_path):
     ["gue-sweep", "--samples", "0"],
     ["werner-sweep", "--k", "0"],
     ["werner-sweep", "--points", "-1"],
+    ["certify", "--input", "samples.csv", "--dim", "0"],
+    ["certify", "--input", "samples.csv", "--dim", "-4"],
 ])
 def test_out_of_range_numeric_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -263,6 +265,15 @@ def test_out_of_range_numeric_flags_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error: argument --" in captured.err and "Traceback" not in captured.err
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["certify", "--state", "W:3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}:")
+    assert captured.err.count("\n") == 1 and not out.parent.exists()
 
 
 def test_csv_rejected_for_non_series(tmp_path):

@@ -73,7 +73,7 @@ def test_batched_moments_match_single_and_sampling(seed, d, nmax, batch):
     assert got.shape == (2, batch, nmax)
     for idx in np.ndindex(2, batch):
         pat = pattern(cs[idx])
-        np.testing.assert_allclose(got[idx], moments(pat, nmax).values, rtol=0, atol=TOL)
+        np.testing.assert_allclose(got[idx], moments(pat, nmax), rtol=0, atol=TOL)
         for n in range(1, nmax + 1):
             sampled = moment_by_sampling(pat, n, 2 * n * (d - 1) + 3)
             assert got[idx][n - 1] == pytest.approx(sampled, abs=TOL)
@@ -115,7 +115,7 @@ def _sweep_loop(k, n_samples, seed, taus):
     thr = (1.0, 1.25, 179 / 96)[k - 2]
     rows, crossed = [], []
     for child in np.random.SeedSequence(seed).generate_state(n_samples):
-        evals, evecs = np.linalg.eigh(sample_gue(psi.size, int(child)).matrix)
+        evals, evecs = np.linalg.eigh(sample_gue(psi.size, int(child)))
         coeffs = evecs.conj().T @ psi
         hit = False
         for tau in taus:

@@ -16,21 +16,22 @@ from cohcert import (
     w_state,
     write_sweep_csv,
 )
+from cohcert import robustness
+from cohcert.bounds import certify_r3
 from conftest import rand_pure
 
 
 def test_sample_gue_deterministic():
     a = sample_gue(4, 123)
     b = sample_gue(4, 123)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert a.seed == 123
+    assert np.array_equal(a, b)
     c = sample_gue(4, 124)
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_gue_hermitian():
     for seed in range(5):
-        h = sample_gue(6, seed).matrix
+        h = sample_gue(6, seed)
         assert np.abs(h - h.conj().T).max() < 1e-12
     with pytest.raises(ValueError):
         sample_gue(1, 0)
@@ -40,7 +41,7 @@ def test_gue_ensemble_mean_zero():
     d, n = 3, 2000
     acc = np.zeros((d, d), dtype=complex)
     for seed in range(n):
-        acc += sample_gue(d, seed).matrix
+        acc += sample_gue(d, seed)
     mean = acc / n
     # entry std is <= 1, so the mean of 2000 draws stays within ~4 sigma
     assert np.abs(mean).max() < 4 / np.sqrt(n)
@@ -49,7 +50,7 @@ def test_gue_ensemble_mean_zero():
 def test_gue_spectrum_semicircular_support():
     d, extremes = 16, []
     for seed in range(200):
-        evals = np.linalg.eigvalsh(sample_gue(d, seed).matrix)
+        evals = np.linalg.eigvalsh(sample_gue(d, seed))
         extremes.append(np.abs(evals).max())
     extremes = np.array(extremes)
     # coarse check of the variance convention: edge near 2 sqrt(d)
@@ -152,3 +153,14 @@ def test_sweep_record_fields():
     with pytest.raises(AttributeError):
         rec.r3 = 0.0
     assert rec == SweepRecord(*rec) and rec != rec._replace(r3=rec.r3 + 1.0)
+
+
+def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
+    # R_3 a few ulps above 5/4 does not certify 3-coherence, so every sample
+    # has lost certification already at the drift-free point
+    on_threshold = 1.25 * (1 + 4e-14)
+    assert certify_r3(on_threshold).certified_level == 2
+    monkeypatch.setattr(robustness, "_r3_psi_chi",
+                        lambda psi, chi: np.full(chi.shape[:-1], on_threshold))
+    sweep = tolerance_sweep(3, 4, seed=0)
+    assert sweep.crossings == [(s, 0.0) for s, _ in sweep.crossings]

@@ -3,7 +3,6 @@ import pytest
 
 from cohcert import (
     DensityMatrix,
-    HarmonicBasis,
     PureState,
     WernerParams,
     coherence_support,
@@ -13,12 +12,6 @@ from cohcert import (
     werner_state,
 )
 from conftest import rand_pure
-
-
-def test_basis_dim_positive():
-    assert HarmonicBasis(3).dim == 3
-    with pytest.raises(ValueError):
-        HarmonicBasis(0)
 
 
 def test_pure_state_norm_enforced():
