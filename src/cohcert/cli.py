@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import sys
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -57,21 +58,23 @@ def parse_state_spec(spec: str):
 
 
 def read_pattern_csv(path: str) -> np.ndarray:
-    """Read (t, p) sample rows from a CSV with header ``t,p`` (t in radians)."""
+    """Read (t, p) sample rows from a CSV with header ``t,p`` (t in radians);
+    ``np.loadtxt`` parses the rows after the header (format in the README)."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["t", "p"]:
+        with open(path, newline="") as fh, catch_warnings():
+            # an empty body is reported below, not as numpy's warning
+            simplefilter("ignore", UserWarning)
+            line = next((row for row in fh if not row.startswith("#")), "")
+            if [h.strip().lower() for h in next(csv.reader([line]), [])[:2]] != ["t", "p"]:
                 raise CliInputError(f"{path}: expected CSV header 't,p'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+            arr = np.loadtxt(fh, delimiter=",", comments="#", quotechar='"',
+                             usecols=(0, 1), ndmin=2)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise CliInputError(f"{path}: malformed sample row: {exc}") from exc
-    if not rows:
+    if not arr.size:
         raise CliInputError(f"{path}: no sample rows")
-    arr = np.array(rows)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -221,11 +224,11 @@ def _state_and_projection(spec: str, projection: str | None):
 
 def _pattern_from_args(args, warnings):
     """Build the pattern requested by --state/--input, plus context info."""
-    if bool(args.state) == bool(args.input):
-        raise CliInputError("provide exactly one of --state or --input")
+    if bool(args.state) == bool(args.input) or (args.input and args.projection):
+        raise CliInputError("provide exactly one of --state or --input; --projection needs --state")
     if args.state:
         rho, proj = _state_and_projection(args.state, args.projection)
-        pat = pattern_from_states(rho, proj.density())
+        pat = pattern_from_states(rho, proj)
         info = {"source": "state", "state": args.state,
                 "projection_dim": proj.dim}
         return pat, info
@@ -285,11 +288,12 @@ def _search(res) -> dict:
 
 def cmd_tables(args, warnings):
     cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-    maxima = {}
+    # Fig. 1's scan holds the n = 3 maxima for k = 2..8; Tables 1 and 2 read theirs from it
+    scan = optimize.growth_scan(8, n=3, cfg=cfg)
     table2 = []
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5):
-            res = maxima[n, k] = optimize.maximize_rn_over_ck(n, k, cfg)
+            res = scan.results[k - 2] if n == 3 else optimize.maximize_rn_over_ck(n, k, cfg)
             if not res.converged:
                 warnings.append(f"optimizer did not converge for (n={n}, k={k})")
             w_val = optimize.rn_of_alpha(np.full(k, 1.0 / k), n)
@@ -306,9 +310,9 @@ def cmd_tables(args, warnings):
                 "search": _search(res),
             })
     table1 = []
-    for k in (1, 2, 3):
+    for k, res in zip((1, 2, 3), (None, *scan.results)):
         thr = bounds.R3_CERTIFICATION_THRESHOLDS[k - 1]
-        best, search = (1.0, None) if k == 1 else (maxima[3, k].value, _search(maxima[3, k]))
+        best, search = (1.0, None) if res is None else (res.value, _search(res))
         pub_thr, pub_best = PUBLISHED_TABLE1[k]
         table1.append({
             "k": k,
@@ -332,7 +336,6 @@ def cmd_tables(args, warnings):
             "threshold_used": rec.threshold, "projection": rec.projection,
             "lambda_dec": bounds.lambda_dec(rec.k, rec.k - 1),
         })
-    scan = optimize.growth_scan(8, n=3, cfg=cfg)
     if not scan.converged:
         warnings.append("optimizer did not converge for some k in the growth scan")
     fig1 = [
@@ -448,21 +451,24 @@ def cmd_gue_sweep(args, warnings):
     return data, robustness.sweep_csv_rows(sweep), robustness.SWEEP_CSV_HEADER
 
 
+def _approx_rows(target, components, proj, points):
+    """CSV rows of t, the target's p, the mixture's p and each component's p,
+    computed only when ``--format csv`` consumes them."""
+    grid = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+    comp_patterns = [pattern_from_states(state, proj) for _, state in components]
+    mix_vals = sum(w * cp.evaluate(grid) for (w, _), cp in zip(components, comp_patterns))
+    for t, target_p, approx_p in zip(grid, target.evaluate(grid), mix_vals):
+        yield ([repr(float(t)), repr(float(target_p)), repr(float(approx_p))]
+               + [repr(float(cp.evaluate(t)[0])) for cp in comp_patterns])
+
+
 def cmd_approx(args, warnings):
     rho, proj = _state_and_projection(args.target, args.projection)
-    target = pattern_from_states(rho, proj.density())
+    target = pattern_from_states(rho, proj)
     verdict = reproducibility_verdict(target, proj.density(), args.q, args.tol)
     approx = verdict.approx
     if not approx.converged:
         warnings.append("mixture fit did not converge; residual is an upper bound")
-    grid = np.linspace(0.0, 2 * np.pi, args.plot_points, endpoint=False)
-    target_vals = target.evaluate(grid)
-    comp_patterns = [
-        pattern_from_states(state.density(), proj.density())
-        for _, state in approx.components
-    ]
-    mix_vals = sum(w * cp.evaluate(grid)
-                   for (w, _), cp in zip(approx.components, comp_patterns))
     data = {
         "target": args.target,
         "q": args.q,
@@ -476,15 +482,10 @@ def cmd_approx(args, warnings):
             for w, s in approx.components
         ],
     }
-    rows = (
-        [repr(float(t)), repr(float(target_vals[i])), repr(float(mix_vals[i]))]
-        + [repr(float(cp.evaluate(t)[0])) for cp in comp_patterns]
-        for i, t in enumerate(grid)
-    )
     header = ["t", "target_p", "approx_p"] + [
-        f"component{i}_p" for i in range(len(comp_patterns))
+        f"component{i}_p" for i in range(len(approx.components))
     ]
-    return data, rows, header
+    return data, _approx_rows(target, approx.components, proj, args.plot_points), header
 
 
 def _above(kind, lo):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import R3_CERTIFICATION_THRESHOLDS, certifies
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
-from .states import PureState, psi_star
+from .states import PureState, _readonly, psi_star
 
 __all__ = [
     "SweepRecord",
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 # tau = 0 (drift-free anchor) plus 50 log-spaced points in [1e-3, 1]
-DEFAULT_TAU_GRID = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)])
-DEFAULT_TAU_GRID.setflags(write=False)
+DEFAULT_TAU_GRID = _readonly(np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)]))
 # R_3 is averaged over N_BINS equal deviation bins covering [0, BIN_MAX)
 N_BINS = 12
 BIN_MAX = 0.6
@@ -128,7 +127,7 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0) -> Tol
         raise ValueError("tolerance sweeps cover k = 3 or 4 (proven thresholds)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    taus = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    taus = DEFAULT_TAU_GRID if tau_grid is None else _readonly(np.array(tau_grid, dtype=float))
     psi_vec = psi_star(k).amplitudes
     threshold = float(R3_CERTIFICATION_THRESHOLDS[k - 2])
     drift_free = float(_r3_psi_chi(psi_vec, psi_vec))

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 from collections import OrderedDict, namedtuple
 
 import numpy as np
@@ -520,3 +522,172 @@ def test_gue_sweep_csv_matches_write_sweep_csv(tmp_path):
     write_sweep_csv(tolerance_sweep(4, 3, seed=8), lib)
     lines = out.read_bytes().splitlines(keepends=True)
     assert b"".join(l for l in lines if not l.startswith(b"#")) == lib.read_bytes()
+
+
+def reference_read_pattern_csv(path):
+    """The per-row csv.reader parser ``read_pattern_csv`` replaced, kept as the reference."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(row for row in fh if not row.startswith("#"))
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["t", "p"]:
+                raise CliInputError(f"{path}: expected CSV header 't,p'")
+            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    except OSError as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise CliInputError(f"{path}: malformed sample row: {exc}") from exc
+    if not rows:
+        raise CliInputError(f"{path}: no sample rows")
+    arr = np.array(rows)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CliInputError(f"{path}: sample row {i + 1} is not finite: "
+                            f"t={arr[i, 0]!r}, p={arr[i, 1]!r}")
+    return arr
+
+
+def csv_outcome(reader, path):
+    """The array read, or the error message with numpy's and Python's parse errors merged."""
+    try:
+        return reader(path)
+    except CliInputError as exc:
+        text = str(exc)
+        return text.split(": malformed sample row")[0] + ": malformed" if "malformed" in text else text
+
+
+# The t and p cells hold no "#" and no "_": there the readers differ on purpose
+# (a "#" after a value starts a comment, "1_0" is a Python-only literal; see the README).
+# Repeated branches weight the draw towards files that parse.
+number_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+1.5", ".5", "5.", "1e-3", "2E+2", "-0.0", "1e-400"]),
+)
+good_cells = st.one_of(
+    number_cells, number_cells, number_cells,
+    st.tuples(st.sampled_from([" ", "\t", "  "]), number_cells,
+              st.sampled_from(["", " ", "\t"])).map("".join),
+    number_cells.map(lambda c: f'"{c}"'),
+)
+odd_cells = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "",
+                             "zero", "1.0.0", "1e", "0x10", "1 2", "--1", "'1'", "-"])
+cells = st.one_of(*[good_cells] * 8, odd_cells)
+extra_cells = st.text(st.sampled_from(list("ab x1.#-")), max_size=4) | st.just('"a,b"')
+data_rows = st.tuples(cells, cells, st.lists(extra_cells, max_size=2)).map(
+    lambda r: ",".join([r[0], r[1], *r[2]]))
+rows = st.one_of(
+    *[data_rows] * 6,
+    st.tuples(cells, cells).map(lambda r: ",".join(r) + ","),
+    st.sampled_from(["", "", "# a comment", "#", "#t,p", "1.0", "   ", "  # indented"]),
+)
+headers = st.sampled_from(["t,p", "T,P", " t , p ", '"t","p"', "t,p,weight", "t,p,"] * 3
+                          + ["t", "p,t", "", "x,y", "t;p"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(preamble=st.lists(st.sampled_from(["# fringe", "#", "# t,p"]), max_size=2),
+       header=headers, body=st.lists(rows, max_size=6), eol=st.sampled_from(["\n", "\r\n"]),
+       final_eol=st.booleans())
+@example(preamble=[], header="t,p", body=[], eol="\n", final_eol=True)
+@example(preamble=[], header="t,p", body=["1.0"], eol="\n", final_eol=True)
+@example(preamble=["# x"], header='"t","p"', body=["", "# c", "1,2,3,4", "3,4", "5,6,"],
+         eol="\r\n", final_eol=False)
+def test_read_pattern_csv_matches_reference_parser(tmp_path_factory, preamble, header, body,
+                                                   eol, final_eol):
+    path = tmp_path_factory.mktemp("csv") / "samples.csv"
+    path.write_bytes((eol.join([*preamble, header, *body]) + (eol if final_eol else "")).encode())
+    got, want = csv_outcome(read_pattern_csv, str(path)), csv_outcome(
+        reference_read_pattern_csv, str(path))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("t,p\n0.0,0.5 # lamp on\n", [[0.0, 0.5]]),  # a comment may follow a value
+    ("t,p\n1_0,0.5\n", None),  # Python-only literals are not numbers here
+])
+def test_read_pattern_csv_deliberate_differences(tmp_path, text, expected):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    if expected is None:
+        with pytest.raises(CliInputError, match="malformed sample row"):
+            read_pattern_csv(str(path))
+    else:
+        assert read_pattern_csv(str(path)).tolist() == expected
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "# only a comment\n"])
+def test_certify_empty_csv_body_prints_one_error_line(tmp_path, capsys, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,p\n" + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy's empty-input warning would print a second line
+        assert main(["certify", "--input", str(path)]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: no sample rows\n"
+
+
+def test_certify_rejects_projection_with_input(tmp_path, capsys):
+    path = write_samples_csv(tmp_path, lambda t: (1 + np.cos(t)) / 2)
+    assert main(["certify", "--input", path, "--projection", "W:3", "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--projection needs --state" in captured.err
+
+
+def test_tables_maximizes_each_cell_once(tmp_path, monkeypatch):
+    from cohcert import optimize
+
+    calls = []
+    maximize = optimize.maximize_rn_over_ck
+    monkeypatch.setattr(optimize, "maximize_rn_over_ck",
+                        lambda n, k, *a, **kw: calls.append((n, k)) or maximize(n, k, *a, **kw))
+    rc, doc, _ = run_cli(["tables", "--restarts", "3", "--seed", "2"], tmp_path)
+    assert rc == 0
+    # Fig. 1 scans n = 3, k = 2..8; Table 2 adds n = 4, 5 for k = 2..5
+    assert len(calls) == 15 == len(set(calls))
+    data = doc["data"]
+    fig1 = {row["k"]: row for row in data["fig1"]["rows"]}
+    for row in data["table2"]:
+        if row["n"] == 3:
+            assert row["max_computed"] == fig1[row["k"]]["max_computed"]
+            assert row["search"] == fig1[row["k"]]["search"]
+    for row in data["table1"][1:]:
+        assert row["best_known_computed"] == fig1[row["k"]]["max_computed"]
+        assert row["search"] == fig1[row["k"]]["search"]
+
+
+def test_approx_csv_series_sums_components(tmp_path):
+    from cohcert.patterns import pattern_from_states
+
+    argv = ["approx", "--target", "werner:4:0.3", "--q", "2", "--plot-points", "32"]
+    _, doc, _ = run_cli(argv, tmp_path)
+    _, _, text = run_cli(argv + ["--format", "csv"], tmp_path, name="approx.csv")
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    series = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+    weights = np.array([c["weight"] for c in doc["data"]["components"]])
+    assert lines[0].split(",")[3:] == [f"component{i}_p" for i in range(len(weights))]
+    rho, proj = parse_state_spec("werner:4:0.3")
+    grid = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+    assert series[:, 0].tolist() == grid.tolist()
+    assert series[:, 1].tolist() == pattern_from_states(rho, proj.density()).evaluate(grid).tolist()
+    assert np.abs(series[:, 2] - series[:, 3:] @ weights).max() <= 1e-15
+
+
+def test_approx_json_builds_no_plot_series(tmp_path, monkeypatch):
+    from cohcert import cli
+
+    built = []
+    pattern = cli.pattern_from_states
+    monkeypatch.setattr(cli, "pattern_from_states", lambda *a: built.append(a) or pattern(*a))
+    rc, doc, _ = run_cli(["approx", "--target", "werner:4:0.3", "--q", "2"], tmp_path)
+    assert rc == 0 and len(doc["data"]["components"]) > 1
+    assert len(built) == 1  # the target only

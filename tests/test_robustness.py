@@ -164,3 +164,11 @@ def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
                         lambda psi, chi: np.full(chi.shape[:-1], on_threshold))
     sweep = tolerance_sweep(3, 4, seed=0)
     assert sweep.crossings == [(s, 0.0) for s, _ in sweep.crossings]
+
+
+def test_tolerance_sweep_keeps_its_own_tau_grid():
+    g = np.concatenate([[0.0], np.logspace(-3.0, -1.0, 10)])
+    sweep = tolerance_sweep(3, 2, tau_grid=g, seed=1)
+    g[1] = 5.0
+    assert sweep.tau_grid[1] == 0.001 == sweep.records[1].tau
+    assert not sweep.tau_grid.flags.writeable
