@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from warnings import catch_warnings, simplefilter
 
@@ -59,7 +60,12 @@ def parse_state_spec(spec: str):
 
 def read_pattern_csv(path: str) -> np.ndarray:
     """Read (t, p) sample rows from a CSV with header ``t,p`` (t in radians);
-    ``np.loadtxt`` parses the rows after the header (format in the README)."""
+    ``np.loadtxt`` parses the rows after the header (format in the README).
+
+    Errors name the offending row by its 1-based count among the sample rows.
+    numpy's own count starts at 0 in conversion errors and at 1 in column
+    errors, so it is shifted by one for the former.
+    """
     try:
         with open(path, newline="") as fh, catch_warnings():
             # an empty body is reported below, not as numpy's warning
@@ -72,14 +78,18 @@ def read_pattern_csv(path: str) -> np.ndarray:
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise CliInputError(f"{path}: malformed sample row: {exc}") from exc
+        text = f": {exc}"
+        if row := re.search(r" at row (\d+)", text):
+            number = int(row[1]) + text.startswith(": could not convert")
+            text = f" {number}{text[:row.start()]}{text[row.end():]}"
+        raise CliInputError(f"{path}: malformed sample row{text}") from exc
     if not arr.size:
         raise CliInputError(f"{path}: no sample rows")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise CliInputError(f"{path}: sample row {i + 1} is not finite: "
-                            f"t={arr[i, 0]!r}, p={arr[i, 1]!r}")
+        t, p = arr[i].tolist()
+        raise CliInputError(f"{path}: sample row {i + 1} is not finite: t={t!r}, p={p!r}")
     return arr
 
 
@@ -577,13 +587,19 @@ _shared_parser = functools.lru_cache(maxsize=1)(make_parser)
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The document's ``params`` echo every option that has a value, given or
+    defaulted, except ``--out`` and ``--format``; ``--dim`` shapes only a
+    pattern fitted to ``--input``, so it is echoed only with ``--input``.
+    """
     args = _shared_parser().parse_args(argv)
     warnings: list = []
     try:
         data, csv_rows, csv_header = args.func(args, warnings)
         params = {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "format") and v is not None
+            if k not in ("func", "out", "format") and v is not None and (k != "dim" or args.input)
         }
         doc = build_document(args.command, params, data, warnings, args.seed)
         emit(doc, args, csv_rows, csv_header)

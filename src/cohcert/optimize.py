@@ -3,9 +3,16 @@
 The search space for max R_n over k-coherent states reduces to nonnegative
 overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
 equal to projection).  The simplex is handled by the square-then-normalize
-reparametrization a_p = x_p^2 / sum x^2 and searched by multi-start
-L-BFGS-B (Liu & Nocedal 1989) on the exact chain-rule gradient of R_n; each
-restart draws its start point from its own spawned seed.
+reparametrization a_p = x_p^2 / sum x^2 and searched from many start points
+(each restart draws its own from a spawned seed) by L-BFGS-B (Byrd, Lu,
+Nocedal & Zhu 1995) on the exact chain-rule gradient of R_n.  The restarts
+are independent, so one L-BFGS-B call minimizes -sum_r R_n(a_r) over the
+stacked (restarts x k) array; its counts are the search's ``nfev`` and
+``nit``.  The step length is shared by all rows, so a row that starts near
+the simplex boundary can end on a boundary point that a lone run would
+have left, when that point is a genuine local maximum of R_n: a one-level
+vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2, R_3 ~ 1 - 2 a_2), or at
+n = 4, k = 3 the face a = (1/2, 0, 1/2) (R_4 = 35/16).
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
 R_n is a polynomial in 1 - lam and a threshold is one of its roots.
@@ -19,8 +26,8 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import minimize
 
 from .bounds import r3_w_closed_form
-from .patterns import (batch_moments, coefficient_gradient, matrix_coefficients, overlap_coefficients,
-                       overlap_gradient, ratio_from_moments, ratio_gradient)
+from .patterns import (batch_moments, matrix_coefficients, overlap_coefficients, overlap_gradient,
+                       ratio_from_moments, ratio_gradient)
 from .states import WernerParams, psi_star, werner_state, w_state
 
 __all__ = [
@@ -37,7 +44,7 @@ __all__ = [
 ]
 # werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
-MAX_ITERS = 2000  # L-BFGS-B iteration cap of every restart
+MAX_ITERS = 2000  # iteration cap of the stacked L-BFGS-B call
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,14 @@ def rn_of_alpha(alpha, n: int) -> float:
 class OptimizeResult:
     """Best restart of a maximization: argmax ``alpha``, maximum ``value``.
 
-    L-BFGS-B stops at ``ftol = gtol = tol``, resolving ``value`` to ``tol``
-    relative and ``alpha`` to about 1e-8.  Summed over restarts: ``nfev``,
-    ``nit``; ``n_agree`` restarts end within ``tol * max(1, value)`` of
-    ``value`` (the scale of the ``ftol`` test); ``spread`` = best - worst.
+    The stacked L-BFGS-B call stops at ``ftol = tol / restarts`` (its
+    relative test sees a sum of restarts) and ``gtol = tol``, resolving
+    ``value`` to ``tol`` relative and ``alpha`` to about 1e-8.  ``nfev`` and
+    ``nit`` are that one call's counts.  From the restarts' end values:
+    ``n_agree`` restarts end within ``tol * max(1, value)`` of ``value`` (the
+    scale of the ``ftol`` test); ``spread`` = best - worst, which reads
+    ``value - 1`` when a restart ends on a one-level vertex (see the module
+    docstring).
     """
 
     alpha: np.ndarray
@@ -87,16 +98,19 @@ class OptimizeResult:
     spread: float
 
 
-def _multistart(fun, starts, cfg: OptimizationConfig, args=()):
-    """L-BFGS-B on ``fun`` (value and gradient, minimized) from every start."""
-    options = dict(ftol=cfg.tol, gtol=cfg.tol, maxiter=MAX_ITERS)
-    return [minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options=options)
-            for x0 in starts]
+def _stacked_lbfgsb(fun, x0: np.ndarray, cfg: OptimizationConfig, args=()):
+    """One L-BFGS-B call minimizing ``fun`` (summed value and flat gradient
+    of a (restarts, k) array) from the start rows ``x0``; returns scipy's
+    result and the end rows."""
+    res = minimize(lambda x: fun(x.reshape(x0.shape), *args), x0.ravel(), jac=True,
+                   method="L-BFGS-B",
+                   options=dict(ftol=cfg.tol / len(x0), gtol=cfg.tol, maxiter=MAX_ITERS))
+    return res, res.x.reshape(x0.shape)
 
 
-def _start_points(n: int, k: int, rng_children, extra=()):
-    """Deterministic seeds (uniform, center-weighted bump, tabulated profile)
-    followed by random draws, one per restart."""
+def _start_points(n: int, k: int, rng_children, extra=()) -> np.ndarray:
+    """One start row per restart: deterministic seeds (uniform,
+    center-weighted bump, tabulated profile, ``extra``), then random draws."""
     starts = [np.full(k, 1.0 / k)]
     p = np.arange(k)
     bump = 1.0 - 0.5 * ((p - (k - 1) / 2) / ((k - 1) / 2 + 1e-12)) ** 2
@@ -106,23 +120,21 @@ def _start_points(n: int, k: int, rng_children, extra=()):
     except ValueError:
         pass
     starts.extend(extra)
-    for i, child in enumerate(rng_children):
-        if i < len(starts):
-            yield starts[i]
-        else:
-            rng = np.random.default_rng(child)
-            draw = rng.random(k) + 0.05
-            yield draw / draw.sum()
+    for child in rng_children[len(starts):]:
+        draw = np.random.default_rng(child).random(k) + 0.05
+        starts.append(draw / draw.sum())
+    return np.array(starts[:len(rng_children)])
 
 
 def _neg_rn_over_simplex(x, n: int):
-    """-R_n at a = x^2 / S, S = sum x^2, and its gradient in x:
+    """-sum_r R_n(a_r) over the rows a_r = x_r^2 / S_r, S_r = sum x_r^2, of
+    ``x``, and its gradient in x, flattened as L-BFGS-B takes it; row by row
     g_x = (2 x / S)(g_a - a . g_a) for g_a = dR_n/da."""
-    s = x @ x
+    s = np.sum(x * x, axis=-1, keepdims=True)
     a = x * x / s
     r, g = ratio_gradient(overlap_coefficients(a), n)
     ga = overlap_gradient(a, g)
-    return -r, (-2.0 / s) * x * (ga - a @ ga)
+    return -r.sum(), ((-2.0 / s) * x * (ga - np.sum(a * ga, axis=-1, keepdims=True))).ravel()
 
 
 def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
@@ -130,9 +142,9 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
     """Maximize R_n over states populating k adjacent levels.
 
     Returns the best overlap vector (equal to the amplitude-squared profile
-    of the optimal state) and its value.  ``converged`` is False when no
-    restart met the local-search tolerances; the best value found is still
-    reported.
+    of the optimal state) and its value.  ``converged`` is False when the
+    stacked search did not meet its tolerances; the best value found is
+    still reported.
     """
     if n not in (3, 4, 5):
         raise ValueError(f"n must be one of 3, 4, 5, got {n}")
@@ -140,16 +152,16 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
         raise ValueError(f"k must be >= 2, got {k}")
     cfg = cfg or OptimizationConfig()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = (np.sqrt(a) for a in _start_points(n, k, children, extra_starts))
-    runs = _multistart(_neg_rn_over_simplex, starts, cfg, args=(n,))
-    values = np.array([-res.fun for res in runs])
+    starts = np.sqrt(_start_points(n, k, children, extra_starts))
+    res, x = _stacked_lbfgsb(_neg_rn_over_simplex, starts, cfg, args=(n,))
+    a = x * x / np.sum(x * x, axis=-1, keepdims=True)
+    values = ratio_from_moments(batch_moments(overlap_coefficients(a), n), n)
     best_val = values.max()
-    a = runs[int(values.argmax())].x ** 2
     if n == 3:
         assert best_val >= r3_w_closed_form(k) - cfg.tol
     return OptimizeResult(
-        alpha=a / a.sum(), value=float(best_val), converged=any(res.success for res in runs),
-        nfev=sum(res.nfev for res in runs), nit=sum(res.nit for res in runs),
+        alpha=a[values.argmax()], value=float(best_val), converged=res.success,
+        nfev=res.nfev, nit=res.nit,
         n_agree=int(np.sum(values >= best_val - cfg.tol * max(1.0, best_val))),
         spread=float(best_val - values.min()))
 
@@ -207,21 +219,22 @@ def werner_coefficients(k: int, lam, chi) -> np.ndarray:
 
 
 def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
-    """-R_n of a real ``rho`` under sigma = x x^T / S, S = sum x^2, and its
-    gradient in x.
+    """-sum_r R_n of a real ``rho`` under sigma_r = x_r x_r^T / S_r,
+    S_r = sum x_r^2, over the rows x_r of ``x``, and its gradient in x,
+    flattened as L-BFGS-B takes it.
 
-    For real matrices the kernel is symmetric in rho and sigma, so the
-    kernel's adjoint with rho in sigma's place gives G with
-    dR_n = Tr(G dsigma), and g_x = (2 / S)(G x - (x . G x / S) x).
-    ``coefficient_gradient(h, .)`` weighs dc_0 by 2 h_0 and dc_m by 4 h_m,
-    so h = dR_n/dc / (2, 4, 4, ...).
+    For real matrices the kernel is symmetric in rho and sigma, so the stack
+    of sigmas can take rho's place.  With T_m = S c_m = sum_p rho_{p,p-m}
+    x_{p-m} x_p and g = dR_n/dc, v = sum_m g_m dT_m/dx = (rho * H) x, where
+    H_pq = g_|p-q| (2 g_0 on the diagonal); T_m is quadratic in x, so
+    x . v = 2 S g . c and g_x = (v - (x . v / S) x) / S.
     """
-    s = x @ x
-    r, g = ratio_gradient(matrix_coefficients(rho, np.outer(x, x) / s), n)
-    h = g / 4.0
-    h[0] *= 2.0
-    gx = coefficient_gradient(h, rho) @ x
-    return -r, (-2.0 / s) * (gx - (x @ gx / s) * x)
+    s = np.sum(x * x, axis=-1)
+    sigma = x[..., :, None] * x[..., None, :] / s[..., None, None]
+    r, g = ratio_gradient(matrix_coefficients(sigma, rho), n)
+    lag = np.abs(np.subtract.outer(np.arange(len(rho)), np.arange(len(rho))))
+    v = np.einsum("...pq,...q->...p", rho * (1.0 + np.eye(len(rho))) * g[..., lag], x)
+    return -r.sum(), ((v - (np.sum(x * v, axis=-1) / s)[..., None] * x) / -s[..., None]).ravel()
 
 
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",
@@ -230,9 +243,10 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
 
     projection: "w" projects onto the equal superposition W_k (the optimal
     measurement for Werner-like states at lam = 0), and "optimize"
-    maximizes over real projection states by multi-start L-BFGS-B on the
-    exact gradient in chi (restarts and tolerances from ``cfg``; the first
-    restart starts at W_k, so the result is never below the "w" value).
+    maximizes over real projection states by one stacked L-BFGS-B call on
+    the exact gradient in chi, as in ``maximize_rn_over_ck`` (restarts and
+    tolerances from ``cfg``; the first restart starts at W_k, so the result
+    is never below the "w" value).
     """
     params = WernerParams(k, lam)
     if projection == "w":
@@ -244,10 +258,10 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     rho = werner_state(params).matrix.real
     cfg = cfg or OptimizationConfig(restarts=8)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = (np.full(k, 1.0 / np.sqrt(k)) if i == 0
-              else np.random.default_rng(child).random(k) + 0.05
-              for i, child in enumerate(children))
-    return max(-res.fun for res in _multistart(_neg_rn_over_projection, starts, cfg, args=(rho, n)))
+    starts = np.array([np.random.default_rng(child).random(k) + 0.05 for child in children])
+    starts[0] = 1.0 / np.sqrt(k)
+    _, x = _stacked_lbfgsb(_neg_rn_over_projection, starts, cfg, args=(rho, n))
+    return float(max(-_neg_rn_over_projection(row, rho, n)[0] for row in x))
 
 
 @dataclass(frozen=True)

@@ -219,33 +219,37 @@ def ratio_from_moments(ms, n: int):
 
 
 def ratio_gradient(c: np.ndarray, n: int):
-    """R_n of one pattern with real one-sided coefficients ``c``, and dR_n/dc.
+    """R_n of patterns with real one-sided coefficients ``c``, and dR_n/dc.
 
-    On the engine's grid t_j, with p_j = sum_m w_m c_m cos(m t_j),
-    dM_n/dc_m = n mean(p^(n-1) w_m cos(m t_j)); p^(n-1) cos(m t) stays below
-    the grid's alias frequency, so this mean is exact like the moments.
-    Since M_1 = c_0, dR_n/dc = (dM_n/dc) / M_1^(n-1) - (n-1) R_n / M_1 e_0.
+    Leading axes of ``c`` are a batch; R_n has the batch shape and dR_n/dc
+    the shape of ``c``.  On the engine's grid t_j, with
+    p_j = sum_m w_m c_m cos(m t_j), dM_n/dc_m = n mean(p^(n-1) w_m cos(m t_j));
+    p^(n-1) cos(m t) stays below the grid's alias frequency, so this mean is
+    exact like the moments.  Since M_1 = c_0,
+    dR_n/dc = (dM_n/dc) / M_1^(n-1) - (n-1) R_n / M_1 e_0.
     """
-    cos_basis, _, _, weights = _moment_grid(c.size, n)
+    cos_basis, _, _, weights = _moment_grid(c.shape[-1], n)
     p = np.dot(c, cos_basis)
     q = p ** (n - 1)
-    m1, mn = np.dot(weights, p), np.dot(weights, q * p)
+    m1, mn = np.dot(p, weights), np.dot(q * p, weights)
     scale = m1 ** (n - 1)
     r = mn / scale
-    g = np.dot(cos_basis, weights * q) * (n / scale)
-    g[0] -= (n - 1) * r / m1
+    g = np.dot(q * weights, cos_basis.T) * (n / scale)[..., None]
+    g[..., 0] -= (n - 1) * r / m1
     return r, g
 
 
 def overlap_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of ``overlap_coefficients`` for a real vector ``a``.
+    """Adjoint of ``overlap_coefficients`` for real vectors ``a``.
 
-    Given g = dF/dc, returns dF/da_q = sum_m g_m (a_{q+m} + a_{q-m}): one
-    convolution of ``a`` with the two-sided kernel g_|m| (2 g_0 at m = 0).
+    Given g = dF/dc, returns dF/da_q = sum_m g_m (a_{q+m} + a_{q-m}) (2 g_0 a_q
+    at m = 0), one shifted product per lag of ``a`` padded by d zeros on each
+    side; leading axes are a batch.
     """
-    two_sided = np.concatenate((g[:0:-1], g))
-    two_sided[g.size - 1] *= 2.0
-    return np.convolve(a, two_sided, "valid")
+    d = a.shape[-1]
+    z = np.concatenate((np.zeros_like(a), a, np.zeros_like(a)), axis=-1)
+    return sum(g[..., m:m + 1] * (z[..., d + m:2 * d + m] + z[..., d - m:2 * d - m])
+               for m in range(d))
 
 
 def pattern_from_states(rho, sigma) -> PatternCoefficients:

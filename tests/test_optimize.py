@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cohcert import (
     DensityMatrix,
@@ -20,6 +21,7 @@ from cohcert import (
     werner_rn,
     werner_state,
 )
+from cohcert import optimize
 from cohcert.optimize import _neg_rn_over_projection, _neg_rn_over_simplex
 from conftest import rand_density
 
@@ -155,38 +157,82 @@ def test_decoherence_thresholds_solve_defining_equation():
         assert value == pytest.approx(rec.threshold, rel=1e-12), (rec.n, rec.k)
 
 
-interior = st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8).map(np.array)
+def stacks(min_rows=1):
+    """(rows, k) arrays of interior points, 2 <= k <= 8."""
+    return st.integers(2, 8).flatmap(lambda k: hnp.arrays(
+        float, st.tuples(st.integers(min_rows, 5), st.just(k)), elements=st.floats(0.05, 1.0)))
 
 
 def central_differences(f, x, h=1e-6):
-    return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+    steps = h * np.eye(x.size).reshape(x.size, *x.shape)
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps]).reshape(x.shape)
 
 
-@settings(max_examples=60, deadline=None)
-@given(x=interior, n=st.sampled_from([3, 4, 5]))
-def test_simplex_gradient_matches_central_differences(x, n):
-    value, grad = _neg_rn_over_simplex(x, n)
-    assert -value == pytest.approx(rn_of_alpha(x * x / (x @ x), n), rel=1e-12)
-    num = central_differences(lambda y: -rn_of_alpha(y * y / (y @ y), n), x)
-    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+def neg_rn_sum(x, n):
+    """-sum of R_n over the simplex rows x^2 / sum x^2, one rn_of_alpha call per row."""
+    return -sum(rn_of_alpha(y * y / (y @ y), n) for y in x)
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=interior, n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
+@given(x=stacks(), n=st.sampled_from([3, 4, 5]))
+def test_stacked_value_is_sum_of_row_values(x, n):
+    assert _neg_rn_over_simplex(x, n)[0] == pytest.approx(neg_rn_sum(x, n), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=stacks(), n=st.sampled_from([3, 4, 5]))
+def test_simplex_gradient_matches_central_differences(x, n):
+    _, grad = _neg_rn_over_simplex(x, n)
+    num = central_differences(lambda y: neg_rn_sum(y, n), x)
+    np.testing.assert_allclose(grad, num.ravel(), rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+
+
+def mixed_werner(k, lam, mix, seed):
+    """A Werner state, or one mixed with a random real state (whose diagonal,
+    unlike the Werner state's, is not flat, so c_0 varies with chi)."""
+    other = rand_density(np.random.default_rng(seed), k).matrix.real
+    return DensityMatrix((1 - mix) * werner_state(WernerParams(k, lam)).matrix + mix * other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=stacks(), n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
        mix=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
 def test_projection_gradient_matches_central_differences(x, n, lam, mix, seed):
-    # a Werner state, or one mixed with a random real state (whose diagonal,
-    # unlike the Werner state's, is not flat, so c_0 varies with chi)
-    other = rand_density(np.random.default_rng(seed), x.size).matrix.real
-    rho = DensityMatrix((1 - mix) * werner_state(WernerParams(x.size, lam)).matrix + mix * other)
+    rho = mixed_werner(x.shape[1], lam, mix, seed)
 
     def neg_rn(y):
-        return -ratio(pattern_from_states(rho, PureState.normalized(y)), n)
+        return -sum(ratio(pattern_from_states(rho, PureState.normalized(row)), n) for row in y)
 
     value, grad = _neg_rn_over_projection(x, rho.matrix.real, n)
     assert value == pytest.approx(neg_rn(x), rel=1e-12)
     num = central_differences(neg_rn, x)
-    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+    np.testing.assert_allclose(grad, num.ravel(), rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=stacks(min_rows=2), n=st.sampled_from([3, 4, 5]), data=st.data())
+def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
+    i = data.draw(st.integers(0, len(x) - 1))
+    y = x.copy()
+    y[i] = data.draw(hnp.arrays(float, x.shape[1], elements=st.floats(0.05, 1.0)))
+    rho = mixed_werner(x.shape[1], 0.3, 0.5, 0).matrix.real
+    others = np.arange(len(x)) != i
+    for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_rn_over_projection, (rho, n))):
+        grads = [fun(z, *args)[1].reshape(x.shape) for z in (x, y)]
+        assert np.array_equal(grads[0][others], grads[1][others])
+
+
+def test_one_minimize_call_per_search(monkeypatch):
+    calls, minimize = [], optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    maximize_rn_over_ck(3, 4, FAST)
+    werner_rn(3, 0.18, 3, projection="optimize", cfg=FAST)
+    assert calls == ["L-BFGS-B", "L-BFGS-B"]
 
 
 # maxima of the derivative-free Nelder-Mead search this maximizer replaced,
@@ -212,7 +258,7 @@ def test_restart_diagnostics():
         res = maximize_rn_over_ck(n, k, cfg)
         assert 1 <= res.n_agree <= cfg.restarts
         assert res.spread >= 0.0
-        assert res.nfev >= res.nit + cfg.restarts  # one evaluation per start and iteration
+        assert res.nfev >= res.nit + 1  # one stacked call: the start, then each iteration
     # at (3, 3) some restarts end on a local maximum about 0.52 lower
     res = maximize_rn_over_ck(3, 3)
     assert res.n_agree < 32 and res.spread == pytest.approx(0.5232, abs=1e-3)
