@@ -17,7 +17,7 @@ from scipy.optimize import minimize, nnls  # noqa: F401
 
 from .bounds import pattern_peak_bound
 from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
-from .states import DensityMatrix, PureState, coherence_support, w_state
+from .states import DensityMatrix, PureState, coherence_support
 
 __all__ = [
     "MixtureApprox",
@@ -29,6 +29,7 @@ __all__ = [
 
 DECISION_TOL = 1e-6
 MAX_ITERS = 2000  # Frank-Wolfe iteration cap
+GAP_TOL = 1e-10  # absolute duality-gap stop
 # Relative gap stop: on irreproducible patterns the gap stalls at round-off of the residual.
 GAP_RTOL = 1e-6
 ROUNDOFF_RESIDUAL = 1e-28  # round-off of an exact reproduction
@@ -87,19 +88,17 @@ def _simplex_nnls(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int,
-                         tol: float = 1e-10) -> MixtureApprox:
+def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
+                         q: int) -> MixtureApprox:
     """Closest pattern to ``target`` from mixtures of q-coherent states.
 
     The projection ``chi`` stays fixed.  Fully-corrective Frank-Wolfe from
     the equal superposition of the first q levels; it stops when the duality
-    gap falls to ``tol + GAP_RTOL * residual`` and gives up after
+    gap falls to ``GAP_TOL + GAP_RTOL * residual`` and gives up after
     ``MAX_ITERS`` iterations.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     dim = target.dim
     sigma_mat = chi.matrix
     if sigma_mat.shape[0] != dim:
@@ -123,7 +122,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix, q: int
         tr_grad_rho = float(np.einsum("i,ij,jk,ik->", weights, psis.conj(), grad, psis).real)
         gap = max(tr_grad_rho - float(vals[best, 0]), 0.0)
         lower = max(residual - gap, 0.0)
-        if gap <= tol + GAP_RTOL * residual or residual <= ROUNDOFF_RESIDUAL:
+        if gap <= GAP_TOL + GAP_RTOL * residual or residual <= ROUNDOFF_RESIDUAL:
             converged = True
             break
         psis = np.vstack([psis, np.zeros(dim, dtype=complex)])
@@ -156,28 +155,26 @@ class ReproducibilityVerdict:
 
 def _w_projection_k(chi: DensityMatrix) -> int | None:
     """If chi is a projector onto an equal superposition of the first k
-    levels, return k."""
+    levels, return k: k counts the populated levels, whose block must be
+    uniform 1/k."""
     mat = chi.matrix
-    d = mat.shape[0]
-    for k in range(1, d + 1):
-        proj = w_state(k, d)
-        expected = np.outer(proj.amplitudes, proj.amplitudes.conj())
-        if np.abs(mat - expected).max() < 1e-12:
-            return k
-    return None
+    k = int(np.count_nonzero(mat.diagonal().real > 1e-12))
+    expected = np.zeros_like(mat)
+    expected[:k, :k] = 1.0 / k
+    return k if np.abs(mat - expected).max() < 1e-12 else None
 
 
-def reproducibility_verdict(target: PatternCoefficients, chi: DensityMatrix, q: int,
-                            tol: float = 1e-10) -> ReproducibilityVerdict:
+def reproducibility_verdict(target: PatternCoefficients, chi: DensityMatrix,
+                            q: int) -> ReproducibilityVerdict:
     """Decide whether a pattern lies beyond reach of q-coherent mixtures.
 
     Claims non-reproducibility only when the Frank-Wolfe lower bound (fit to
-    ``tol``) on the best q-coherent residual exceeds ``DECISION_TOL``, so the claim is
-    proven, not inferred from a search that found nothing better.  An
+    ``GAP_TOL``) on the best q-coherent residual exceeds ``DECISION_TOL``, so
+    the claim is proven, not inferred from a search that found nothing better.  An
     exceeded peak bound is reported alongside as an independent analytic
     confirmation.
     """
-    approx = best_q_approximation(target, chi, q, tol)
+    approx = best_q_approximation(target, chi, q)
     exceeds = approx.lower_bound > DECISION_TOL
     peak = None
     k = _w_projection_k(chi)

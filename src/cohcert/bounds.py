@@ -35,12 +35,14 @@ __all__ = [
 ]
 # certifies, the rule certify_r3 applies, is shared with the drift sweep, not public API.
 
-# Proven maxima of R_3 over C_k, exact rationals; index = k.
+# Proven maxima of R_3 over C_k, exact rationals; index = k - 1.
 R3_CERTIFICATION_THRESHOLDS = (Fraction(1), Fraction(5, 4), Fraction(179, 96))
 # Relative margin a value must clear above a threshold: a few hundred ulps,
 # above the round-off of the moment engine, so that a state sitting exactly
 # at a threshold (R_3(W_2) = 5/4) is never certified by float error alone.
 ROUNDOFF_MARGIN = 5e-14
+# Slack on the vertex-family constraint inequalities, which are evaluated in floats.
+CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -239,18 +241,19 @@ class VertexRecord:
     def r3_max(self) -> Fraction:
         return self.r3_at(self.d0_argmax)
 
-    def constraints_satisfied(self, d0: float, tol: float = 1e-9) -> bool:
+    def constraints_satisfied(self, d0: float) -> bool:
         vals = {f: expr(d0) for f, expr in self.coords.items()}
-        return _case_constraints_ok(self.case, d0, vals, tol)
+        return _case_constraints_ok(self.case, d0, vals)
 
 
-def _case_constraints_ok(case: str, d0: float, vals: dict, tol: float) -> bool:
+def _case_constraints_ok(case: str, d0: float, vals: dict) -> bool:
     """Inequality families bounding each case's region.
 
     The normalization plane D_0 (1 + 2 sum Dt) = 1 is not required: vertex
     records generally sit on it, but one published k=d=4 family does not
     and is kept verbatim.
     """
+    tol = CONSTRAINT_TOL
     lower2 = max(0.0, (1 - 2 * d0) / (4 * d0))
     if case == "k3d3":
         d1, d2 = vals[1], vals[2]
@@ -361,7 +364,7 @@ def hessian_principal_minors(dv: DVector, case: str) -> np.ndarray:
         raise ValueError(f"unknown case {case!r}; choose from {VERTEX_CASES}")
     freqs = _HESSIAN_FREQS[case]
     vals = {f: dv.at_frequency(f) for f in freqs}
-    if not _case_constraints_ok(case, dv.d0, vals, tol=1e-9):
+    if not _case_constraints_ok(case, dv.d0, vals):
         raise ValueError(f"DVector lies outside the {case} constraint polytope")
     n = len(freqs)
     h = np.empty((n, n))

@@ -25,6 +25,10 @@ from .reference import PUBLISHED_TABLE1, PUBLISHED_TABLE2, PUBLISHED_TABLE3, PUB
 from .states import PureState, WernerParams, psi_star, w_state, werner_state
 
 SCHEMA_VERSION = 1
+# certify --input rejects a fit leaving [-RANGE_SLACK, 1 + RANGE_SLACK]: counts or percent
+# data, not a probability.  Noisy probability fringes stray a few 1e-3 outside [0, 1].
+RANGE_SLACK = 0.1
+
 
 class CliInputError(Exception):
     """Bad user input; reported with exit code 2."""
@@ -67,7 +71,11 @@ def read_pattern_csv(path: str) -> np.ndarray:
     errors, so it is shifted by one for the former.
     """
     try:
-        with open(path, newline="") as fh, catch_warnings():
+        fh = open(path, newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise CliInputError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        with fh, catch_warnings():
             # an empty body is reported below, not as numpy's warning
             simplefilter("ignore", UserWarning)
             line = next((row for row in fh if not row.startswith("#")), "")
@@ -76,7 +84,7 @@ def read_pattern_csv(path: str) -> np.ndarray:
             arr = np.loadtxt(fh, delimiter=",", comments="#", quotechar='"',
                              usecols=(0, 1), ndmin=2)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise CliInputError(f"cannot read {path!r}: {exc}") from exc
     except ValueError as exc:
         text = f": {exc}"
         if row := re.search(r" at row (\d+)", text):
@@ -268,6 +276,9 @@ def _moment_block(pat):
 
 def cmd_certify(args, warnings):
     pat, info = _pattern_from_args(args, warnings)
+    if args.input and not pat.is_physical(tol=RANGE_SLACK):
+        raise CliInputError(f"{args.input}: fitted p(t) leaves [{-RANGE_SLACK}, "
+                            f"{1 + RANGE_SLACK}]; p must be a probability")
     block = _moment_block(pat)
     verdict = bounds.certify_r3(block["ratios"]["R_3"])
     best_known = {f"C_{k} best known R_3": PUBLISHED_TABLE2[(3, k)][0] for k in (2, 3, 4, 5)}
@@ -297,7 +308,7 @@ def _search(res) -> dict:
 
 
 def cmd_tables(args, warnings):
-    cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
+    cfg = optimize.OptimizationConfig(restarts=args.restarts, seed=args.seed)
     # Fig. 1's scan holds the n = 3 maxima for k = 2..8; Tables 1 and 2 read theirs from it
     scan = optimize.growth_scan(8, n=3, cfg=cfg)
     table2 = []
@@ -367,7 +378,7 @@ def cmd_tables(args, warnings):
 
 
 def cmd_optimize(args, warnings):
-    cfg = optimize.OptimizationConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
+    cfg = optimize.OptimizationConfig(restarts=args.restarts, seed=args.seed)
     if args.scan:
         scan = optimize.growth_scan(args.scan, n=args.n, cfg=cfg)
         if not scan.converged:
@@ -475,7 +486,7 @@ def _approx_rows(target, components, proj, points):
 def cmd_approx(args, warnings):
     rho, proj = _state_and_projection(args.target, args.projection)
     target = pattern_from_states(rho, proj)
-    verdict = reproducibility_verdict(target, proj.density(), args.q, args.tol)
+    verdict = reproducibility_verdict(target, proj.density(), args.q)
     approx = verdict.approx
     if not approx.converged:
         warnings.append("mixture fit did not converge; residual is an upper bound")
@@ -498,14 +509,14 @@ def cmd_approx(args, warnings):
     return data, _approx_rows(target, approx.components, proj, args.plot_points), header
 
 
-def _above(kind, lo):
-    """argparse type: a ``kind`` number > ``lo``; anything else (NaN too) exits 2."""
+def _above(lo):
+    """argparse type: an integer > ``lo``; anything else exits 2."""
     def parse(text):
-        value = kind(text)
-        if not value > lo:
+        value = int(text)
+        if value <= lo:
             raise argparse.ArgumentTypeError(f"must be > {lo}, got {text}")
         return value
-    parse.__name__ = kind.__name__
+    parse.__name__ = "int"
     return parse
 
 
@@ -514,10 +525,8 @@ def _add_common(parser, needs_restarts=False):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     if needs_restarts:
-        parser.add_argument("--restarts", type=_above(int, 0), default=32,
+        parser.add_argument("--restarts", type=_above(0), default=32,
                             help="multi-start restarts for numeric searches")
-        parser.add_argument("--tol", type=_above(float, 0), default=1e-10,
-                            help="convergence tolerance for numeric searches")
 
 
 def _add_pattern_source(parser):
@@ -525,7 +534,7 @@ def _add_pattern_source(parser):
                         help="state spec: W:k | PSI:k | werner:k:lambda | vec:a0,a1,...")
     parser.add_argument("--input", help="CSV of pattern samples with header t,p (radians)")
     parser.add_argument("--projection", help="override the projection (pure state spec)")
-    parser.add_argument("--dim", type=_above(int, 0), default=8,
+    parser.add_argument("--dim", type=_above(0), default=8,
                         help="fit dimension for CSV input")
 
 
@@ -550,8 +559,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize R_n over k-coherent states")
     p.add_argument("--n", type=int, default=3, choices=(3, 4, 5))
-    p.add_argument("--k", type=_above(int, 1), default=3)
-    p.add_argument("--scan", type=_above(int, 1), default=0,
+    p.add_argument("--k", type=_above(1), default=3)
+    p.add_argument("--scan", type=_above(1), default=0,
                    help="scan k = 2..SCAN and fit the linear growth")
     _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_optimize)
@@ -561,22 +570,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_vertex_check)
 
     p = sub.add_parser("werner-sweep", help="certifier values on the Werner family")
-    p.add_argument("--k", type=_above(int, 0), default=3)
-    p.add_argument("--points", type=_above(int, 0), default=101)
+    p.add_argument("--k", type=_above(0), default=3)
+    p.add_argument("--points", type=_above(0), default=101)
     _add_common(p)
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("gue-sweep", help="faulty-measurement Monte Carlo sweep")
     p.add_argument("--k", type=int, default=4, choices=(3, 4))
-    p.add_argument("--samples", type=_above(int, 0), default=100)
+    p.add_argument("--samples", type=_above(0), default=100)
     _add_common(p)
     p.set_defaults(func=cmd_gue_sweep)
 
     p = sub.add_parser("approx", help="best q-coherent mixture approximation of a pattern")
     p.add_argument("--target", required=True, help="state spec for the target pattern")
-    p.add_argument("--q", type=_above(int, 0), required=True)
+    p.add_argument("--q", type=_above(0), required=True)
     p.add_argument("--projection", help="projection state spec (default: W on target levels)")
-    p.add_argument("--plot-points", type=_above(int, 0), default=256)
+    p.add_argument("--plot-points", type=_above(0), default=256)
     _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_approx)
     return parser

@@ -45,6 +45,7 @@ __all__ = [
 # werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
 MAX_ITERS = 2000  # iteration cap of the stacked L-BFGS-B call
+TOL = 1e-10  # convergence tolerance of the stacked L-BFGS-B call
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,11 @@ class OptimizationConfig:
     """Multi-start local search settings; the seed fixes every restart."""
 
     restarts: int = 32
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
 
 
 def rn_of_alpha(alpha, n: int) -> float:
@@ -79,11 +77,11 @@ def rn_of_alpha(alpha, n: int) -> float:
 class OptimizeResult:
     """Best restart of a maximization: argmax ``alpha``, maximum ``value``.
 
-    The stacked L-BFGS-B call stops at ``ftol = tol / restarts`` (its
-    relative test sees a sum of restarts) and ``gtol = tol``, resolving
-    ``value`` to ``tol`` relative and ``alpha`` to about 1e-8.  ``nfev`` and
+    The stacked L-BFGS-B call stops at ``ftol = TOL / restarts`` (its
+    relative test sees a sum of restarts) and ``gtol = TOL``, resolving
+    ``value`` to ``TOL`` relative and ``alpha`` to about 1e-8.  ``nfev`` and
     ``nit`` are that one call's counts.  From the restarts' end values:
-    ``n_agree`` restarts end within ``tol * max(1, value)`` of ``value`` (the
+    ``n_agree`` restarts end within ``TOL * max(1, value)`` of ``value`` (the
     scale of the ``ftol`` test); ``spread`` = best - worst, which reads
     ``value - 1`` when a restart ends on a one-level vertex (see the module
     docstring).
@@ -98,13 +96,13 @@ class OptimizeResult:
     spread: float
 
 
-def _stacked_lbfgsb(fun, x0: np.ndarray, cfg: OptimizationConfig, args=()):
+def _stacked_lbfgsb(fun, x0: np.ndarray, args=()):
     """One L-BFGS-B call minimizing ``fun`` (summed value and flat gradient
     of a (restarts, k) array) from the start rows ``x0``; returns scipy's
     result and the end rows."""
     res = minimize(lambda x: fun(x.reshape(x0.shape), *args), x0.ravel(), jac=True,
                    method="L-BFGS-B",
-                   options=dict(ftol=cfg.tol / len(x0), gtol=cfg.tol, maxiter=MAX_ITERS))
+                   options=dict(ftol=TOL / len(x0), gtol=TOL, maxiter=MAX_ITERS))
     return res, res.x.reshape(x0.shape)
 
 
@@ -153,16 +151,16 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
     cfg = cfg or OptimizationConfig()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     starts = np.sqrt(_start_points(n, k, children, extra_starts))
-    res, x = _stacked_lbfgsb(_neg_rn_over_simplex, starts, cfg, args=(n,))
+    res, x = _stacked_lbfgsb(_neg_rn_over_simplex, starts, args=(n,))
     a = x * x / np.sum(x * x, axis=-1, keepdims=True)
     values = ratio_from_moments(batch_moments(overlap_coefficients(a), n), n)
     best_val = values.max()
     if n == 3:
-        assert best_val >= r3_w_closed_form(k) - cfg.tol
+        assert best_val >= r3_w_closed_form(k) - TOL
     return OptimizeResult(
         alpha=a[values.argmax()], value=float(best_val), converged=res.success,
         nfev=res.nfev, nit=res.nit,
-        n_agree=int(np.sum(values >= best_val - cfg.tol * max(1.0, best_val))),
+        n_agree=int(np.sum(values >= best_val - TOL * max(1.0, best_val))),
         spread=float(best_val - values.min()))
 
 
@@ -244,9 +242,9 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     projection: "w" projects onto the equal superposition W_k (the optimal
     measurement for Werner-like states at lam = 0), and "optimize"
     maximizes over real projection states by one stacked L-BFGS-B call on
-    the exact gradient in chi, as in ``maximize_rn_over_ck`` (restarts and
-    tolerances from ``cfg``; the first restart starts at W_k, so the result
-    is never below the "w" value).
+    the exact gradient in chi, as in ``maximize_rn_over_ck`` (restarts from
+    ``cfg``; the first restart starts at W_k, so the result is never below
+    the "w" value).
     """
     params = WernerParams(k, lam)
     if projection == "w":
@@ -260,7 +258,7 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     starts = np.array([np.random.default_rng(child).random(k) + 0.05 for child in children])
     starts[0] = 1.0 / np.sqrt(k)
-    _, x = _stacked_lbfgsb(_neg_rn_over_projection, starts, cfg, args=(rho, n))
+    _, x = _stacked_lbfgsb(_neg_rn_over_projection, starts, args=(rho, n))
     return float(max(-_neg_rn_over_projection(row, rho, n)[0] for row in x))
 
 
@@ -306,8 +304,9 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     return ThresholdRecord(n, k, 1.0 - u, desc, threshold, reachable=True)
 
 
-def decoherence_threshold_table(n_values=(3, 4, 5), k_values=range(3, 11)):
-    """Werner decoherence thresholds lambda_thr^(n)(k-1) under W_k projection.
+def decoherence_threshold_table(k_values=range(3, 11)):
+    """Werner decoherence thresholds lambda_thr^(n)(k-1) under W_k projection,
+    for n = 3, 4, 5 and each k of ``k_values``.
 
     The comparison threshold for losing (k)-coherence is R_n of the equal
     superposition of k-1 levels, which is what the published threshold
@@ -315,4 +314,4 @@ def decoherence_threshold_table(n_values=(3, 4, 5), k_values=range(3, 11)):
     shift the n=3 row down by up to 0.02).
     """
     return [lambda_threshold(n, k, rn_of_alpha(np.full(k - 1, 1.0 / (k - 1)), n))
-            for n in n_values for k in k_values]
+            for n in (3, 4, 5) for k in k_values]

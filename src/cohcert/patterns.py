@@ -82,9 +82,9 @@ class PatternCoefficients:
         return vals
 
     def is_physical(self, tol: float = RANGE_TOL) -> bool:
-        """Check p(t) stays inside [0, 1] on a dense grid (16 points per level)."""
-        grid = np.linspace(0.0, 2 * np.pi, SAMPLES_PER_DIM * self.dim, endpoint=False)
-        vals = self.evaluate(grid)
+        """Check p(t) stays inside [-tol, 1 + tol] on a dense grid (16 points per
+        level), evaluated by one FFT of the coefficients."""
+        vals = 2.0 * np.fft.fft(self.one_sided(), SAMPLES_PER_DIM * self.dim).real - self.c0
         return bool(vals.min() >= -tol and vals.max() <= 1.0 + tol)
 
     def __repr__(self):

@@ -138,19 +138,14 @@ def coherence_support(psi: PureState, tol: float = 1e-10) -> int:
     return int(np.count_nonzero(np.abs(psi.amplitudes) > tol))
 
 
-def w_state(k: int, dim: int | None = None) -> PureState:
-    """Equal superposition of the first ``k`` levels, embedded in ``dim`` levels."""
+def w_state(k: int) -> PureState:
+    """Equal superposition of ``k`` levels."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = k if dim is None else dim
-    if k > d:
-        raise ValueError(f"cannot embed {k} populated levels in dimension {d}")
-    amps = np.zeros(d, dtype=complex)
-    amps[:k] = 1.0 / np.sqrt(k)
-    return PureState(amps)
+    return PureState(np.full(k, 1.0 / np.sqrt(k), dtype=complex))
 
 
-def psi_star(k: int, order: int = 3, dim: int | None = None) -> PureState:
+def psi_star(k: int, order: int = 3) -> PureState:
     """Best-known state maximizing the order-``order`` certifier over k levels.
 
     Built-in profiles are the published Table-2 amplitude-squared profiles,
@@ -159,7 +154,7 @@ def psi_star(k: int, order: int = 3, dim: int | None = None) -> PureState:
     For larger k run the numeric optimizer instead.
     """
     if k == 1:
-        return w_state(1, dim)
+        return w_state(1)
     key = (order, k)
     if key not in PUBLISHED_TABLE2:
         raise ValueError(
@@ -167,25 +162,14 @@ def psi_star(k: int, order: int = 3, dim: int | None = None) -> PureState:
             "use cohcert.optimize.maximize_rn_over_ck"
         )
     prof = np.array(PUBLISHED_TABLE2[key][2], dtype=float)
-    prof = prof / prof.sum()
-    d = k if dim is None else dim
-    if k > d:
-        raise ValueError(f"cannot embed {k} populated levels in dimension {d}")
-    amps = np.zeros(d, dtype=complex)
-    amps[:k] = np.sqrt(prof)
-    return PureState(amps)
+    return PureState(np.sqrt(prof / prof.sum()))
 
 
-def werner_state(params: WernerParams, dim: int | None = None) -> DensityMatrix:
-    """(1-lam)|W_k><W_k| + (lam/k) I_k, embedded in the first k of ``dim`` levels."""
+def werner_state(params: WernerParams) -> DensityMatrix:
+    """(1-lam)|W_k><W_k| + (lam/k) I_k."""
     k, lam = params.k, params.lam
-    d = k if dim is None else dim
-    if k > d:
-        raise ValueError(f"cannot embed {k} populated levels in dimension {d}")
-    block = np.full((k, k), (1.0 - lam) / k, dtype=complex)
-    block[np.diag_indices(k)] = 1.0 / k
-    mat = np.zeros((d, d), dtype=complex)
-    mat[:k, :k] = block
+    mat = np.full((k, k), (1.0 - lam) / k, dtype=complex)
+    mat[np.diag_indices(k)] = 1.0 / k
     return DensityMatrix(mat)
 
 

@@ -12,6 +12,7 @@ from cohcert import (
     lambda_dec,
     pattern_distance,
     pattern_from_states,
+    psi_star,
     reproducibility_verdict,
     w_state,
     werner_state,
@@ -130,6 +131,23 @@ def test_verdict_peak_bound_consistency():
     assert verdict.peak_exceeded is None
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_w_projection_k_finds_embedded_w_states(d):
+    for k in range(1, d + 1):
+        amps = np.zeros(d)
+        amps[:k] = 1 / np.sqrt(k)
+        assert cohcert.approx._w_projection_k(PureState(amps).density()) == k
+
+
+def test_w_projection_k_rejects_other_projections():
+    phased = np.full(3, 1 / np.sqrt(3), dtype=complex)
+    phased[1] *= 1j
+    others = [PureState(phased), psi_star(3), PureState.normalized([1, 2, 1]),
+              PureState.normalized([0, 1, 1])]
+    for chi in others:
+        assert cohcert.approx._w_projection_k(chi.density()) is None
+
+
 def werner_grid():
     for k in range(3, 7):
         for q in range(1, k):
@@ -178,5 +196,3 @@ def test_iteration_cap_reports_nonconvergence(monkeypatch):
     assert not capped.converged
     assert 0.0 <= capped.lower_bound <= capped.residual
     assert capped.residual > 1e-6
-    with pytest.raises(ValueError):
-        best_q_approximation(target, w_state(4).density(), 2, tol=0.0)

@@ -271,11 +271,11 @@ def test_tables_command(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["approx", "--target", "werner:3:0.5", "--q", "0"],
-    ["approx", "--target", "werner:3:0.5", "--q", "2", "--tol", "0"],
+    ["optimize", "--restarts", "0"],
     ["approx", "--target", "werner:3:0.5", "--q", "2", "--restarts", "0"],
     ["approx", "--target", "werner:3:0.5", "--q", "2", "--plot-points", "-1"],
     ["tables", "--restarts", "0"],
-    ["tables", "--tol", "nan"],
+    ["tables", "--restarts", "nan"],
     ["optimize", "--k", "1"],
     ["optimize", "--scan", "1"],
     ["gue-sweep", "--samples", "0"],
@@ -381,6 +381,38 @@ def test_certify_dark_pattern_is_input_error(capsys):
     assert "dark pattern" in capsys.readouterr().err
 
 
+def test_certify_path_with_nul_byte_cannot_be_read(capsys):
+    assert main(["certify", "--input", "a\x00b.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read 'a\\x00b.csv': embedded null byte\n"
+
+
+@pytest.mark.parametrize("func", [
+    lambda t: 100 * (1 + np.cos(t)) / 2,  # percent
+    lambda t: 2.0,  # R_3 = 2 would claim 4 levels
+    lambda t: 3 * (1 + np.cos(t)) / 2,  # R_3 = 3.75
+], ids=["percent-w2", "constant-2", "3x-w2"])
+def test_certify_rejects_non_probability_fringe(tmp_path, capsys, func):
+    path = write_samples_csv(tmp_path, func, n=64)
+    assert main(["certify", "--input", path, "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: fitted p(t) leaves [-0.1, 1.1]; "
+                            "p must be a probability\n")
+
+
+@pytest.mark.parametrize("func, level", [
+    (lambda t: (3 + 4 * np.cos(t) + 2 * np.cos(2 * t)) / 9, 3),  # W_3
+    (lambda t: (1 + np.cos(t)) / 2, 2),  # W_2
+], ids=["w3", "w2"])
+def test_certify_probability_fringe_keeps_its_level(tmp_path, func, level):
+    path = write_samples_csv(tmp_path, func, n=64)
+    rc, doc, _ = run_cli(["certify", "--input", path, "--dim", "3"], tmp_path)
+    assert rc == 0
+    assert doc["data"]["verdict"]["certified_level"] == level
+
+
 def test_ratios_derive_from_reported_moments(tmp_path):
     for spec in ("W:3", "PSI:4", "werner:4:0.3", "vec:0.3,0.9,0.5"):
         _, doc, _ = run_cli(["moments", "--state", spec], tmp_path)
@@ -439,6 +471,15 @@ def test_document_booleans_are_json_booleans(tmp_path):
         _, doc, _ = run_cli(["approx", "--target", f"werner:3:{lam}", "--q", "2"], tmp_path)
         assert doc["data"]["exceeds_q_coherence"] is exceeds
         assert doc["data"]["peak_bound_exceeded"] is exceeds
+
+
+@pytest.mark.parametrize("projection, peak", [
+    (None, True), ("vec:1,1,1", True), ("PSI:3", None), ("vec:1,2,1", None),
+])
+def test_approx_peak_bound_needs_a_w_projection(tmp_path, projection, peak):
+    argv = ["approx", "--target", "werner:3:0.1", "--q", "2"]
+    _, doc, _ = run_cli(argv + (["--projection", projection] if projection else []), tmp_path)
+    assert doc["data"]["peak_bound_exceeded"] is peak
 
 
 def reference_form(obj):

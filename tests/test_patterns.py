@@ -26,7 +26,7 @@ def w2_pattern():
 
 
 def test_pattern_from_states_ground_state():
-    g = w_state(1, dim=3)
+    g = PureState([1, 0, 0])
     pat = pattern_from_states(g.density(), g.density())
     assert pat.c0 == pytest.approx(1.0, abs=1e-15)
     assert np.abs(pat.c).max() < 1e-15
@@ -50,6 +50,17 @@ def test_pattern_from_states_matches_direct_probability():
         for t in rng.uniform(0, 2 * np.pi, 5):
             amp = np.vdot(chi.amplitudes, np.exp(-1j * np.arange(d) * t) * psi.amplitudes)
             assert pat.evaluate(t)[0] == pytest.approx(abs(amp) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_is_physical_checks_the_range_on_its_grid(d):
+    rng = np.random.default_rng(d)
+    pat = PatternCoefficients(0.5, 0.2 * (rng.standard_normal(d - 1)
+                                          + 1j * rng.standard_normal(d - 1)))
+    vals = pat.evaluate(np.linspace(0.0, 2 * np.pi, 16 * d, endpoint=False))
+    excursion = max(-vals.min(), vals.max() - 1.0)
+    assert pat.is_physical(tol=excursion + 1e-9)
+    assert not pat.is_physical(tol=excursion - 1e-9)
 
 
 def test_pattern_from_states_mixed_projection():

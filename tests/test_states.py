@@ -64,7 +64,7 @@ def test_werner_params_validation():
 
 
 def test_coherence_support_examples():
-    assert coherence_support(w_state(1, dim=3)) == 1
+    assert coherence_support(PureState([1, 0, 0])) == 1
     assert coherence_support(w_state(3)) == 3
     assert coherence_support(psi_star(3)) == 3
 
@@ -100,15 +100,6 @@ def test_werner_state_entries():
     off = (1 - 0.18) / 3
     assert np.allclose(np.diagonal(rho), 1 / 3)
     assert abs(rho[0, 1] - off) < 1e-15 and abs(rho[0, 2] - off) < 1e-15
-
-
-def test_werner_state_embedding():
-    rho = werner_state(WernerParams(2, 0.5), dim=4).matrix
-    assert rho.shape == (4, 4)
-    assert abs(np.trace(rho) - 1) < 1e-14
-    assert np.abs(rho[2:, :]).max() == 0
-    with pytest.raises(ValueError):
-        werner_state(WernerParams(3, 0.5), dim=2)
 
 
 def test_l1_norm_examples():
