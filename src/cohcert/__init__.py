@@ -53,14 +53,12 @@ from .patterns import (
     ratio,
 )
 from .robustness import (
-    SweepRecord,
     ToleranceSweep,
     drifted_projection,
     measurement_deviation,
     sample_gue,
     sweep_summary,
     tolerance_sweep,
-    write_sweep_csv,
 )
 from .states import (
     DensityMatrix,

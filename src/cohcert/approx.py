@@ -43,8 +43,7 @@ def pattern_distance(a: PatternCoefficients, b: PatternCoefficients) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dc = a.c - b.c
-    return float((a.c0 - b.c0) ** 2 + 2.0 * np.sum(np.abs(dc) ** 2))
+    return float(np.sum(_coeff_residual_vector(a.one_sided() - b.one_sided()) ** 2))
 
 
 @dataclass(frozen=True)

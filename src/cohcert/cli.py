@@ -71,7 +71,8 @@ def read_pattern_csv(path: str) -> np.ndarray:
     errors, so it is shifted by one for the former.
     """
     try:
-        fh = open(path, newline="")
+        # utf-8-sig also reads the byte-order mark that spreadsheet exports start with
+        fh = open(path, newline="", encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CliInputError(f"cannot read {path!r}: {exc}") from exc
     try:
@@ -85,6 +86,8 @@ def read_pattern_csv(path: str) -> np.ndarray:
                              usecols=(0, 1), ndmin=2)
     except OSError as exc:
         raise CliInputError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot decode {path!r} as UTF-8: {exc}") from exc
     except ValueError as exc:
         text = f": {exc}"
         if row := re.search(r" at row (\d+)", text):
@@ -431,7 +434,7 @@ def cmd_vertex_check(args, warnings):
 
 def cmd_werner_sweep(args, warnings):
     lams = np.linspace(0.0, 1.0, args.points)
-    ms = batch_moments(optimize.werner_coefficients(args.k, lams, w_state(args.k).amplitudes), 5)
+    ms = batch_moments(optimize.werner_coefficients(args.k, lams), 5)
     series = {n: ratio_from_moments(ms, n).tolist() for n in (3, 4, 5)}
     thresholds = []
     if args.k >= 3:
@@ -462,14 +465,15 @@ def cmd_gue_sweep(args, warnings):
         warnings.append(
             f"{args.samples - summary['crossings_found']} samples never crossed the threshold"
         )
+    # Python scalars, so each record dict takes the encoder's flat path
+    records = sweep.records.tolist()
     data = {
         "summary": summary,
-        "records": [
-            {"seed": seed, "tau": tau, "D": dev, "r3": r3}
-            for seed, tau, dev, r3, _ in sweep.records
-        ],
+        "records": [{"seed": seed, "tau": tau, "D": dev, "r3": r3}
+                    for seed, tau, dev, r3 in records],
     }
-    return data, robustness.sweep_csv_rows(sweep), robustness.SWEEP_CSV_HEADER
+    rows = ((seed, repr(tau), repr(dev), repr(r3)) for seed, tau, dev, r3 in records)
+    return data, rows, ("seed", "tau", "D", "r3")
 
 
 def _approx_rows(target, components, proj, points):

@@ -207,10 +207,11 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
                       intercept=float(intercept), residuals=residuals, results=tuple(results))
 
 
-def werner_coefficients(k: int, lam, chi) -> np.ndarray:
-    """Coefficients of werner(k, lam) under the normalised projection ``chi``:
-    c_0 = 1/k and c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``."""
-    c_w = overlap_coefficients(w_state(k).amplitudes * np.conj(chi))
+def werner_coefficients(k: int, lam) -> np.ndarray:
+    """Coefficients of werner(k, lam) under the W_k projection: c_0 = 1/k and
+    c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``."""
+    w = w_state(k).amplitudes
+    c_w = overlap_coefficients(w * w.conj())
     cs = np.multiply.outer(1.0 - np.asarray(lam, dtype=float), c_w)
     cs[..., 0] = 1.0 / k
     return cs
@@ -248,8 +249,7 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     """
     params = WernerParams(k, lam)
     if projection == "w":
-        chi = w_state(k).amplitudes
-        return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam, chi), n), n))
+        return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam), n), n))
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")
     # the Werner state is real, so real projections give real coefficients
@@ -289,7 +289,7 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    q = werner_coefficients(k, 0.0, w_state(k).amplitudes)
+    q = werner_coefficients(k, 0.0)
     q[0] = 0.0
     mu = np.concatenate([[1.0], batch_moments(q, n)])
     rn = Polynomial([comb(n, j) * float(k) ** (j - 1) * mu[j] for j in range(n + 1)])

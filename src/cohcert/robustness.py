@@ -7,9 +7,7 @@ drifted measurements never overestimate coherence; these sweeps quantify
 how fast they underestimate it.
 """
 
-import csv
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,20 +16,16 @@ from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
 from .states import PureState, _readonly, psi_star
 
 __all__ = [
-    "SweepRecord",
     "ToleranceSweep",
     "sample_gue",
     "drifted_projection",
     "measurement_deviation",
     "tolerance_sweep",
-    "SWEEP_CSV_HEADER",
-    "sweep_csv_rows",
-    "write_sweep_csv",
     "sweep_summary",
 ]
 
 # tau = 0 (drift-free anchor) plus 50 log-spaced points in [1e-3, 1]
-DEFAULT_TAU_GRID = _readonly(np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)]))
+TAU_GRID = _readonly(np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)]))
 # R_3 is averaged over N_BINS equal deviation bins covering [0, BIN_MAX)
 N_BINS = 12
 BIN_MAX = 0.6
@@ -78,35 +72,29 @@ def measurement_deviation(chi_tau: PureState, chi0: PureState) -> float:
     return float(np.sum(np.abs(a - b) ** 2))
 
 
-class SweepRecord(NamedTuple):
-    seed: int
-    tau: float
-    deviation: float
-    r3: float
-    k: int
-
-
 @dataclass(frozen=True)
 class ToleranceSweep:
     """Full record set of a drift sweep plus D-binned ensemble statistics.
 
-    ``crossings`` holds, per sample, the first deviation at which R_3 stops
-    certifying k-coherence under ``bounds.certifies`` (None if it never
-    does on the grid).  Binning covers deviations up to ``bin_edges[-1]``;
-    records beyond that window are kept but not binned.
+    ``records`` is a read-only record array with one row per (sample, tau),
+    sample-major over ``TAU_GRID``, and fields ``seed``, ``tau``,
+    ``deviation`` and ``r3``.  ``crossing`` holds, per sample, the first
+    deviation at which R_3 stops certifying k-coherence under
+    ``bounds.certifies`` (NaN if it never does on the grid).  Binning covers
+    deviations up to ``bin_edges[-1]``; records beyond that window are kept
+    but not binned.
     """
 
     k: int
     master_seed: int
     threshold: float
     drift_free_r3: float
-    tau_grid: np.ndarray
-    records: list = field(repr=False)
+    records: np.recarray = field(repr=False)
     bin_edges: np.ndarray = field(repr=False)
     bin_mean: np.ndarray = field(repr=False)
     bin_std: np.ndarray = field(repr=False)
     bin_count: np.ndarray = field(repr=False)
-    crossings: list = field(repr=False)
+    crossing: np.ndarray = field(repr=False)
 
 
 def _r3_psi_chi(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -114,26 +102,25 @@ def _r3_psi_chi(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return ratio_from_moments(batch_moments(overlap_coefficients(psi * chi.conj()), 3), 3)
 
 
-def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0) -> ToleranceSweep:
+def tolerance_sweep(k: int, n_samples: int, seed: int = 0) -> ToleranceSweep:
     """Ensemble of drifted-measurement sweeps for the best-known k-coherent state.
 
-    For every sample (one GUE Hamiltonian) and every tau (``DEFAULT_TAU_GRID``
-    unless given), records the deviation D and R_3(psi, chi(tau)); emits
-    mean/std of R_3 binned by D plus the per-sample first crossing of the
-    k-coherence certification threshold.  Bit-for-bit reproducible from
-    (seed, k, tau_grid).
+    For every sample (one GUE Hamiltonian) and every tau of ``TAU_GRID``,
+    records the deviation D and R_3(psi, chi(tau)); emits mean/std of R_3
+    binned by D plus the per-sample first crossing of the k-coherence
+    certification threshold.  Bit-for-bit reproducible from (seed, k).
     """
     if k not in (3, 4):
         raise ValueError("tolerance sweeps cover k = 3 or 4 (proven thresholds)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    taus = DEFAULT_TAU_GRID if tau_grid is None else _readonly(np.array(tau_grid, dtype=float))
+    taus = TAU_GRID
     psi_vec = psi_star(k).amplitudes
     threshold = float(R3_CERTIFICATION_THRESHOLDS[k - 2])
     drift_free = float(_r3_psi_chi(psi_vec, psi_vec))
 
-    seeds = [int(c) for c in np.random.SeedSequence(seed).generate_state(n_samples)]
-    chi = _drift(np.stack([sample_gue(psi_vec.size, s) for s in seeds]), psi_vec, taus)
+    seeds = np.random.SeedSequence(seed).generate_state(n_samples)
+    chi = _drift(np.stack([sample_gue(psi_vec.size, int(s)) for s in seeds]), psi_vec, taus)
     # tau = 0 must anchor the drift-free value exactly, round-off free
     anchor = taus == 0.0
     chi[:, anchor] = psi_vec
@@ -141,18 +128,13 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0) -> Tol
     r3s = _r3_psi_chi(psi_vec, chi)
     r3s[:, anchor] = drift_free
 
-    tau_list = taus.tolist()
-    records = [
-        SweepRecord(s, tau, dev, r3, k)
-        for s, dev_row, r3_row in zip(seeds, devs.tolist(), r3s.tolist())
-        for tau, dev, r3 in zip(tau_list, dev_row, r3_row)
-    ]
+    records = _readonly(np.rec.fromarrays(
+        [np.repeat(seeds, taus.size), np.tile(taus, n_samples), devs.ravel(), r3s.ravel()],
+        names=("seed", "tau", "deviation", "r3")))
     below = ~certifies(r3s, threshold)
     first = below.argmax(axis=1)
-    crossings = [
-        (s, float(devs[i, first[i]]) if below[i, first[i]] else None)
-        for i, s in enumerate(seeds)
-    ]
+    i = np.arange(n_samples)
+    crossing = _readonly(np.where(below[i, first], devs[i, first], np.nan))
 
     edges = np.linspace(0.0, BIN_MAX, N_BINS + 1)
     devs, r3s = devs.ravel(), r3s.ravel()
@@ -168,44 +150,28 @@ def tolerance_sweep(k: int, n_samples: int, tau_grid=None, seed: int = 0) -> Tol
             std[b] = r3s[sel].std()
     return ToleranceSweep(
         k=k, master_seed=int(seed), threshold=threshold, drift_free_r3=drift_free,
-        tau_grid=taus, records=records, bin_edges=edges, bin_mean=mean,
-        bin_std=std, bin_count=count, crossings=crossings,
+        records=records, bin_edges=edges, bin_mean=mean,
+        bin_std=std, bin_count=count, crossing=crossing,
     )
-
-
-SWEEP_CSV_HEADER = ("seed", "tau", "D", "r3")
-
-
-def sweep_csv_rows(sweep: ToleranceSweep):
-    """One ``SWEEP_CSV_HEADER`` row per record, floats at full precision."""
-    return ((r.seed, repr(r.tau), repr(r.deviation), repr(r.r3)) for r in sweep.records)
-
-
-def write_sweep_csv(sweep: ToleranceSweep, path) -> None:
-    """Record rows as ``seed,tau,D,r3`` for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        writer.writerows(sweep_csv_rows(sweep))
 
 
 def sweep_summary(sweep: ToleranceSweep) -> dict:
     """JSON-ready binned statistics and crossing figures."""
-    crossed = [c for _, c in sweep.crossings if c is not None]
+    crossed = sweep.crossing[~np.isnan(sweep.crossing)]
     return {
         "k": sweep.k,
         "seed": sweep.master_seed,
         "threshold": sweep.threshold,
         "drift_free_r3": sweep.drift_free_r3,
-        "n_samples": len(sweep.crossings),
+        "n_samples": len(sweep.crossing),
         "n_records": len(sweep.records),
         "bin_edges": [float(x) for x in sweep.bin_edges],
         "bin_mean": [None if np.isnan(x) else float(x) for x in sweep.bin_mean],
         "bin_std": [None if np.isnan(x) else float(x) for x in sweep.bin_std],
         "bin_count": [int(x) for x in sweep.bin_count],
         "crossings_found": len(crossed),
-        "median_crossing_deviation": float(np.median(crossed)) if crossed else None,
+        "median_crossing_deviation": float(np.median(crossed)) if crossed.size else None,
         "crossing_deviation_quartiles": (
-            [float(q) for q in np.percentile(crossed, [25, 50, 75])] if crossed else None
+            [float(q) for q in np.percentile(crossed, [25, 50, 75])] if crossed.size else None
         ),
     }

@@ -89,6 +89,33 @@ def test_certify_non_finite_csv_names_one_based_sample_row(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: sample row 1 is not finite: t=0.0, p=nan\n"
 
 
+@pytest.mark.parametrize("head, tail", [
+    (b"\xff\xfe", b""),  # a UTF-16 byte-order mark: the header cannot be decoded
+    (b"", b"\xff,0.5\n"),  # a bad byte far past the first chunk numpy reads
+], ids=["header", "late-row"])
+def test_certify_undecodable_csv_is_an_encoding_error(tmp_path, capsys, head, tail):
+    bad = tmp_path / "bad.csv"
+    rows = "".join(f"{i / 1000!r},0.5\n" for i in range(10000))
+    bad.write_bytes(head + b"t,p\n" + rows.encode() + tail)
+    assert main(["certify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode {str(bad)!r} as UTF-8: 'utf-8' codec ")
+    assert err.count("\n") == 1 and "malformed" not in err
+
+
+def test_certify_csv_with_utf8_byte_order_mark(tmp_path):
+    plain = write_samples_csv(tmp_path, lambda t: (3 + 4 * np.cos(t) + 2 * np.cos(2 * t)) / 9)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    _, plain_doc, _ = run_cli(["certify", "--input", plain, "--dim", "3"], tmp_path)
+    rc, bom_doc, _ = run_cli(["certify", "--input", str(bom), "--dim", "3"], tmp_path)
+    assert rc == 0
+    assert bom_doc["data"]["verdict"]["certified_level"] == 3
+    for doc in (plain_doc, bom_doc):
+        doc["data"]["pattern"].pop("input")
+    assert bom_doc["data"] == plain_doc["data"]
+
+
 def test_certify_malformed_csv(tmp_path):
     missing_header = tmp_path / "hdr.csv"
     missing_header.write_text("0.0,0.5\n1.0,0.7\n")
@@ -540,7 +567,8 @@ def test_to_json_without_c_encoder(monkeypatch):
     from cohcert import cli, tolerance_sweep
 
     sweep = tolerance_sweep(3, 2, seed=4)
-    obj = {"records": [r._asdict() for r in sweep.records], "bins": sweep.bin_mean,
+    names = sweep.records.dtype.names
+    obj = {"records": [dict(zip(names, r)) for r in sweep.records.tolist()], "bins": sweep.bin_mean,
            "flat": {"b": True, "a": None, "c": "\u00e9"}, 10: [1, 2.5], 2: ()}
     expected = reference_encoding(obj)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
@@ -579,15 +607,22 @@ def test_seeded_documents_equal_reference_encoding(tmp_path, monkeypatch, argv):
     assert text == reference_encoding(docs[0]) + "\n"
 
 
-def test_gue_sweep_csv_matches_write_sweep_csv(tmp_path):
-    from cohcert import tolerance_sweep, write_sweep_csv
+def test_gue_sweep_json_and_csv_rows_match_the_records():
+    from argparse import Namespace
 
-    out, lib = tmp_path / "cli.csv", tmp_path / "lib.csv"
-    main(["gue-sweep", "--k", "4", "--samples", "3", "--seed", "8", "--format", "csv",
-          "--out", str(out)])
-    write_sweep_csv(tolerance_sweep(4, 3, seed=8), lib)
-    lines = out.read_bytes().splitlines(keepends=True)
-    assert b"".join(l for l in lines if not l.startswith(b"#")) == lib.read_bytes()
+    from cohcert import cli, tolerance_sweep
+
+    data, rows, header = cli.cmd_gue_sweep(Namespace(k=4, samples=3, seed=8), [])
+    records = tolerance_sweep(4, 3, seed=8).records
+    rows = list(rows)
+    assert header == ("seed", "tau", "D", "r3")
+    assert len(data["records"]) == len(rows) == len(records) == 3 * 51
+    for doc_rec, row, rec in zip(data["records"], rows, records):
+        # Python scalars, not numpy ones, keep the record on the C encoder's path
+        assert [type(doc_rec[key]) for key in header] == [int, float, float, float]
+        assert (doc_rec["seed"], doc_rec["tau"], doc_rec["D"], doc_rec["r3"]) == tuple(rec)
+        assert row == (int(rec.seed), repr(float(rec.tau)), repr(float(rec.deviation)),
+                       repr(float(rec.r3)))
 
 
 def reference_read_pattern_csv(path):

@@ -19,6 +19,7 @@ from cohcert import (
     sample_gue,
     tolerance_sweep,
 )
+from cohcert import robustness
 from cohcert.patterns import (
     batch_moments,
     matrix_coefficients,
@@ -132,27 +133,29 @@ def _sweep_loop(k, n_samples, seed, taus):
        extra_taus=st.lists(st.floats(1e-4, 3.0), max_size=5))
 def test_batched_sweep_matches_record_loop(k, n_samples, seed, extra_taus):
     taus = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 10), extra_taus])
-    sweep = tolerance_sweep(k, n_samples, tau_grid=taus, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustness, "TAU_GRID", taus)
+        sweep = tolerance_sweep(k, n_samples, seed=seed)
     rows, crossed = _sweep_loop(k, n_samples, seed, taus)
     assert len(sweep.records) == len(rows)
     for rec, (s, tau, dev, r3) in zip(sweep.records, rows):
-        assert (rec.seed, rec.tau, rec.k) == (s, tau, k)
+        assert (rec.seed, rec.tau) == (s, tau)
         assert rec.deviation == pytest.approx(dev, abs=TOL)
         assert rec.r3 == pytest.approx(r3, abs=TOL)
         if tau == 0.0:
             assert rec.deviation == 0.0 and rec.r3 == sweep.drift_free_r3
-    assert [c is not None for _, c in sweep.crossings] == crossed
+    assert (~np.isnan(sweep.crossing)).tolist() == crossed
     assert sweep.drift_free_r3 == pytest.approx(_r3_loop(*(psi_star(k).amplitudes,) * 2), abs=TOL)
 
 
 def test_default_sweep_matches_record_loop():
     sweep = tolerance_sweep(4, 6, seed=11)
-    rows, crossed = _sweep_loop(4, 6, 11, sweep.tau_grid)
+    rows, crossed = _sweep_loop(4, 6, 11, robustness.TAU_GRID)
     np.testing.assert_allclose([r.r3 for r in sweep.records], [r[3] for r in rows],
                                rtol=0, atol=TOL)
     np.testing.assert_allclose([r.deviation for r in sweep.records], [r[2] for r in rows],
                                rtol=0, atol=TOL)
-    assert [c is not None for _, c in sweep.crossings] == crossed
+    assert (~np.isnan(sweep.crossing)).tolist() == crossed
 
 
 def test_ratio_from_moments_batches():

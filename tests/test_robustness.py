@@ -6,7 +6,6 @@ import pytest
 from cohcert import (
     OptimizationConfig,
     PureState,
-    SweepRecord,
     drifted_projection,
     maximize_rn_over_ck,
     measurement_deviation,
@@ -14,10 +13,10 @@ from cohcert import (
     sweep_summary,
     tolerance_sweep,
     w_state,
-    write_sweep_csv,
 )
 from cohcert import robustness
-from cohcert.bounds import certify_r3
+from cohcert.bounds import certifies, certify_r3
+from cohcert.cli import main
 from conftest import rand_pure
 
 
@@ -93,10 +92,10 @@ def test_measurement_deviation():
 def test_tolerance_sweep_reproducible():
     a = tolerance_sweep(3, 10, seed=5)
     b = tolerance_sweep(3, 10, seed=5)
-    assert a.records == b.records
-    assert a.crossings == b.crossings
+    assert np.array_equal(a.records, b.records)
+    assert np.array_equal(a.crossing, b.crossing, equal_nan=True)
     c = tolerance_sweep(3, 10, seed=6)
-    assert c.records != a.records
+    assert not np.array_equal(c.records, a.records)
 
 
 def test_tolerance_sweep_zero_drift_anchor():
@@ -133,9 +132,10 @@ def test_tolerance_sweep_validation():
 def test_sweep_csv_and_summary(tmp_path):
     sweep = tolerance_sweep(3, 5, seed=9)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(sweep, path)
+    main(["gue-sweep", "--k", "3", "--samples", "5", "--seed", "9", "--format", "csv",
+          "--out", str(path)])
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(csv.reader(row for row in fh if not row.startswith("#")))
     assert rows[0] == ["seed", "tau", "D", "r3"]
     assert len(rows) - 1 == len(sweep.records)
     summary = sweep_summary(sweep)
@@ -145,14 +145,22 @@ def test_sweep_csv_and_summary(tmp_path):
     assert len(summary["bin_mean"]) == len(summary["bin_edges"]) - 1
 
 
-def test_sweep_record_fields():
-    rec = tolerance_sweep(3, 1, seed=2).records[5]
-    assert SweepRecord._fields == ("seed", "tau", "deviation", "r3", "k")
-    assert (rec.seed, rec.tau, rec.deviation, rec.r3, rec.k) == tuple(rec)
-    assert rec.k == 3 and rec.tau > 0.0
-    with pytest.raises(AttributeError):
-        rec.r3 = 0.0
-    assert rec == SweepRecord(*rec) and rec != rec._replace(r3=rec.r3 + 1.0)
+def test_sweep_records_are_one_read_only_array():
+    sweep = tolerance_sweep(3, 40, seed=2)
+    recs = sweep.records
+    assert recs.dtype.names == ("seed", "tau", "deviation", "r3")
+    assert len(recs) == 40 * robustness.TAU_GRID.size
+    with pytest.raises(ValueError):
+        recs.r3[0] = 0.0
+    # sample-major: each seed repeats over the whole tau grid
+    by_sample = recs.reshape(40, robustness.TAU_GRID.size)
+    assert (by_sample.seed == by_sample.seed[:, :1]).all()
+    assert len(set(by_sample.seed[:, 0].tolist())) == 40
+    assert (by_sample.tau == robustness.TAU_GRID).all()
+    # NaN exactly for the samples that certify at every tau
+    kept = certifies(by_sample.r3, sweep.threshold).all(axis=1)
+    assert 0 < kept.sum() < 40
+    assert (np.isnan(sweep.crossing) == kept).all()
 
 
 def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
@@ -163,12 +171,4 @@ def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
     monkeypatch.setattr(robustness, "_r3_psi_chi",
                         lambda psi, chi: np.full(chi.shape[:-1], on_threshold))
     sweep = tolerance_sweep(3, 4, seed=0)
-    assert sweep.crossings == [(s, 0.0) for s, _ in sweep.crossings]
-
-
-def test_tolerance_sweep_keeps_its_own_tau_grid():
-    g = np.concatenate([[0.0], np.logspace(-3.0, -1.0, 10)])
-    sweep = tolerance_sweep(3, 2, tau_grid=g, seed=1)
-    g[1] = 5.0
-    assert sweep.tau_grid[1] == 0.001 == sweep.records[1].tau
-    assert not sweep.tau_grid.flags.writeable
+    assert (sweep.crossing == 0.0).all() and sweep.crossing.size == 4
