@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-# minimize is unused here, but traced benchmark runs patch approx.minimize and approx.nnls
-from scipy.optimize import minimize, nnls  # noqa: F401
 
 from .bounds import pattern_peak_bound
+# unused here; it stays because traced benchmark runs patch approx.minimize (and approx.nnls)
+from .optimize import minimize  # noqa: F401
 from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
 from .states import DensityMatrix, PureState, coherence_support
 
@@ -70,6 +70,14 @@ def _coeff_residual_vector(coeffs: np.ndarray) -> np.ndarray:
     the mean-square pattern distance; leading axes are a batch."""
     return np.concatenate([coeffs[..., :1].real, np.sqrt(2.0) * coeffs[..., 1:].real,
                            np.sqrt(2.0) * coeffs[..., 1:].imag], axis=-1)
+
+
+def nnls(*args, **kwargs):
+    """scipy.optimize.nnls, imported on first call: commands that never fit
+    a mixture skip its import.  A module attribute, so tracers can patch it."""
+    from scipy.optimize import nnls
+
+    return nnls(*args, **kwargs)
 
 
 def _simplex_nnls(columns: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -52,13 +52,21 @@ class CertifierResult:
     ``certified_level`` is the largest k whose threshold the value exceeds
     by more than the relative round-off margin, plus one; ``threshold_used``
     is that exceeded threshold (0.0 when nothing is exceeded and only
-    1-coherence is claimed).
+    1-coherence is claimed).  The certificate: ``threshold_exact`` is the
+    exceeded threshold as an exact rational and ``margin_used`` =
+    value / threshold - 1 (both None at level 1); ``next_threshold_exact``
+    and ``margin_to_next`` are the same for the next threshold up, which the
+    value does not clear (both None at the top level).
     """
 
     n: int
     value: float
     certified_level: int
     threshold_used: float
+    threshold_exact: Fraction | None
+    margin_used: float | None
+    next_threshold_exact: Fraction | None
+    margin_to_next: float | None
 
 
 def certifies(value, threshold):
@@ -74,11 +82,17 @@ def certify_r3(value: float) -> CertifierResult:
     """
     if value < 0:
         raise ValueError(f"R_3 must be nonnegative, got {value}")
-    level, used = 1, 0.0
+    value = float(value)
+    level = 1
     for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
         if certifies(value, thr):
-            level, used = k + 1, float(thr)
-    return CertifierResult(n=3, value=float(value), certified_level=level, threshold_used=used)
+            level = k + 1
+    used, nxt = (None, *R3_CERTIFICATION_THRESHOLDS, None)[level - 1:level + 1]
+    used_margin, next_margin = (None if t is None else value / float(t) - 1.0 for t in (used, nxt))
+    return CertifierResult(n=3, value=value, certified_level=level,
+                           threshold_used=0.0 if used is None else float(used),
+                           threshold_exact=used, margin_used=used_margin,
+                           next_threshold_exact=nxt, margin_to_next=next_margin)
 
 
 class DVector:

@@ -277,6 +277,11 @@ def _moment_block(pat):
     }
 
 
+def _exact(thr):
+    """An exact threshold as its string, e.g. "5/4"; None stays None."""
+    return None if thr is None else str(thr)
+
+
 def cmd_certify(args, warnings):
     pat, info = _pattern_from_args(args, warnings)
     if args.input and not pat.is_physical(tol=RANGE_SLACK):
@@ -293,6 +298,10 @@ def cmd_certify(args, warnings):
             "value": verdict.value,
             "certified_level": verdict.certified_level,
             "threshold_used": verdict.threshold_used,
+            "threshold_exact": _exact(verdict.threshold_exact),
+            "margin_used": verdict.margin_used,
+            "next_threshold_exact": _exact(verdict.next_threshold_exact),
+            "margin_to_next": verdict.margin_to_next,
             "statement": f"state is at least {verdict.certified_level}-coherent",
         },
         "reference_maxima": best_known,

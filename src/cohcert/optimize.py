@@ -23,7 +23,6 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import minimize
 
 from .bounds import r3_w_closed_form
 from .patterns import (batch_moments, matrix_coefficients, overlap_coefficients, overlap_gradient,
@@ -94,6 +93,14 @@ class OptimizeResult:
     nit: int
     n_agree: int
     spread: float
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: commands that never
+    optimize skip its import.  A module attribute, so tracers can patch it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 def _stacked_lbfgsb(fun, x0: np.ndarray, args=()):

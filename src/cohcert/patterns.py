@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .states import DensityMatrix, PureState
 
@@ -149,9 +148,14 @@ def coefficient_gradient(r, sigma: np.ndarray) -> np.ndarray:
     F(rho) = r_0^2 + 2 sum_m |r_m|^2 is the mean-square pattern distance for
     the one-sided coefficient residual r = c(rho) - c_target, so
     G[p-m, p] = 2 conj(r_m) sigma[p-m, p], G[p, p-m] = its conjugate and
-    G[p, p] = 2 r_0 sigma[p, p].
+    G[p, p] = 2 r_0 sigma[p, p].  The Hermitian Toeplitz matrix T[i, j] =
+    r_{i-j} below the diagonal and conj(r_{j-i}) above it is built by
+    indexing, equal to scipy.linalg.toeplitz(r) bit for bit.
     """
-    return 2.0 * sigma * toeplitz(r)
+    i = np.arange(len(r))
+    lag = np.subtract.outer(i, i)
+    t = r[np.abs(lag)]
+    return 2.0 * sigma * np.where(lag < 0, t.conj(), t)
 
 
 def overlap_coefficients(z) -> np.ndarray:

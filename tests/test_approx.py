@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohcert.approx
+import cohcert.optimize
 from cohcert import (
     PureState,
     WernerParams,
     best_q_approximation,
     coherence_support,
     lambda_dec,
+    maximize_rn_over_ck,
     pattern_distance,
     pattern_from_states,
     psi_star,
@@ -196,3 +198,24 @@ def test_iteration_cap_reports_nonconvergence(monkeypatch):
     assert not capped.converged
     assert 0.0 <= capped.lower_bound <= capped.residual
     assert capped.residual > 1e-6
+
+
+def test_scipy_entry_points_stay_patchable(monkeypatch):
+    # tracers patch these module attributes; the library must call them through the module
+    calls = []
+
+    def counted(mod, name):
+        func = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(cohcert.approx, "nnls")
+    counted(cohcert.optimize, "minimize")
+    best_q_approximation(werner_pattern(0.3), w_state(3).density(), 2)
+    assert calls and set(calls) == {"nnls"}
+    maximize_rn_over_ck(3, 3, cohcert.optimize.OptimizationConfig(restarts=2))
+    assert calls[-1] == "minimize" and calls.count("minimize") == 1

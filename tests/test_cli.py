@@ -2,6 +2,7 @@ import csv
 import json
 import warnings
 from collections import OrderedDict, namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,6 +375,33 @@ def test_certify_threshold_states_not_overclaimed(tmp_path, spec, level):
     rc, doc, _ = run_cli(["certify", "--state", spec], tmp_path)
     assert rc == 0
     assert doc["data"]["verdict"]["certified_level"] == level
+
+
+@pytest.mark.parametrize("spec,level,used,nxt", [
+    ("W:1", 1, None, "1"),
+    ("W:2", 2, "1", "5/4"),
+    ("W:3", 3, "5/4", "179/96"),
+    ("PSI:5", 4, "179/96", None),
+])
+def test_certify_verdict_carries_exact_thresholds_and_margins(tmp_path, spec, level, used, nxt):
+    rc, doc, _ = run_cli(["certify", "--state", spec], tmp_path)
+    assert rc == 0
+    verdict = doc["data"]["verdict"]
+    value = verdict["value"]
+    assert verdict["certified_level"] == level
+    assert verdict["threshold_exact"] == used
+    assert verdict["next_threshold_exact"] == nxt
+    for exact, margin in ((used, verdict["margin_used"]), (nxt, verdict["margin_to_next"])):
+        if exact is None:
+            assert margin is None
+        else:
+            assert margin == value / float(Fraction(exact)) - 1.0
+    if used is not None:
+        assert float(Fraction(used)) == verdict["threshold_used"]
+        assert verdict["margin_used"] > 0
+    if nxt is not None:
+        # a state at a threshold (W_k for k = 1, 2) sits on it, within round-off
+        assert verdict["margin_to_next"] < 1e-14
 
 
 @pytest.mark.parametrize("n,dim", [(16, 2), (32, 8), (63, 4), (100, 8), (256, 3)])

@@ -22,6 +22,7 @@ from cohcert import (
 from cohcert import robustness
 from cohcert.patterns import (
     batch_moments,
+    coefficient_gradient,
     matrix_coefficients,
     overlap_coefficients,
     ratio_from_moments,
@@ -60,6 +61,18 @@ def test_fast_path_matches_matrix_form(seed, d, batch):
         ref = matrix_coefficients(np.outer(psi, psi.conj()), np.outer(chi, chi.conj()))
         np.testing.assert_allclose(overlap_coefficients(psi * chi.conj()), ref, rtol=0, atol=TOL)
         np.testing.assert_allclose(row, ref, rtol=0, atol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, d=st.integers(1, 8))
+def test_coefficient_gradient_matches_scipy_toeplitz(seed, d):
+    from scipy.linalg import toeplitz
+
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sigma = g + g.conj().T
+    assert np.array_equal(coefficient_gradient(r, sigma), 2.0 * sigma * toeplitz(r))
 
 
 @settings(max_examples=60, deadline=None)
