@@ -2,8 +2,9 @@
 
 Patterns are linear in the density matrix, so the closest q-coherent mixture
 is a convex problem over the hull of pure states on q-level supports.
-Fully-corrective Frank-Wolfe solves it deterministically: simplex-NNLS
-re-solves the weights of the active atoms, and the next atom is the smallest
+Fully-corrective Frank-Wolfe solves it deterministically: an active-set
+solve in numpy re-fits the weights of the active atoms on the probability
+simplex, with the sum constraint exact, and the next atom is the smallest
 eigenvector of the gradient over all q-level supports, an exact linear step
 whose duality gap certifies a lower bound on the optimal residual.
 """
@@ -14,7 +15,8 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import pattern_peak_bound
-# unused here; it stays because traced benchmark runs patch approx.minimize (and approx.nnls)
+# unused here; it stays because traced benchmark runs patch approx.minimize.
+# Importing it loads no scipy: optimize imports scipy on its first call.
 from .optimize import minimize  # noqa: F401
 from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
 from .states import DensityMatrix, PureState, coherence_support
@@ -72,27 +74,65 @@ def _coeff_residual_vector(coeffs: np.ndarray) -> np.ndarray:
                            np.sqrt(2.0) * coeffs[..., 1:].imag], axis=-1)
 
 
-def nnls(*args, **kwargs):
-    """scipy.optimize.nnls, imported on first call: commands that never fit
-    a mixture skip its import.  A module attribute, so tracers can patch it."""
-    from scipy.optimize import nnls
+def _affine_lstsq(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Weights of either sign summing to 1 that minimize ||columns @ w - target||.
 
-    return nnls(*args, **kwargs)
+    The constraint is exact: the last weight is eliminated as 1 - sum(rest),
+    leaving an unconstrained least-squares problem in the differences to
+    the last column.  Rank-deficient columns get the minimum-norm solution.
+    """
+    if columns.shape[1] == 1:
+        return np.ones(1)
+    last = columns[:, -1]
+    rest = np.linalg.lstsq(columns[:, :-1] - last[:, None], target - last, rcond=None)[0]
+    return np.concatenate((rest, [1.0 - rest.sum()]))
 
 
-def _simplex_nnls(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
+def nnls(columns: np.ndarray, target: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Nonnegative weights summing to 1 minimizing ||columns @ w - target||.
 
-    The sum constraint rides along as an extra row of weight 1e4, and the
-    result is renormalized exactly afterwards.  That weight violates the sum
-    by a relative 1e-8, below GAP_RTOL, while the solver's backward error,
-    eps * 1e4, stays below the gap tolerance of an exact reproduction.
+    Lawson-Hanson's active set, with every least-squares sub-solve taken on
+    the affine hull of the free columns (:func:`_affine_lstsq`), so the sum
+    constraint holds exactly.  The usual Frank-Wolfe case, where every
+    column gets a positive weight, takes one sub-solve.  Otherwise the solve
+    starts from ``start``, the weights of the leading columns (the others
+    start at 0): they must be feasible and optimal on their own support,
+    such as a vertex, or the previous solution when new columns are
+    appended.  A step back to the feasible set removes the column that
+    blocked it by name, not by a sign test that round-off can fail, and an
+    entering column whose weight comes out not positive (its reduced
+    gradient was round-off) ends the solve.  A module attribute, so tracers
+    can patch it.
     """
-    scale = 1e4 * max(1.0, float(np.abs(columns).max()))
-    a = np.vstack([columns, np.full((1, columns.shape[1]), scale)])
-    b = np.concatenate([target, [scale]])
-    w, _ = nnls(a, b)
-    return w / w.sum()
+    every = _affine_lstsq(columns, target)
+    if every.min() > 0.0:
+        return every
+    w = np.zeros(columns.shape[1])
+    w[:len(start)] = start
+    free = w > 0.0
+    for _ in range(3 * w.size):  # a guard: the active set terminates in exact arithmetic
+        grad = columns.T @ (columns @ w - target)
+        reduced = np.where(free, np.inf, grad - grad[free].mean())
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= 0.0:
+            break
+        free[enter] = True
+        idx = np.flatnonzero(free)
+        z = every if free.all() else _affine_lstsq(columns[:, idx], target)
+        if z[np.searchsorted(idx, enter)] <= 0.0:
+            break
+        while z.min() <= 0.0:
+            old = w[idx]
+            neg = np.flatnonzero(z <= 0.0)
+            steps = old[neg] / (old[neg] - z[neg])
+            block = neg[int(np.argmin(steps))]
+            w[idx] = np.maximum(old + steps.min() * (z - old), 0.0)
+            w[idx[block]] = 0.0
+            free[idx] = w[idx] > 0.0
+            idx = np.flatnonzero(free)
+            z = _affine_lstsq(columns[:, idx], target)
+        w[idx] = z
+    return w
 
 
 def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
@@ -114,28 +154,37 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
     tgt = target.one_sided()
     tgt_vec = _coeff_residual_vector(tgt)
 
-    psis = np.zeros((1, dim), dtype=complex)
-    psis[0, supports[0]] = 1.0 / np.sqrt(supports.shape[1])
+    psi = np.zeros(dim, dtype=complex)
+    psi[supports[0]] = 1.0 / np.sqrt(supports.shape[1])
+    # each atom's coefficient row and residual-embedding column, computed once
+    psis = np.empty((0, dim), dtype=complex)
+    coeffs = np.empty((0, dim), dtype=complex)
+    columns = np.empty((tgt_vec.size, 0))
+    weights = np.empty(0)  # the first solve has one column, whose weight is 1
     converged = False
     for _ in range(MAX_ITERS):
-        coeffs = matrix_coefficients(psis[:, :, None] * psis[:, None, :].conj(), sigma_mat)
-        weights = _simplex_nnls(_coeff_residual_vector(coeffs).T, tgt_vec)
-        psis, coeffs, weights = psis[weights > 0], coeffs[weights > 0], weights[weights > 0]
-        r = weights @ coeffs - tgt
-        residual = float(np.sum(_coeff_residual_vector(r) ** 2))
-        grad = coefficient_gradient(r, sigma_mat)
+        row = matrix_coefficients(np.outer(psi, psi.conj()), sigma_mat)
+        psis = np.vstack([psis, psi])
+        coeffs = np.vstack([coeffs, row])
+        columns = np.column_stack([columns, _coeff_residual_vector(row)])
+        weights = nnls(columns, tgt_vec, weights)
+        keep = weights > 0
+        psis, coeffs, columns, weights = psis[keep], coeffs[keep], columns[:, keep], weights[keep]
+        r_vec = columns @ weights - tgt_vec
+        residual = float(r_vec @ r_vec)
+        grad = coefficient_gradient(weights @ coeffs - tgt, sigma_mat)
         vals, vecs = np.linalg.eigh(grad[supports[:, :, None], supports[:, None, :]])
         best = int(np.argmin(vals[:, 0]))
-        tr_grad_rho = float(np.einsum("i,ij,jk,ik->", weights, psis.conj(), grad, psis).real)
+        # Tr(G rho) = 2 <r, c(rho)>, because the coefficients c are linear in rho
+        tr_grad_rho = 2.0 * float(r_vec @ (r_vec + tgt_vec))
         gap = max(tr_grad_rho - float(vals[best, 0]), 0.0)
         lower = max(residual - gap, 0.0)
         if gap <= GAP_TOL + GAP_RTOL * residual or residual <= ROUNDOFF_RESIDUAL:
             converged = True
             break
-        psis = np.vstack([psis, np.zeros(dim, dtype=complex)])
-        psis[-1, supports[best]] = vecs[best, :, 0]
+        psi = np.zeros(dim, dtype=complex)
+        psi[supports[best]] = vecs[best, :, 0]
 
-    # after the iteration cap psis ends with one unweighted atom, which zip drops
     components = [(float(w), PureState.normalized(psi)) for w, psi in zip(weights, psis)]
     assert abs(sum(w for w, _ in components) - 1.0) <= 1e-10
     assert all(coherence_support(s) <= q for _, s in components)

@@ -489,11 +489,10 @@ def _approx_rows(target, components, proj, points):
     """CSV rows of t, the target's p, the mixture's p and each component's p,
     computed only when ``--format csv`` consumes them."""
     grid = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    comp_patterns = [pattern_from_states(state, proj) for _, state in components]
-    mix_vals = sum(w * cp.evaluate(grid) for (w, _), cp in zip(components, comp_patterns))
-    for t, target_p, approx_p in zip(grid, target.evaluate(grid), mix_vals):
-        yield ([repr(float(t)), repr(float(target_p)), repr(float(approx_p))]
-               + [repr(float(cp.evaluate(t)[0])) for cp in comp_patterns])
+    comp_vals = [pattern_from_states(state, proj).evaluate(grid) for _, state in components]
+    mix_vals = sum(w * vals for (w, _), vals in zip(components, comp_vals))
+    for t, target_p, approx_p, *comp_p in zip(grid, target.evaluate(grid), mix_vals, *comp_vals):
+        yield [repr(float(v)) for v in (t, target_p, approx_p, *comp_p)]
 
 
 def cmd_approx(args, warnings):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohcert.approx
@@ -19,8 +19,8 @@ from cohcert import (
     w_state,
     werner_state,
 )
-from cohcert.patterns import PatternCoefficients
-from conftest import rand_density
+from cohcert.patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
+from conftest import rand_density, rand_pure
 
 def werner_pattern(lam, k=3):
     rho = werner_state(WernerParams(k, lam))
@@ -188,6 +188,91 @@ def test_lower_bound_certifies_residual_random_projection(seed, d, q):
     assert approx.converged
     assert 0.0 <= approx.lower_bound <= approx.residual
     assert all(coherence_support(s) <= q for _, s in approx.components)
+
+
+def simplex_nnls_reference(columns, target):
+    """The former weight solve: scipy's NNLS with the sum constraint as a row of weight 1e4."""
+    from scipy.optimize import nnls
+
+    scale = 1e4 * max(1.0, float(np.abs(columns).max()))
+    a = np.vstack([columns, np.full((1, columns.shape[1]), scale)])
+    w, _ = nnls(a, np.concatenate([target, [scale]]))
+    return w / w.sum()
+
+
+def check_simplex_solve(columns, target, start):
+    w = cohcert.approx.nnls(columns, target, start)
+    ref = simplex_nnls_reference(columns, target)
+    scale = np.abs(columns).max() * (np.abs(columns).max() + np.abs(target).max())
+    tol = 1e-9 * scale
+
+    def objective(v):
+        return float(np.sum((columns @ v - target) ** 2))
+
+    assert objective(w) <= objective(ref) + tol
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 4 * np.finfo(float).eps
+    # KKT: one multiplier for the sum, no free column moving, no zero column entering
+    grad = columns.T @ (columns @ w - target)
+    reduced = grad - grad[w > 0].mean()
+    assert np.all(reduced >= -tol)
+    assert np.all(np.abs(reduced[w > 0]) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 11), cols=st.integers(1, 14),
+       kind=st.sampled_from(["interior", "outside", "duplicate", "vertex"]))
+@example(seed=0, rows=5, cols=1, kind="outside")  # a single column
+@example(seed=1, rows=5, cols=9, kind="outside")  # more columns than rows + 1
+def test_simplex_weights_match_reference_solve(seed, rows, cols, kind):
+    rng = np.random.default_rng(seed)
+    columns = rng.standard_normal((rows, cols))
+    target = columns @ rng.dirichlet(np.ones(cols))
+    if kind == "outside":
+        target += rng.standard_normal(rows)
+    elif kind == "duplicate":
+        columns[:, -1] = columns[:, 0]
+        target += 0.3 * rng.standard_normal(rows)
+    elif kind == "vertex":
+        target = columns[:, rng.integers(cols)].copy()
+    check_simplex_solve(columns, target, np.eye(cols)[rng.integers(cols)])
+
+
+def test_simplex_weights_on_affinely_dependent_atoms(monkeypatch):
+    # late in this fit five atoms in five coordinates are nearly affinely dependent,
+    # so the weight solves leave the all-positive fast path for the active set
+    seen, solve = [], cohcert.approx.nnls
+
+    def recorded(*args):
+        seen.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cohcert.approx, "nnls", recorded)
+    rng = np.random.default_rng(2)
+    sigma = rand_density(rng, 3)
+    approx = best_q_approximation(pattern_from_states(rand_density(rng, 3), sigma), sigma, 2)
+    assert approx.converged
+    monkeypatch.undo()
+    assert any(cohcert.approx._affine_lstsq(c, t).min() <= 0.0 for c, t, _ in seen)
+    for args in seen:
+        check_simplex_solve(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), atoms=st.integers(1, 8))
+def test_trace_of_gradient_from_residual_embedding(seed, d, atoms):
+    # Tr(G rho) = 2 <r, c(rho)>: the coefficients are linear in rho
+    rng = np.random.default_rng(seed)
+    chi = rand_density(rng, d)
+    sigma = chi.matrix
+    tgt = pattern_from_states(rand_density(rng, d), chi).one_sided()
+    psis = np.array([rand_pure(rng, d).amplitudes for _ in range(atoms)])
+    weights = rng.dirichlet(np.ones(atoms))
+    r = weights @ matrix_coefficients(psis[:, :, None] * psis[:, None, :].conj(), sigma) - tgt
+    r_vec, tgt_vec = (cohcert.approx._coeff_residual_vector(v) for v in (r, tgt))
+    direct = np.einsum("i,ij,jk,ik->", weights, psis.conj(), coefficient_gradient(r, sigma),
+                       psis).real
+    assert 2.0 * r_vec @ (r_vec + tgt_vec) == pytest.approx(direct, rel=1e-12)
 
 
 def test_iteration_cap_reports_nonconvergence(monkeypatch):

@@ -281,6 +281,18 @@ def test_approx_csv_series(tmp_path):
     assert header == "t,target_p,approx_p,component0_p,component1_p,component2_p"
 
 
+def test_approx_csv_mixture_is_weighted_sum_of_component_columns(tmp_path):
+    argv = ["approx", "--target", "werner:5:0.4", "--q", "3"]
+    _, doc, _ = run_cli(argv, tmp_path)
+    weights = [c["weight"] for c in doc["data"]["components"]]
+    _, _, text = run_cli(argv + ["--plot-points", "16", "--format", "csv"], tmp_path, "out.csv")
+    rows = [[float(v) for v in line.split(",")] for line in text.splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == 16 and len(rows[0]) == 3 + len(weights)
+    for row in rows:
+        assert row[2] == sum(w * p for w, p in zip(weights, row[3:]))
+
+
 def test_tables_command(tmp_path):
     rc, doc, _ = run_cli(["tables", "--restarts", "8"], tmp_path)
     assert rc == 0

@@ -1,4 +1,4 @@
-"""Commands that run no optimizer never import scipy.
+"""Only ``tables`` and ``optimize`` import scipy.
 
 The check needs an interpreter that has not imported scipy yet, so it runs
 in a fresh one: the commands are called in-process there, ``sys.modules``
@@ -53,3 +53,30 @@ def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
     here = tmp_path / "optimize-here.json"
     assert main(["optimize", "--n", "3", "--k", "3", "--out", str(here)]) == 0
     assert fresh.read_text() == here.read_text()
+
+
+APPROX_SCRIPT = """
+import json, sys
+from cohcert.cli import main
+
+out = sys.argv[1]
+argv = ["approx", "--target", "werner:4:0.3", "--q", "2"]
+codes = [main(argv + ["--format", fmt, "--out", f"{out}.{fmt}"]) for fmt in ("json", "csv")]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_approx_leaves_scipy_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", APPROX_SCRIPT, str(tmp_path / "fresh")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+
+    for fmt in ("json", "csv"):
+        here = tmp_path / f"here.{fmt}"
+        argv = ["approx", "--target", "werner:4:0.3", "--q", "2", "--format", fmt]
+        assert main(argv + ["--out", str(here)]) == 0
+        assert (tmp_path / f"fresh.{fmt}").read_text() == here.read_text()
