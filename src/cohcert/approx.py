@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import pattern_peak_bound
 # unused here; it stays because traced benchmark runs patch approx.minimize.
-# Importing it loads no scipy: optimize imports scipy on its first call.
+# optimize's projected Newton solver is numpy only, like this module.
 from .optimize import minimize  # noqa: F401
 from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
 from .states import DensityMatrix, PureState, coherence_support

@@ -104,8 +104,14 @@ def read_pattern_csv(path: str) -> np.ndarray:
     return arr
 
 
+RECORDS_PER_CALL = 256  # flat dicts of one list that to_json encodes in one call
 _SCALARS = frozenset((str, int, float, bool, type(None), np.float64))
 _STR = frozenset((str,))
+
+
+def _flat_dict(obj: dict) -> bool:
+    """Does the dict have only str keys and values the C encoder writes as they are?"""
+    return _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
 
 
 def _default(obj):
@@ -148,7 +154,7 @@ def _write(obj, depth: int, out: list) -> None:
         out.extend(_flat_encoder(0)(obj, 0))
         return
     if kind is dict:
-        flat = _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
+        flat = _flat_dict(obj)
     elif kind is list or kind is tuple:
         flat = _SCALARS.issuperset(map(type, obj))
     else:
@@ -161,6 +167,19 @@ def _write(obj, depth: int, out: list) -> None:
     if flat:
         text = "".join(_flat_encoder(depth + 1)(obj, 0))
         out += text[0], pad, text[1:-1], pad[:-2], text[-1]
+        return
+    if kind is not dict and all(type(item) is dict and item and _flat_dict(item) for item in obj):
+        # records: one C encoder call per batch, indented at their own depth by widening
+        # the separators between records (an encoded string holds no raw newline); small
+        # batches keep the document from being copied whole
+        inner = pad + "  "
+        encode, sep = _flat_encoder(depth + 2), "[" + pad
+        for start in range(0, len(obj), RECORDS_PER_CALL):
+            text = "".join(encode(obj[start:start + RECORDS_PER_CALL], 0))[2:-2]
+            out += sep, "{", inner, text.replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
+            out += pad, "}"
+            sep = "," + pad
+        out += pad[:-2], "]"
         return
     sep = pad
     if kind is dict:
@@ -316,7 +335,8 @@ def cmd_moments(args, warnings):
 
 def _search(res) -> dict:
     """Restart diagnostics of one maximization, as embedded in documents."""
-    return {"nfev": res.nfev, "nit": res.nit, "n_agree": res.n_agree, "spread": res.spread}
+    return {"nfev": res.nfev, "nit": res.nit, "n_agree": res.n_agree, "spread": res.spread,
+            "kkt_gradient": res.kkt_gradient, "kkt_curvature": res.kkt_curvature}
 
 
 def cmd_tables(args, warnings):

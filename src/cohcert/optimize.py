@@ -2,30 +2,30 @@
 
 The search space for max R_n over k-coherent states reduces to nonnegative
 overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
-equal to projection).  The simplex is handled by the square-then-normalize
-reparametrization a_p = x_p^2 / sum x^2 and searched from many start points
-(each restart draws its own from a spawned seed) by L-BFGS-B (Byrd, Lu,
-Nocedal & Zhu 1995) on the exact chain-rule gradient of R_n.  The restarts
-are independent, so one L-BFGS-B call minimizes -sum_r R_n(a_r) over the
-stacked (restarts x k) array; its counts are the search's ``nfev`` and
-``nit``.  The step length is shared by all rows, so a row that starts near
-the simplex boundary can end on a boundary point that a lone run would
-have left, when that point is a genuine local maximum of R_n: a one-level
-vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2, R_3 ~ 1 - 2 a_2), or at
-n = 4, k = 3 the face a = (1/2, 0, 1/2) (R_4 = 35/16).
+equal to projection).  Each restart draws its own start point from a spawned
+seed, and one call of ``minimize``, a batched projected Newton method
+(Bertsekas 1982) on the exact gradient and Hessian of R_n, moves every
+restart on its own: each row has its own active face of the simplex, its
+own Newton direction and its own Armijo step, and stops once it has
+converged.  A row can still end on a boundary point that is a genuine local
+maximum of R_n: a one-level vertex (R_n = 1; near a = (1, 0) at n = 3,
+k = 2, R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
+(R_3 = 5/4).
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
 R_n is a polynomial in 1 - lam and a threshold is one of its roots.
 """
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.polynomial import Polynomial
 
 from .bounds import r3_w_closed_form
-from .patterns import (batch_moments, matrix_coefficients, overlap_coefficients, overlap_gradient,
+from .patterns import (batch_moments, matrix_coefficients, overlap_coefficients,
                        ratio_from_moments, ratio_gradient)
 from .states import WernerParams, psi_star, werner_state, w_state
 
@@ -43,8 +43,12 @@ __all__ = [
 ]
 # werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
-MAX_ITERS = 2000  # iteration cap of the stacked L-BFGS-B call
-TOL = 1e-10  # convergence tolerance of the stacked L-BFGS-B call
+MAX_ITERS = 200  # Newton iteration cap of one minimize call
+TOL = 1e-10  # a row converges when its projected gradient is below TOL * max(1, |value|)
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+ROUNDOFF = 1e-14  # relative round-off of a value, which the line search tolerates
+MIN_STEP = 1e-6  # a row whose step length falls below MIN_STEP stops unconverged
+FD_STEP = 1e-5  # central-difference step of the sphere Hessian, on unit rows
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,20 @@ def rn_of_alpha(alpha, n: int) -> float:
 class OptimizeResult:
     """Best restart of a maximization: argmax ``alpha``, maximum ``value``.
 
-    The stacked L-BFGS-B call stops at ``ftol = TOL / restarts`` (its
-    relative test sees a sum of restarts) and ``gtol = TOL``, resolving
-    ``value`` to ``TOL`` relative and ``alpha`` to about 1e-8.  ``nfev`` and
-    ``nit`` are that one call's counts.  From the restarts' end values:
-    ``n_agree`` restarts end within ``TOL * max(1, value)`` of ``value`` (the
-    scale of the ``ftol`` test); ``spread`` = best - worst, which reads
-    ``value - 1`` when a restart ends on a one-level vertex (see the module
-    docstring).
+    Each restart stops once the gradient of R_n, projected on its face of
+    the simplex, is below ``TOL * max(1, value)``; Newton's quadratic
+    convergence leaves ``value`` and ``alpha`` resolved to round-off.
+    ``nfev`` counts the batched evaluations of R_n with its derivatives in
+    the one ``minimize`` call (the start points, then one per iteration) and
+    ``nit`` its Newton iterations.  From the restarts' end
+    values: ``n_agree`` restarts end within ``TOL * max(1, value)`` of
+    ``value``; ``spread`` = best - worst, which reads ``value - 1`` when a
+    restart ends on a one-level vertex (see the module docstring).  The best
+    restart's KKT certificate, on the face of the levels it populates:
+    ``kkt_gradient`` is the norm of the projected gradient of R_n and
+    ``kkt_curvature`` the largest eigenvalue of the Hessian of R_n on the
+    face; a gradient at round-off and a negative curvature show a strict
+    local maximum on that face.
     """
 
     alpha: np.ndarray
@@ -93,27 +103,167 @@ class OptimizeResult:
     nit: int
     n_agree: int
     spread: float
+    kkt_gradient: float
+    kkt_curvature: float
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: commands that never
-    optimize skip its import.  A module attribute, so tracers can patch it."""
-    from scipy.optimize import minimize
+@dataclass(frozen=True)
+class NewtonResult:
+    """End of a ``minimize`` call: end rows ``x`` with their ``values``,
+    gradients ``jac`` and Hessians ``hess``, the summed value ``fun``,
+    ``nfev`` batched evaluations of the objective, ``nit`` Newton iterations,
+    and ``success`` when every row converged."""
 
-    return minimize(*args, **kwargs)
+    x: np.ndarray
+    values: np.ndarray
+    jac: np.ndarray
+    hess: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
 
 
-def _stacked_lbfgsb(fun, x0: np.ndarray, args=()):
-    """One L-BFGS-B call minimizing ``fun`` (summed value and flat gradient
-    of a (restarts, k) array) from the start rows ``x0``; returns scipy's
-    result and the end rows."""
-    res = minimize(lambda x: fun(x.reshape(x0.shape), *args), x0.ravel(), jac=True,
-                   method="L-BFGS-B",
-                   options=dict(ftol=TOL / len(x0), gtol=TOL, maxiter=MAX_ITERS))
-    return res, res.x.reshape(x0.shape)
+def _retract(y: np.ndarray, sphere: bool) -> np.ndarray:
+    """Rows of ``y`` mapped onto the unit sphere, or onto the probability
+    simplex by clipping negative entries and rescaling to sum 1."""
+    if sphere:
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+    y = np.maximum(y, 0.0)
+    return y / y.sum(axis=-1, keepdims=True)
 
 
-def _start_points(n: int, k: int, rng_children, extra=()) -> np.ndarray:
+def _positive_definite(h: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``h``: is it positive definite?  numpy's public
+    cholesky raises for the whole stack when one matrix is not; the gufunc
+    behind it leaves NaN in that matrix's factor instead, in one call."""
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(_umath_linalg.cholesky_lo(h)[:, -1, -1])
+
+
+def _newton_step(x, g, h, normal, free):
+    """Newton directions of the rows of ``x`` on their faces.
+
+    A row's face is {d : n . d = 0, d_i = 0 off the free coordinates} for
+    the constraint normal n (the free mask on the simplex, x on the
+    sphere).  With j the row's largest free coordinate, z_i = e_i -
+    (n_i / n_j) e_j for the free i != j span it; the other columns of Z
+    are 0.  The step minimizes the quadratic model along the
+    face.  Where the model's Hessian on the face, Z^T H Z, is not positive
+    definite, 1.5 times its Gershgorin bound is added to its diagonal, which
+    leaves every eigenvalue at least half as large as the most negative one
+    was in size (a factor chosen over 20 seeds of the ``tables`` searches:
+    150 Newton iterations on average, against 155 for 2 and 164 for 2.5).
+    """
+    rows, k = x.shape
+    eye = np.eye(k)
+    each = np.arange(rows)
+    pivot = np.argmax(x * normal, axis=-1)
+    moves = free.copy()
+    moves[each, pivot] = False
+    w = normal / normal[each, pivot, None]
+    z = (eye - eye[pivot, :, None] * w[:, None, :]) * moves[:, None, :]
+    grad = (g[:, None, :] @ z)[:, 0]
+    reduced = np.swapaxes(z, 1, 2) @ h @ z + eye * ~moves[:, None, :]
+    bad = ~_positive_definite(reduced)
+    if bad.any():
+        # Gershgorin: no eigenvalue lies below min_i (H_ii - sum_{l != i} |H_il|) < 0
+        on_diag = np.diagonal(reduced, axis1=1, axis2=2)
+        lowest = np.min(on_diag + np.abs(on_diag) - np.abs(reduced).sum(axis=-1), axis=-1)
+        reduced[:, np.arange(k), np.arange(k)] -= 1.5 * np.where(bad, lowest, 0.0)[:, None] * moves
+    return (z @ np.linalg.solve(reduced, -grad[..., None]))[..., 0]
+
+
+def minimize(fun, x0, args=(), sphere: bool = False) -> NewtonResult:
+    """Minimize ``fun`` from each row of ``x0`` on its own, by projected Newton.
+
+    ``fun(x, *args)`` returns the values, gradients and Hessians of the rows
+    of a (rows, k) array.  The rows live on the probability simplex, or with
+    ``sphere`` on the unit sphere, where steps are tangent and rows are
+    renormalized.  On the simplex a coordinate is active, and stays 0, while
+    it is 0 and its reduced gradient g_i - x . g is positive; the retraction
+    clips coordinates that a step takes below 0.  Each iteration evaluates
+    every row's trial point in one batched call: a row whose trial passes
+    the Armijo test moves there and takes its next Newton step at full
+    length, and a row whose trial fails shortens its step for the next
+    iteration.  A row stops once its gradient projected on its face is
+    below ``TOL * max(1, |value|)``, or unconverged when its step length
+    falls below MIN_STEP.
+    """
+    xs = _retract(np.array(x0, dtype=float), sphere)
+    f, g, h = fun(xs, *args)
+    end = [np.empty_like(arr) for arr in (xs, f, g, h)]
+    converged = np.zeros(len(xs), dtype=bool)
+    live, step = np.arange(len(xs)), np.ones(len(xs))
+    nit = 0
+
+    def finish(which):  # record the end state of the live rows ``which``
+        for arr, now in zip(end, (xs, f, g, h)):
+            arr[live[which]] = now[which]
+
+    while True:
+        if sphere:
+            free, normal = np.ones(xs.shape, dtype=bool), xs
+            along = g - (g * xs).sum(axis=-1, keepdims=True) * xs
+        else:
+            free = (xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True))
+            normal = free
+            mean = (g * free).sum(axis=-1, keepdims=True) / free.sum(axis=-1, keepdims=True)
+            along = (g - mean) * free
+        scale = np.maximum(1.0, np.abs(f))
+        # ``along``, the gradient on the face, decides convergence
+        run = (along * along).sum(axis=-1) > (TOL * scale) ** 2
+        if not run.all() or nit == MAX_ITERS:
+            converged[live[~run]] = True
+            run &= nit < MAX_ITERS
+            finish(~run)
+            live, xs, f, g, h, step, scale, normal, free = (
+                arr[run] for arr in (live, xs, f, g, h, step, scale, normal, free))
+            if not live.size:
+                break
+        trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, normal, free), sphere)
+        ft, gt, ht = fun(trial, *args)
+        nit += 1
+        # the Armijo test tolerates round-off, so a Newton step at round-off level passes
+        slope = (g * (trial - xs)).sum(axis=-1)
+        ok = ft <= f + ARMIJO * slope + ROUNDOFF * scale
+        if ok.all():
+            xs, f, g, h, step = trial, ft, gt, ht, np.ones(len(xs))
+        else:
+            xs[ok], f[ok], g[ok], h[ok] = trial[ok], ft[ok], gt[ok], ht[ok]
+            # a failed step shrinks to the minimum of the parabola through f, the
+            # slope and the trial value, kept within [1/10, 1/2] of its length
+            # (1/10 where the slope does not descend)
+            fail = ~ok
+            shrink = np.full(fail.sum(), 0.1)
+            np.divide(-0.5 * slope[fail], ft[fail] - f[fail] - slope[fail], out=shrink,
+                      where=slope[fail] < 0.0)
+            step[ok] = 1.0
+            step[fail] *= np.clip(shrink, 0.1, 0.5)
+            if step.min() < MIN_STEP:  # rows that found no descent stop unconverged
+                keep = step >= MIN_STEP
+                finish(~keep)
+                live, xs, f, g, h, step = (arr[keep] for arr in (live, xs, f, g, h, step))
+                if not live.size:
+                    break
+    x, values, jac, hess = end
+    return NewtonResult(x=x, values=values, jac=jac, hess=hess, fun=float(values.sum()),
+                        nfev=nit + 1, nit=nit, success=bool(converged.all()))
+
+
+@functools.lru_cache(maxsize=128)
+def _seeded_draws(seed: int, restarts: int, k: int) -> np.ndarray:
+    """One row per restart: k uniform draws + 0.05 from the restart's spawned
+    seed.  Every search with the same seed, restarts and k draws the same
+    rows, and spawning and seeding 32 generators takes about a fifth of a
+    search, so they are drawn once."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    draws = np.array([np.random.default_rng(child).random(k) + 0.05 for child in children])
+    draws.setflags(write=False)
+    return draws
+
+
+def _start_points(n: int, k: int, cfg: OptimizationConfig, extra=()) -> np.ndarray:
     """One start row per restart: deterministic seeds (uniform,
     center-weighted bump, tabulated profile, ``extra``), then random draws."""
     starts = [np.full(k, 1.0 / k)]
@@ -125,21 +275,78 @@ def _start_points(n: int, k: int, rng_children, extra=()) -> np.ndarray:
     except ValueError:
         pass
     starts.extend(extra)
-    for child in rng_children[len(starts):]:
-        draw = np.random.default_rng(child).random(k) + 0.05
-        starts.append(draw / draw.sum())
-    return np.array(starts[:len(rng_children)])
+    draws = _seeded_draws(cfg.seed, cfg.restarts, k)[len(starts):]
+    return np.concatenate([starts, draws / draws.sum(axis=-1, keepdims=True)])[:cfg.restarts]
 
 
-def _neg_rn_over_simplex(x, n: int):
-    """-sum_r R_n(a_r) over the rows a_r = x_r^2 / S_r, S_r = sum x_r^2, of
-    ``x``, and its gradient in x, flattened as L-BFGS-B takes it; row by row
-    g_x = (2 x / S)(g_a - a . g_a) for g_a = dR_n/da."""
-    s = np.sum(x * x, axis=-1, keepdims=True)
-    a = x * x / s
-    r, g = ratio_gradient(overlap_coefficients(a), n)
-    ga = overlap_gradient(a, g)
-    return -r.sum(), ((-2.0 / s) * x * (ga - np.sum(a * ga, axis=-1, keepdims=True))).ravel()
+@functools.lru_cache(maxsize=None)
+def _trig_grid(k: int, n: int):
+    """Tables of the simplex objective for k levels and order n, on the moment
+    engine's alias-free grid of N = n(k-1)+1 points t_j: e^{iq t_j} for
+    q < k, as (k, N) rows; e^{-im t_j} / N for m <= 2k-2, as (N, 2k-1)
+    columns; the grid weights 1/N; the index matrices |q - s| and q + s of
+    a k x k matrix; and the constants 2n^2, 2n(n-1) and 2n of T, K and G."""
+    n_points = n * (k - 1) + 1
+    mt = np.arange(2 * k - 1)[:, None] * (np.arange(n_points) * (2 * np.pi / n_points))
+    q = np.arange(k)
+    grid = (np.exp(1j * mt[:k]), np.exp(-1j * mt).T / n_points, np.full(n_points, 1.0 / n_points),
+            np.abs(np.subtract.outer(q, q)), np.add.outer(q, q),
+            np.array([2 * n * n, 2 * n * (n - 1), 2 * n])[:, None, None])
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def _neg_rn_over_simplex(a: np.ndarray, n: int):
+    """-R_n of the rows of ``a`` (scaled as in ``rn_of_alpha`` when a row does
+    not sum to 1), and its gradients and Hessians in a.
+
+    With B(t) = sum_q a_q e^{iqt}, p = |B|^2 has dp/da_q = 2 Re(B e^{-iqt})
+    and d2p/da_q da_s = 2 cos((q-s)t), so dM_n/da_q = 2n G_q and
+    d2M_n/da_q da_s = 2n^2 T_|q-s| + 2n(n-1) K_(q+s) with the transforms
+    T_m = Re <p^(n-1) e^{-imt}>, G_q = Re <p^(n-1) B e^{-iqt}> and
+    K_m = Re <p^(n-2) B^2 e^{-imt}>.  Every integrand is a trigonometric
+    polynomial of degree at most n(k-1), so its mean over the engine's grid
+    is exact like the moments.  With M_1 = sum a^2, the quotient rule for
+    R_n = M_n / M_1^(n-1) gives the rest.
+    """
+    k = a.shape[-1]
+    waves, transform, mean, lag, total, constants = _trig_grid(k, n)
+    b = a @ waves
+    p = (b * b.conj()).real
+    pn2 = p  # p^(n-2), by products: a float power takes several times longer
+    for _ in range(n - 3):
+        pn2 = pn2 * p
+    pn1 = pn2 * p
+    j = n - 1
+    v = (a * a).sum(axis=-1, keepdims=True)
+    scale = v ** -j
+    r = ((pn1 * p) @ mean)[:, None] * scale
+    # T, K and G, each times its constant and 1 / M_1^(n-1)
+    weights = np.concatenate([pn1, pn2 * b * b, pn1 * b])
+    t, kk, u = (weights @ transform).real.reshape(3, len(a), -1) * (constants * scale)
+    u = u[:, :k]
+    # the quotient rule, with dM_1 = 2a and d2M_1 = 2I: u = dM_n / M_1^(n-1) and
+    # c = 2(n-1) R_n / M_1 give dR_n = u - c a and d2R_n = d2M_n / M_1^(n-1)
+    # - (2(n-1) / M_1)(e a^T + a e^T) - c I, with e = u - (n / 2(n-1)) c a;
+    # all three are returned negated
+    c = (2 * j) * r / v
+    q = (u - (n / (2 * j)) * c * a) * ((2 * j) / v)
+    hess = q[:, :, None] * a[:, None, :]
+    t[:, :1] -= c  # c I joins the diagonal through T_0, which only |q - s| = 0 reads
+    hess += np.swapaxes(hess, 1, 2) - t[:, lag] - kk[:, total]
+    return -r[:, 0], c * a - u, hess
+
+
+def _kkt_certificate(a: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """Norm of the gradient ``g`` of R_n at the simplex point ``a`` projected on
+    the face of a's nonzero levels, and the largest eigenvalue of the Hessian
+    ``h`` on that face."""
+    face = a > 0.0
+    g, h = g[face], h[np.ix_(face, face)]
+    # an orthonormal basis of the directions along the face (entries summing to 0)
+    basis = np.linalg.qr(np.eye(len(g))[:, 1:] - 1.0 / len(g))[0]
+    return float(np.linalg.norm(g - g.mean())), float(np.linalg.eigvalsh(basis.T @ h @ basis).max())
 
 
 def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
@@ -147,28 +354,28 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
     """Maximize R_n over states populating k adjacent levels.
 
     Returns the best overlap vector (equal to the amplitude-squared profile
-    of the optimal state) and its value.  ``converged`` is False when the
-    stacked search did not meet its tolerances; the best value found is
-    still reported.
+    of the optimal state) and its value.  ``converged`` is False when a
+    restart stopped short of its tolerance; the best value found is still
+    reported.
     """
     if n not in (3, 4, 5):
         raise ValueError(f"n must be one of 3, 4, 5, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     cfg = cfg or OptimizationConfig()
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = np.sqrt(_start_points(n, k, children, extra_starts))
-    res, x = _stacked_lbfgsb(_neg_rn_over_simplex, starts, args=(n,))
-    a = x * x / np.sum(x * x, axis=-1, keepdims=True)
-    values = ratio_from_moments(batch_moments(overlap_coefficients(a), n), n)
-    best_val = values.max()
+    res = minimize(_neg_rn_over_simplex, _start_points(n, k, cfg, extra_starts), args=(n,))
+    values = -res.values
+    best = values.argmax()
+    best_val = values[best]
     if n == 3:
         assert best_val >= r3_w_closed_form(k) - TOL
+    kkt_gradient, kkt_curvature = _kkt_certificate(res.x[best], -res.jac[best], -res.hess[best])
     return OptimizeResult(
-        alpha=a[values.argmax()], value=float(best_val), converged=res.success,
+        alpha=res.x[best], value=float(best_val), converged=res.success,
         nfev=res.nfev, nit=res.nit,
         n_agree=int(np.sum(values >= best_val - TOL * max(1.0, best_val))),
-        spread=float(best_val - values.min()))
+        spread=float(best_val - values.min()),
+        kkt_gradient=kkt_gradient, kkt_curvature=kkt_curvature)
 
 
 @dataclass(frozen=True)
@@ -224,10 +431,9 @@ def werner_coefficients(k: int, lam) -> np.ndarray:
     return cs
 
 
-def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
-    """-sum_r R_n of a real ``rho`` under sigma_r = x_r x_r^T / S_r,
-    S_r = sum x_r^2, over the rows x_r of ``x``, and its gradient in x,
-    flattened as L-BFGS-B takes it.
+def _projection_gradient(x, rho: np.ndarray, n: int):
+    """-R_n of a real ``rho`` under sigma_r = x_r x_r^T / S_r, S_r = sum x_r^2,
+    for the rows x_r of ``x``, and its gradient in x.
 
     For real matrices the kernel is symmetric in rho and sigma, so the stack
     of sigmas can take rho's place.  With T_m = S c_m = sum_p rho_{p,p-m}
@@ -240,7 +446,21 @@ def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
     r, g = ratio_gradient(matrix_coefficients(sigma, rho), n)
     lag = np.abs(np.subtract.outer(np.arange(len(rho)), np.arange(len(rho))))
     v = np.einsum("...pq,...q->...p", rho * (1.0 + np.eye(len(rho))) * g[..., lag], x)
-    return -r.sum(), ((v - (np.sum(x * v, axis=-1) / s)[..., None] * x) / -s[..., None]).ravel()
+    return -r, (v - (np.sum(x * v, axis=-1) / s)[..., None] * x) / -s[..., None]
+
+
+def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
+    """``_projection_gradient``'s values and gradients, and Hessians: the
+    symmetrized central differences of the exact gradient over
+    x +- FD_STEP e_i, the 2k points of every row stacked into one gradient
+    call; ``minimize`` keeps the rows unit vectors, so one step suits all."""
+    value, grad = _projection_gradient(x, rho, n)
+    rows, k = x.shape
+    steps = FD_STEP * np.eye(k)
+    shifted = np.stack([x[:, None] + steps, x[:, None] - steps], axis=1)
+    ends = _projection_gradient(shifted.reshape(-1, k), rho, n)[1].reshape(rows, 2, k, k)
+    hess = (ends[:, 0] - ends[:, 1]) / (2 * FD_STEP)
+    return value, grad, (hess + np.swapaxes(hess, 1, 2)) / 2
 
 
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",
@@ -249,10 +469,12 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
 
     projection: "w" projects onto the equal superposition W_k (the optimal
     measurement for Werner-like states at lam = 0), and "optimize"
-    maximizes over real projection states by one stacked L-BFGS-B call on
-    the exact gradient in chi, as in ``maximize_rn_over_ck`` (restarts from
-    ``cfg``; the first restart starts at W_k, so the result is never below
-    the "w" value).
+    maximizes over real projection states chi by one ``minimize`` call on
+    the unit sphere, as in ``maximize_rn_over_ck``: Newton steps in the
+    tangent space on the exact gradient in chi and its central-difference
+    Hessian (restarts from ``cfg``; the first restart starts at W_k and no
+    step lowers R_n beyond round-off, so the result is not below the "w"
+    value).
     """
     params = WernerParams(k, lam)
     if projection == "w":
@@ -262,11 +484,10 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     # the Werner state is real, so real projections give real coefficients
     rho = werner_state(params).matrix.real
     cfg = cfg or OptimizationConfig(restarts=8)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = np.array([np.random.default_rng(child).random(k) + 0.05 for child in children])
+    starts = _seeded_draws(cfg.seed, cfg.restarts, k).copy()
     starts[0] = 1.0 / np.sqrt(k)
-    _, x = _stacked_lbfgsb(_neg_rn_over_projection, starts, args=(rho, n))
-    return float(max(-_neg_rn_over_projection(row, rho, n)[0] for row in x))
+    res = minimize(_neg_rn_over_projection, starts, args=(rho, n), sphere=True)
+    return float(-res.values.min())
 
 
 @dataclass(frozen=True)

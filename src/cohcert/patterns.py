@@ -2,8 +2,8 @@
 
 A pattern p(t) = c0 + 2 sum_m Re(c_m e^{-imt}) collects the detection
 probability over one 2*pi period.  This module holds the one coefficient
-kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form, a pure-state
-fast path and the adjoint of each) and the one moment engine, which takes
+kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form with its
+adjoint, and a pure-state fast path) and the one moment engine, which takes
 M_n = <p^n> exactly as the mean over an alias-free grid and accepts leading
 batch axes; the gradient of R_n in the coefficients uses the same grid.
 Sampling on a user-chosen grid is kept as an independent cross-check oracle.
@@ -28,10 +28,10 @@ __all__ = [
     "moment_by_sampling",
     "fit_pattern_from_samples",
 ]
-# The kernel (matrix_coefficients, overlap_coefficients, their adjoints
-# coefficient_gradient and overlap_gradient) and the engine (batch_moments,
-# ratio_from_moments, ratio_gradient) are unvalidated array building blocks
-# shared by the other modules; they stay out of the public API.
+# The kernel (matrix_coefficients, its adjoint coefficient_gradient,
+# overlap_coefficients) and the engine (batch_moments, ratio_from_moments,
+# ratio_gradient) are unvalidated array building blocks shared by the other
+# modules; they stay out of the public API.
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
@@ -150,7 +150,8 @@ def coefficient_gradient(r, sigma: np.ndarray) -> np.ndarray:
     G[p-m, p] = 2 conj(r_m) sigma[p-m, p], G[p, p-m] = its conjugate and
     G[p, p] = 2 r_0 sigma[p, p].  The Hermitian Toeplitz matrix T[i, j] =
     r_{i-j} below the diagonal and conj(r_{j-i}) above it is built by
-    indexing, equal to scipy.linalg.toeplitz(r) bit for bit.
+    indexing (the tests match it bit for bit with a library Toeplitz
+    constructor).
     """
     i = np.arange(len(r))
     lag = np.subtract.outer(i, i)
@@ -241,19 +242,6 @@ def ratio_gradient(c: np.ndarray, n: int):
     g = np.dot(q * weights, cos_basis.T) * (n / scale)[..., None]
     g[..., 0] -= (n - 1) * r / m1
     return r, g
-
-
-def overlap_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of ``overlap_coefficients`` for real vectors ``a``.
-
-    Given g = dF/dc, returns dF/da_q = sum_m g_m (a_{q+m} + a_{q-m}) (2 g_0 a_q
-    at m = 0), one shifted product per lag of ``a`` padded by d zeros on each
-    side; leading axes are a batch.
-    """
-    d = a.shape[-1]
-    z = np.concatenate((np.zeros_like(a), a, np.zeros_like(a)), axis=-1)
-    return sum(g[..., m:m + 1] * (z[..., d + m:2 * d + m] + z[..., d - m:2 * d - m])
-               for m in range(d))
 
 
 def pattern_from_states(rho, sigma) -> PatternCoefficients:

@@ -502,14 +502,15 @@ def test_non_finite_vec_spec_is_input_error(capsys, argv):
     assert captured.err.count("\n") == 1 and "amplitudes must be finite" in captured.err
 
 
-SEARCH_FIELDS = {"nfev", "nit", "n_agree", "spread"}
+SEARCH_FIELDS = {"nfev", "nit", "n_agree", "spread", "kkt_gradient", "kkt_curvature"}
 
 
 def assert_search(search, restarts):
     assert set(search) == SEARCH_FIELDS
     assert 1 <= search["n_agree"] <= restarts and search["spread"] >= 0.0
-    # one stacked call: an evaluation at the start, then at least one per iteration
+    # one batched call: an evaluation at the start, then at least one per iteration
     assert search["nfev"] >= search["nit"] + 1
+    assert search["kkt_gradient"] >= 0.0
 
 
 def test_documents_embed_restart_diagnostics(tmp_path):
@@ -619,6 +620,17 @@ def test_to_json_without_c_encoder(monkeypatch):
         monkeypatch.undo()
         cli._flat_encoder.cache_clear()
     assert to_json(obj) == expected
+
+
+def test_to_json_encodes_record_lists_in_batches():
+    # records cross the batch boundary; a string holding the separator pattern stays as it is
+    from cohcert import cli
+
+    records = [{"seed": i, "tau": i / 7, "D": np.float64(i) / 3, "ok": i % 2 == 0,
+                "note": "},\n      {" if i % 5 else "x"}
+               for i in range(2 * cli.RECORDS_PER_CALL + 3)]
+    for obj in (records, {"data": {"records": records, "last": [records[0]]}}, (records[:2],)):
+        assert to_json(obj) == reference_encoding(obj)
 
 
 SEEDED_COMMANDS = [

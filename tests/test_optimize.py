@@ -22,7 +22,7 @@ from cohcert import (
     werner_state,
 )
 from cohcert import optimize
-from cohcert.optimize import _neg_rn_over_projection, _neg_rn_over_simplex
+from cohcert.optimize import _neg_rn_over_projection, _neg_rn_over_simplex, _projection_gradient
 from conftest import rand_density
 
 FAST = OptimizationConfig(restarts=6, seed=0)
@@ -164,27 +164,31 @@ def stacks(min_rows=1):
 
 
 def central_differences(f, x, h=1e-6):
-    steps = h * np.eye(x.size).reshape(x.size, *x.shape)
-    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps]).reshape(x.shape)
+    """d f / d x of a function of a (rows, k) array, one (rows, k) block per
+    entry of x: entry [i, j] is the derivative of f(x)[i] in x[:, j]."""
+    steps = h * np.eye(x.shape[-1])
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for e in steps], axis=-1)
 
 
-def neg_rn_sum(x, n):
-    """-sum of R_n over the simplex rows x^2 / sum x^2, one rn_of_alpha call per row."""
-    return -sum(rn_of_alpha(y * y / (y @ y), n) for y in x)
+def neg_rn_rows(a, n):
+    """-R_n of each row of ``a``, one rn_of_alpha call per row."""
+    return np.array([-rn_of_alpha(row, n) for row in a])
 
 
 @settings(max_examples=40, deadline=None)
 @given(x=stacks(), n=st.sampled_from([3, 4, 5]))
 def test_stacked_value_is_sum_of_row_values(x, n):
-    assert _neg_rn_over_simplex(x, n)[0] == pytest.approx(neg_rn_sum(x, n), rel=1e-12)
+    values = _neg_rn_over_simplex(x, n)[0]
+    np.testing.assert_allclose(values, neg_rn_rows(x, n), rtol=1e-12)
+    assert values.sum() == pytest.approx(neg_rn_rows(x, n).sum(), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=stacks(), n=st.sampled_from([3, 4, 5]))
 def test_simplex_gradient_matches_central_differences(x, n):
-    _, grad = _neg_rn_over_simplex(x, n)
-    num = central_differences(lambda y: neg_rn_sum(y, n), x)
-    np.testing.assert_allclose(grad, num.ravel(), rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+    _, grad, _ = _neg_rn_over_simplex(x, n)
+    num = central_differences(lambda y: neg_rn_rows(y, n), x)
+    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
 
 
 def mixed_werner(k, lam, mix, seed):
@@ -201,12 +205,32 @@ def test_projection_gradient_matches_central_differences(x, n, lam, mix, seed):
     rho = mixed_werner(x.shape[1], lam, mix, seed)
 
     def neg_rn(y):
-        return -sum(ratio(pattern_from_states(rho, PureState.normalized(row)), n) for row in y)
+        return np.array([-ratio(pattern_from_states(rho, PureState.normalized(row)), n)
+                         for row in y])
 
-    value, grad = _neg_rn_over_projection(x, rho.matrix.real, n)
-    assert value == pytest.approx(neg_rn(x), rel=1e-12)
+    values, grad = _projection_gradient(x, rho.matrix.real, n)
+    np.testing.assert_allclose(values, neg_rn(x), rtol=1e-12)
     num = central_differences(neg_rn, x)
-    np.testing.assert_allclose(grad, num.ravel(), rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+    np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=stacks(), n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
+       mix=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_hessians_match_central_differences_of_exact_gradients(x, n, lam, mix, seed):
+    # the simplex Hessian is analytic; the sphere Hessian is itself a central
+    # difference (step FD_STEP) of the exact gradient, checked here at another step
+    rho = mixed_werner(x.shape[1], lam, mix, seed).matrix.real
+    cases = ((x, lambda y: _neg_rn_over_simplex(y, n)),
+             (unit_rows(x), lambda y: _neg_rn_over_projection(y, rho, n)))
+    for point, derivatives in cases:
+        hess = derivatives(point)[2]
+        num = central_differences(lambda y: derivatives(y)[1], point, h=1e-5)
+        np.testing.assert_allclose(hess, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,21 +242,60 @@ def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
     rho = mixed_werner(x.shape[1], 0.3, 0.5, 0).matrix.real
     others = np.arange(len(x)) != i
     for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_rn_over_projection, (rho, n))):
-        grads = [fun(z, *args)[1].reshape(x.shape) for z in (x, y)]
-        assert np.array_equal(grads[0][others], grads[1][others])
+        blocks = [fun(z, *args) for z in (x, y)]
+        for before, after in zip(*blocks):
+            assert np.array_equal(before[others], after[others])
 
 
 def test_one_minimize_call_per_search(monkeypatch):
     calls, minimize = [], optimize.minimize
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
+        calls.append(kwargs.get("sphere", False))
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "minimize", counted)
     maximize_rn_over_ck(3, 4, FAST)
     werner_rn(3, 0.18, 3, projection="optimize", cfg=FAST)
-    assert calls == ["L-BFGS-B", "L-BFGS-B"]
+    assert calls == [False, True]
+
+
+def lbfgsb_maximum(n, k, cfg):
+    """The former search, kept as a reference: one scipy L-BFGS-B call over the
+    stacked restarts, with a = x^2 / sum x^2 and the chain-rule gradient
+    g_x = (2 x / S)(g_a - a . g_a)."""
+    from scipy.optimize import minimize
+
+    x0 = np.sqrt(optimize._start_points(n, k, cfg))
+
+    def neg_sum(flat):
+        x = flat.reshape(x0.shape)
+        s = np.sum(x * x, axis=-1, keepdims=True)
+        a = x * x / s
+        values, ga, _ = _neg_rn_over_simplex(a, n)
+        return values.sum(), (2.0 / s * x * (ga - np.sum(a * ga, axis=-1, keepdims=True))).ravel()
+
+    res = minimize(neg_sum, x0.ravel(), jac=True, method="L-BFGS-B",
+                   options=dict(ftol=optimize.TOL / len(x0), gtol=optimize.TOL, maxiter=2000))
+    x = res.x.reshape(x0.shape)
+    return max(rn_of_alpha(row * row / (row @ row), n) for row in x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_newton_maximum_not_below_lbfgsb(n, k, seed):
+    cfg = OptimizationConfig(seed=seed)
+    assert maximize_rn_over_ck(n, k, cfg).value >= lbfgsb_maximum(n, k, cfg) - 1e-12
+
+
+def test_kkt_certificates_of_table2_and_fig1():
+    # the cells of tables: Fig. 1's scan holds n = 3, k = 2..8, and Table 2 adds n = 4, 5
+    scan = growth_scan(8)
+    cells = {(3, int(k)): res for k, res in zip(scan.ks, scan.results)}
+    cells.update({(n, k): maximize_rn_over_ck(n, k) for n in (4, 5) for k in (2, 3, 4, 5)})
+    for (n, k), res in cells.items():
+        assert res.kkt_gradient <= 1e-9 * max(1.0, res.value), (n, k)
+        assert res.kkt_curvature < 0.0, (n, k)
 
 
 # maxima of the derivative-free Nelder-Mead search this maximizer replaced,

@@ -1,8 +1,8 @@
-"""Only ``tables`` and ``optimize`` import scipy.
+"""No command imports scipy: the library is numpy only.
 
 The check needs an interpreter that has not imported scipy yet, so it runs
-in a fresh one: the commands are called in-process there, ``sys.modules``
-is inspected, and then ``optimize`` loads scipy on its first call.
+in a fresh one: every command, ``tables`` and ``optimize`` included, is
+called in-process there, and then ``sys.modules`` is inspected.
 """
 
 import json
@@ -28,15 +28,16 @@ commands = [
     ["vertex-check"],
     ["werner-sweep", "--k", "3"],
     ["gue-sweep", "--k", "3", "--samples", "1"],
+    ["tables", "--restarts", "1"],
 ]
 codes = [main(argv + ["--out", fringe + ".out"]) for argv in commands]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main(["optimize", "--n", "3", "--k", "3", "--out", optimize_out]))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     fringe = tmp_path / "fringe.csv"
     t = [2 * math.pi * i / 32 for i in range(32)]
     fringe.write_text("t,p\n" + "".join(f"{ti!r},{(1 + math.cos(ti)) / 2!r}\n" for ti in t))
@@ -48,7 +49,7 @@ def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["scipy"] == []
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 8
 
     here = tmp_path / "optimize-here.json"
     assert main(["optimize", "--n", "3", "--k", "3", "--out", str(here)]) == 0
