@@ -11,7 +11,9 @@ import csv
 import functools
 import io
 import json
+import os
 import re
+import stat
 import sys
 from warnings import catch_warnings, simplefilter
 
@@ -28,6 +30,8 @@ SCHEMA_VERSION = 1
 # certify --input rejects a fit leaving [-RANGE_SLACK, 1 + RANGE_SLACK]: counts or percent
 # data, not a probability.  Noisy probability fringes stray a few 1e-3 outside [0, 1].
 RANGE_SLACK = 0.1
+# np.loadtxt decompresses a path with one of these suffixes; such files keep the open handle
+COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 class CliInputError(Exception):
@@ -65,6 +69,8 @@ def parse_state_spec(spec: str):
 def read_pattern_csv(path: str) -> np.ndarray:
     """Read (t, p) sample rows from a CSV with header ``t,p`` (t in radians);
     ``np.loadtxt`` parses the rows after the header (format in the README).
+    A regular file is passed to it by path, to be read in blocks; anything
+    else, such as a pipe, through the handle that read the header.
 
     Errors name the offending row by its 1-based count among the sample rows.
     numpy's own count starts at 0 in conversion errors and at 1 in column
@@ -79,11 +85,17 @@ def read_pattern_csv(path: str) -> np.ndarray:
         with fh, catch_warnings():
             # an empty body is reported below, not as numpy's warning
             simplefilter("ignore", UserWarning)
-            line = next((row for row in fh if not row.startswith("#")), "")
+            skip, line = next(((i, row) for i, row in enumerate(fh, 1)
+                               if not row.startswith("#")), (0, ""))
             if [h.strip().lower() for h in next(csv.reader([line]), [])[:2]] != ["t", "p"]:
                 raise CliInputError(f"{path}: expected CSV header 't,p'")
-            arr = np.loadtxt(fh, delimiter=",", comments="#", quotechar='"',
-                             usecols=(0, 1), ndmin=2)
+            # numpy reads a file it opens itself in blocks but a handle line by line;
+            # a pipe keeps the handle, as reopening it would lose the read-ahead or block
+            by_path = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                       and not path.endswith(COMPRESSED_SUFFIXES))
+            arr = np.loadtxt(path if by_path else fh, delimiter=",", comments="#",
+                             quotechar='"', usecols=(0, 1), ndmin=2,
+                             skiprows=skip if by_path else 0, encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError(f"cannot read {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:

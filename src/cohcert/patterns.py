@@ -35,6 +35,8 @@ __all__ = [
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
+# fit_pattern_from_samples rejects a design whose condition number exceeds this
+COND_LIMIT = 1e6
 
 
 class PatternCoefficients:
@@ -319,12 +321,45 @@ class PatternFit:
     cond: float
 
 
+def _trig_design(t: np.ndarray, dim: int) -> np.ndarray:
+    """The fit's design, one row per unknown: 1, 2 sin t, 2 cos t, ..., 2 cos (dim-1)t.
+
+    2 sin mt and 2 cos mt both obey f_m = 2 cos t f_{m-1} - f_{m-2}, from
+    f_0 = (0, 2), so one sin and one cos per sample time build every row.
+    """
+    rows = np.empty((dim, 2, t.size))
+    rows[0] = [[0.0], [2.0]]
+    if dim > 1:
+        x = 2 * np.cos(t)
+        rows[1] = 2 * np.sin(t), x
+    for m in range(2, dim):
+        np.multiply(x, rows[m - 1], out=rows[m])
+        rows[m] -= rows[m - 2]
+    rows[0, 1] = 1.0
+    return rows.reshape(2 * dim, t.size)[1:]
+
+
 def fit_pattern_from_samples(samples, dim: int) -> PatternFit:
     """Ordinary least squares for {c0, Re c_m, Im c_m} from (t, p) samples.
 
     Needs at least 2*dim - 1 samples with t inside one period [0, 2pi).
-    No regularization; the design-matrix condition number is reported
-    instead so callers can judge the fit themselves.
+
+    Method: the design X, with columns 1, 2 cos mt and 2 sin mt (0 < m < dim),
+    is built by a recurrence.  The normal equations are solved through the
+    Cholesky factor of the Gram matrix X^T X, followed by one refinement step
+    on the residual: Bjorck's corrected semi-normal equations (Linear Algebra
+    Appl. 88/89, 1987), which match a QR solve while cond(X) stays well below
+    1/sqrt(eps), about 7e7.  The factor only ever multiplies vectors.
+
+    ``cond`` is sqrt(lambda_max / lambda_min) of X^T X, with lambda_min taken
+    as |X v|^2 at the Gram matrix's lowest eigenvector v.  Up to the limit it
+    agrees with sigma_max / sigma_min of X to about 1e-10 relative; far above
+    it, it is a lower bound.
+    No regularization: a design with cond above COND_LIMIT = 1e6 is rejected
+    with a ValueError.  At that limit the Gram matrix's condition number is
+    1e12, well inside what Cholesky and one refinement step resolve; beyond
+    it a fit amplifies the noise in p about cond-fold (64 samples over a
+    quarter period give about 5e9 at dim 8).
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -335,18 +370,24 @@ def fit_pattern_from_samples(samples, dim: int) -> PatternFit:
         raise ValueError(f"need at least {n_unknowns} samples for dim={dim}, got {arr.shape[0]}")
     if t.min() < -1e-9 or t.max() >= 2 * np.pi + 1e-9:
         raise ValueError("sample times must lie within one period [0, 2pi)")
-    m = np.arange(1, dim)
-    design = np.hstack(
-        [np.ones((t.size, 1)), 2 * np.cos(np.outer(t, m)), 2 * np.sin(np.outer(t, m))]
-    )
-    coef, _, rank, svals = np.linalg.lstsq(design, p, rcond=None)
-    if rank < n_unknowns:
+    design = _trig_design(t, dim)
+    gram = design @ design.T
+    lam, vec = np.linalg.eigh(gram)
+    low = vec[:, 0] @ design
+    with np.errstate(divide="ignore"):
+        cond = float(np.sqrt(lam[-1] / (low @ low)))
+    if not cond <= COND_LIMIT:
         raise ValueError(
-            f"rank-deficient fit: design rank {rank} < {n_unknowns}; "
-            "supply more distinct sample times"
+            f"ill-conditioned fit: design condition number {cond:.3g} exceeds the limit "
+            f"{COND_LIMIT:g}; lower the fit dimension or spread the sample times over the period"
         )
-    c0 = coef[0]
-    c = coef[1:dim] + 1j * coef[dim:]
-    pat = PatternCoefficients(c0, c)
-    rms = float(np.sqrt(np.mean((design @ coef - p) ** 2)))
-    return PatternFit(pat, rms, float(svals[0] / svals[-1]))
+    chol = np.linalg.cholesky(gram)
+
+    def solve(v):  # (X^T X)^-1 v through the factor: two triangular solves
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
+
+    coef = solve(design @ p)
+    coef += solve(design @ (p - coef @ design))
+    resid = p - coef @ design
+    pat = PatternCoefficients(coef[0], coef[2::2] + 1j * coef[1::2])
+    return PatternFit(pat, float(np.sqrt(np.mean(resid * resid))), cond)

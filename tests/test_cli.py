@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import re
+import threading
 import warnings
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohcert.cli import main, parse_state_spec, read_pattern_csv, to_json, CliInputError
+from cohcert.patterns import COND_LIMIT
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -21,8 +25,8 @@ def run_cli(args, tmp_path, name="out.json"):
     return rc, doc, text
 
 
-def write_samples_csv(tmp_path, func, n=32, name="samples.csv"):
-    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+def write_samples_csv(tmp_path, func, n=32, name="samples.csv", span=2 * np.pi):
+    t = np.linspace(0, span, n, endpoint=False)
     path = tmp_path / name
     lines = ["t,p"] + [f"{float(ti)!r},{float(func(ti))!r}" for ti in t]
     path.write_text("\n".join(lines) + "\n")
@@ -70,13 +74,14 @@ def test_certify_constant_samples(tmp_path):
     assert doc["data"]["verdict"]["certified_level"] == 1
 
 
-@pytest.mark.parametrize("body, row", [
-    ("0.0,zero\n", 1),  # numpy counts this conversion error from row 0
-    ("0.0,0.5\n# note\n\n1.0\n", 2),  # and this column error from row 1
-])
-def test_certify_malformed_csv_names_one_based_sample_row(tmp_path, capsys, body, row):
+@pytest.mark.parametrize("text, row", [
+    ("t,p\n0.0,zero\n", 1),  # numpy counts this conversion error from row 0
+    ("t,p\n0.0,0.5\n# note\n\n1.0\n", 2),  # and this column error from row 1
+    ("# fringe\n#\nt,p\n0.0,0.5\nzero,0.5\n", 2),  # lines through the header are skipped
+], ids=["conversion", "columns", "commented-header"])
+def test_certify_malformed_csv_names_one_based_sample_row(tmp_path, capsys, text, row):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,p\n" + body)
+    bad.write_text(text)
     assert main(["certify", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed sample row {row}: ")
@@ -478,6 +483,63 @@ def test_certify_probability_fringe_keeps_its_level(tmp_path, func, level):
     rc, doc, _ = run_cli(["certify", "--input", path, "--dim", "3"], tmp_path)
     assert rc == 0
     assert doc["data"]["verdict"]["certified_level"] == level
+
+
+def w3_fringe(t):
+    return (3 + 4 * np.cos(t) + 2 * np.cos(2 * t)) / 9
+
+
+def test_certify_rejects_ill_conditioned_fit(tmp_path, capsys):
+    # on a quarter period, 15 unknowns (dimension 8) are nearly collinear; 5 are not
+    path = write_samples_csv(tmp_path, w3_fringe, n=64, span=np.pi / 2)
+    assert main(["certify", "--input", path, "--dim", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = re.fullmatch(r"error: pattern fit failed: ill-conditioned fit: design condition "
+                         r"number (\S+) exceeds the limit 1e\+06; lower the fit dimension or "
+                         r"spread the sample times over the period\n", captured.err)
+    assert error and float(error[1]) > COND_LIMIT
+    rc, doc, _ = run_cli(["certify", "--input", path, "--dim", "3"], tmp_path)
+    assert rc == 0
+    assert doc["data"]["verdict"]["certified_level"] == 3
+    assert doc["data"]["pattern"]["fit_condition"] < COND_LIMIT
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_pattern_csv_keeps_a_text_file_named_like_an_archive(tmp_path, suffix):
+    # np.loadtxt would decompress such a path by its name; the reader must not hand it over
+    path = write_samples_csv(tmp_path, w3_fringe)
+    named = tmp_path / f"samples.csv{suffix}"
+    named.write_bytes((tmp_path / "samples.csv").read_bytes())
+    assert read_pattern_csv(str(named)).tobytes() == read_pattern_csv(path).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_certify_reads_a_pipe_like_a_file(tmp_path):
+    # 4000 rows outgrow a pipe's buffer, so the reader must drain it while the writer runs
+    path = write_samples_csv(tmp_path, w3_fringe, n=4000)
+    data = b"# a W_3 fringe\n" + (tmp_path / "samples.csv").read_bytes()
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        rc, piped, _ = run_cli(["certify", "--input", f"/dev/fd/{read_end}", "--dim", "5"],
+                               tmp_path, "piped.json")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert rc == 0
+    _, plain, _ = run_cli(["certify", "--input", path, "--dim", "5"], tmp_path)
+    for doc in (piped, plain):
+        doc["params"].pop("input")
+        doc["data"]["pattern"].pop("input")
+    assert piped == plain
 
 
 def test_ratios_derive_from_reported_moments(tmp_path):

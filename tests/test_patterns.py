@@ -17,6 +17,7 @@ from cohcert import (
     ratio,
     w_state,
 )
+from cohcert.patterns import COND_LIMIT
 from conftest import rand_density, rand_pure, rand_simplex
 
 
@@ -243,6 +244,40 @@ def test_fit_errors():
         fit_pattern_from_samples(bad_t, 3)  # all times identical: rank deficient
     with pytest.raises(ValueError):
         fit_pattern_from_samples(np.column_stack([t + 7.0, np.ones(5)]), 2)
+
+
+def reference_fit(t, p, dim):
+    """The SVD least-squares fit ``fit_pattern_from_samples`` replaced, kept as the reference."""
+    m = np.arange(1, dim)
+    design = np.hstack(
+        [np.ones((t.size, 1)), 2 * np.cos(np.outer(t, m)), 2 * np.sin(np.outer(t, m))]
+    )
+    coef, _, _, svals = np.linalg.lstsq(design, p, rcond=None)
+    return coef, np.linalg.norm(design @ coef - p), svals[0] / svals[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), extra=st.integers(0, 3000),
+       span=st.floats(0.3, 1.0))
+def test_fit_matches_svd_reference(seed, dim, extra, span):
+    rng = np.random.default_rng(seed)
+    n = min(2 * dim - 1 + extra, 3000)
+    t = rng.uniform(0.0, 2 * np.pi * span, n)
+    p = (rng.uniform(0.2, 0.8) + rng.uniform(0.0, 0.2) * np.cos(t - rng.uniform(0.0, 2 * np.pi))
+         + rng.uniform(0.0, 0.05) * rng.standard_normal(n))
+    coef, res_norm, cond = reference_fit(t, p, dim)
+    try:
+        fit = fit_pattern_from_samples(np.column_stack([t, p]), dim)
+    except ValueError:
+        assert cond > 0.99 * COND_LIMIT
+        return
+    assert fit.cond == pytest.approx(cond, rel=1e-6)
+    # a consistent system (n = 2 dim - 1) leaves only round-off, eps * cond * |p|, to compare
+    floor = np.finfo(float).eps * cond * np.linalg.norm(p)
+    assert fit.residual * np.sqrt(n) <= (1 + 1e-10) * res_norm + floor
+    if cond <= 10:
+        got = np.concatenate([[fit.pattern.c0], fit.pattern.c.real, fit.pattern.c.imag])
+        assert np.all(np.abs(got - coef) <= 1e-12 * np.maximum(1.0, np.abs(coef)))
 
 
 def test_convexity_in_state():
