@@ -24,7 +24,7 @@ for lam in (0.18, 0.36, 0.54):
         else "reproducible by 2-coherent mixtures"
     print(f"  lambda={lam}: residual {verdict.residual:10.3e} "
           f"(certified >= {verdict.approx.lower_bound:10.3e})  {tag}")
-    print(f"    peak above the 2/3 bound: {verdict.peak_exceeded}")
+    print(f"    peak above q*M_1 = {2 * target.c0:.4f}: {verdict.peak_exceeded}")
 
 print(f"\npattern-level threshold equals the state-level one: "
       f"lambda_dec = {cc.lambda_dec(3, 2)}")

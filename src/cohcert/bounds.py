@@ -31,7 +31,6 @@ __all__ = [
     "r3_w_closed_form",
     "w_resonance_counts",
     "lambda_dec",
-    "pattern_peak_bound",
 ]
 # certifies, the rule certify_r3 applies, is shared with the drift sweep, not public API.
 
@@ -204,13 +203,6 @@ def lambda_dec(k: int, q: int) -> float:
     if not 1 <= q <= k:
         raise ValueError(f"q must lie in 1..{k}, got {q}")
     return (k - q) / (k - 1)
-
-
-def pattern_peak_bound(q: int, k: int) -> float:
-    """Peak value q/k that any q-coherent state's pattern can reach under W_k."""
-    if not 1 <= q <= k:
-        raise ValueError(f"q must lie in 1..{k}, got {q}")
-    return q / k
 
 
 # ---------------------------------------------------------------------------

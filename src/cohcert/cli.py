@@ -265,10 +265,14 @@ def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
 
 
 def _state_and_projection(spec: str, projection: str | None):
-    """(DensityMatrix, projection PureState) from a state spec and --projection."""
+    """(DensityMatrix, projection PureState) from a state spec and --projection,
+    which must name a pure state: a mixed one is rejected, not replaced."""
     rho, proj = parse_state_spec(spec)
     if projection:
-        _, proj = parse_state_spec(projection)
+        sigma, proj = parse_state_spec(projection)
+        if np.vdot(sigma.matrix, sigma.matrix).real < 1.0 - 1e-9:  # purity Tr sigma^2
+            raise CliInputError(f"--projection must be a pure state spec (W:k, PSI:k or "
+                                f"vec:a0,a1,...), got the mixed state {projection!r}")
         if proj.dim != rho.dim:
             raise CliInputError("projection dimension does not match the state")
     return rho, proj
@@ -347,7 +351,7 @@ def cmd_moments(args, warnings):
 
 def _search(res) -> dict:
     """Restart diagnostics of one maximization, as embedded in documents."""
-    return {"nfev": res.nfev, "nit": res.nit, "n_agree": res.n_agree, "spread": res.spread,
+    return {"nit": res.nit, "n_agree": res.n_agree, "spread": res.spread,
             "kkt_gradient": res.kkt_gradient, "kkt_curvature": res.kkt_curvature}
 
 

@@ -83,23 +83,20 @@ class OptimizeResult:
     Each restart stops once the gradient of R_n, projected on its face of
     the simplex, is below ``TOL * max(1, value)``; Newton's quadratic
     convergence leaves ``value`` and ``alpha`` resolved to round-off.
-    ``nfev`` counts the batched evaluations of R_n with its derivatives in
-    the one ``minimize`` call (the start points, then one per iteration) and
-    ``nit`` its Newton iterations.  From the restarts' end
-    values: ``n_agree`` restarts end within ``TOL * max(1, value)`` of
-    ``value``; ``spread`` = best - worst, which reads ``value - 1`` when a
-    restart ends on a one-level vertex (see the module docstring).  The best
-    restart's KKT certificate, on the face of the levels it populates:
-    ``kkt_gradient`` is the norm of the projected gradient of R_n and
-    ``kkt_curvature`` the largest eigenvalue of the Hessian of R_n on the
-    face; a gradient at round-off and a negative curvature show a strict
-    local maximum on that face.
+    ``nit`` counts the Newton iterations of the one ``minimize`` call over
+    all restarts.  From the restarts' end values: ``n_agree`` restarts end
+    within ``TOL * max(1, value)`` of ``value``; ``spread`` = best - worst,
+    which reads ``value - 1`` when a restart ends on a one-level vertex (see
+    the module docstring).  The best restart's KKT certificate, on the face
+    of the levels it populates: ``kkt_gradient`` is the norm of the projected
+    gradient of R_n and ``kkt_curvature`` the largest eigenvalue of the
+    Hessian of R_n on the face; a gradient at round-off and a negative
+    curvature show a strict local maximum on that face.
     """
 
     alpha: np.ndarray
     value: float
     converged: bool
-    nfev: int
     nit: int
     n_agree: int
     spread: float
@@ -371,8 +368,7 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
         assert best_val >= r3_w_closed_form(k) - TOL
     kkt_gradient, kkt_curvature = _kkt_certificate(res.x[best], -res.jac[best], -res.hess[best])
     return OptimizeResult(
-        alpha=res.x[best], value=float(best_val), converged=res.success,
-        nfev=res.nfev, nit=res.nit,
+        alpha=res.x[best], value=float(best_val), converged=res.success, nit=res.nit,
         n_agree=int(np.sum(values >= best_val - TOL * max(1.0, best_val))),
         spread=float(best_val - values.min()),
         kkt_gradient=kkt_gradient, kkt_curvature=kkt_curvature)

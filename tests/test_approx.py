@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import cohcert.approx
 import cohcert.optimize
 from cohcert import (
+    DensityMatrix,
     PureState,
     WernerParams,
     best_q_approximation,
@@ -118,36 +119,48 @@ def test_verdict_full_class_reproduces_everything():
 
 
 def test_verdict_peak_bound_consistency():
-    chi = w_state(3).density()
-    for lam in (0.1, 0.3, 0.49, 0.6, 0.9):
-        verdict = reproducibility_verdict(werner_pattern(lam), chi, 2)
-        assert verdict.peak_exceeded is not None
-        if verdict.peak_exceeded:
-            # the analytic shortcut may only confirm the fit verdict
-            assert verdict.exceeds_coherence
-    # non-W projection: no peak shortcut available
-    rng = np.random.default_rng(3)
-    sigma = rand_density(rng, 3)
-    target = pattern_from_states(werner_state(WernerParams(3, 0.3)), sigma)
-    verdict = reproducibility_verdict(target, sigma, 2)
-    assert verdict.peak_exceeded is None
+    # the peak test applies under every projection and may only confirm the fit verdict
+    chis = [w_state(3).density(), psi_star(3).density(),
+            PureState.normalized([1, 2, 1]).density(), rand_density(np.random.default_rng(3), 3)]
+    for chi in chis:
+        for lam in (0.1, 0.3, 0.49, 0.6, 0.9):
+            target = pattern_from_states(werner_state(WernerParams(3, lam)), chi)
+            verdict = reproducibility_verdict(target, chi, 2)
+            assert isinstance(verdict.peak_exceeded, bool)
+            if verdict.peak_exceeded:
+                assert verdict.exceeds_coherence
+            if lam == 0.1 and chi is not chis[-1]:
+                assert verdict.peak_exceeded
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_w_projection_k_finds_embedded_w_states(d):
-    for k in range(1, d + 1):
-        amps = np.zeros(d)
-        amps[:k] = 1 / np.sqrt(k)
-        assert cohcert.approx._w_projection_k(PureState(amps).density()) == k
+def q_coherent_mixture(rng, d, q, parts, chi=None):
+    """A mixture of ``parts`` pure states, each on its own random support of
+    at most q of the d levels.  Given a pure projection ``chi``, each state
+    has amplitudes 1 / conj(chi) on its support, where the peak bound is tight."""
+    rho = np.zeros((d, d), dtype=complex)
+    for w in rng.dirichlet(np.ones(parts)):
+        support = rng.choice(d, size=rng.integers(1, q + 1), replace=False)
+        v = np.zeros(d, dtype=complex)
+        v[support] = (rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+                      if chi is None else 1.0 / chi.amplitudes[support].conj())
+        v /= np.linalg.norm(v)
+        rho += w * np.outer(v, v.conj())
+    return DensityMatrix(rho)
 
 
-def test_w_projection_k_rejects_other_projections():
-    phased = np.full(3, 1 / np.sqrt(3), dtype=complex)
-    phased[1] *= 1j
-    others = [PureState(phased), psi_star(3), PureState.normalized([1, 2, 1]),
-              PureState.normalized([0, 1, 1])]
-    for chi in others:
-        assert cohcert.approx._w_projection_k(chi.density()) is None
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 10), q=st.integers(1, 10),
+       parts=st.integers(1, 4), tight=st.booleans())
+@example(seed=0, d=4, q=1, parts=3, tight=False)  # incoherent: p(t) = M_1 for every t
+def test_peak_never_exceeds_q_mean_for_q_coherent_mixtures(seed, d, q, parts, tight):
+    rng = np.random.default_rng(seed)
+    q = min(q, d)
+    chi = rand_pure(rng, d) if tight else None
+    sigma = chi.density() if tight else rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
+    target = pattern_from_states(q_coherent_mixture(rng, d, q, parts, chi), sigma)
+    grid = np.linspace(0.0, 2 * np.pi, 64 * d, endpoint=False)
+    assert target.evaluate(grid).max() <= q * target.c0 * (1 + 1e-12)
+    assert reproducibility_verdict(target, sigma, q).peak_exceeded is False
 
 
 def werner_grid():

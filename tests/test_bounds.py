@@ -9,7 +9,6 @@ from cohcert import (
     d_from_alpha,
     hessian_principal_minors,
     lambda_dec,
-    pattern_peak_bound,
     r3_from_d,
     r3_w_closed_form,
     rn_of_alpha,
@@ -234,14 +233,6 @@ def test_lambda_dec_examples():
         lambda_dec(1, 1)
     with pytest.raises(ValueError):
         lambda_dec(3, 4)
-
-
-def test_pattern_peak_bound():
-    assert pattern_peak_bound(2, 3) == pytest.approx(2 / 3)
-    assert pattern_peak_bound(3, 3) == 1.0
-    assert pattern_peak_bound(1, 3) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        pattern_peak_bound(4, 3)
 
 
 def test_dvector_validation():

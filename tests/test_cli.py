@@ -564,14 +564,12 @@ def test_non_finite_vec_spec_is_input_error(capsys, argv):
     assert captured.err.count("\n") == 1 and "amplitudes must be finite" in captured.err
 
 
-SEARCH_FIELDS = {"nfev", "nit", "n_agree", "spread", "kkt_gradient", "kkt_curvature"}
+SEARCH_FIELDS = {"nit", "n_agree", "spread", "kkt_gradient", "kkt_curvature"}
 
 
 def assert_search(search, restarts):
     assert set(search) == SEARCH_FIELDS
     assert 1 <= search["n_agree"] <= restarts and search["spread"] >= 0.0
-    # one batched call: an evaluation at the start, then at least one per iteration
-    assert search["nfev"] >= search["nit"] + 1
     assert search["kkt_gradient"] >= 0.0
 
 
@@ -603,13 +601,25 @@ def test_document_booleans_are_json_booleans(tmp_path):
         assert doc["data"]["peak_bound_exceeded"] is exceeds
 
 
-@pytest.mark.parametrize("projection, peak", [
-    (None, True), ("vec:1,1,1", True), ("PSI:3", None), ("vec:1,2,1", None),
-])
-def test_approx_peak_bound_needs_a_w_projection(tmp_path, projection, peak):
+@pytest.mark.parametrize("projection", [None, "vec:1,1,1", "PSI:3", "vec:1,2,1"])
+def test_approx_peak_bound_holds_for_every_projection(tmp_path, projection):
     argv = ["approx", "--target", "werner:3:0.1", "--q", "2"]
     _, doc, _ = run_cli(argv + (["--projection", projection] if projection else []), tmp_path)
-    assert doc["data"]["peak_bound_exceeded"] is peak
+    # a peak above q M_1 proves q + 1 levels under any projection, and the fit agrees
+    assert doc["data"]["peak_bound_exceeded"] is True
+    assert doc["data"]["exceeds_q_coherence"] is True
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("certify", "--state"), ("moments", "--state"), ("approx", "--target"),
+])
+def test_mixed_projection_is_input_error(capsys, command, flag):
+    # the default projection of a Werner spec must not stand in for the mixed state it names
+    argv = [command, flag, "PSI:3", "--projection", "werner:3:0.9"]
+    assert main(argv + (["--q", "2"] if command == "approx" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "pure state" in captured.err
 
 
 def reference_form(obj):

@@ -321,7 +321,6 @@ def test_restart_diagnostics():
         res = maximize_rn_over_ck(n, k, cfg)
         assert 1 <= res.n_agree <= cfg.restarts
         assert res.spread >= 0.0
-        assert res.nfev >= res.nit + 1  # one stacked call: the start, then each iteration
     # at (3, 3) some restarts end on a local maximum about 0.52 lower
     res = maximize_rn_over_ck(3, 3)
     assert res.n_agree < 32 and res.spread == pytest.approx(0.5232, abs=1e-3)
