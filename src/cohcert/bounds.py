@@ -79,9 +79,9 @@ def certify_r3(value: float) -> CertifierResult:
     Level k+1 is certified when ``certifies(value, thr)`` holds for thr, the
     proven maximum over k-coherent states.
     """
-    if value < 0:
-        raise ValueError(f"R_3 must be nonnegative, got {value}")
     value = float(value)
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"R_3 must be finite and nonnegative, got {value}")
     level = 1
     for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
         if certifies(value, thr):

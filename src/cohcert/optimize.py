@@ -25,9 +25,8 @@ from numpy.linalg import _umath_linalg
 from numpy.polynomial import Polynomial
 
 from .bounds import r3_w_closed_form
-from .patterns import (batch_moments, matrix_coefficients, overlap_coefficients,
-                       ratio_from_moments, ratio_gradient)
-from .states import WernerParams, psi_star, werner_state, w_state
+from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
+from .states import WernerParams, psi_star, w_state
 
 __all__ = [
     "OptimizationConfig",
@@ -48,7 +47,6 @@ TOL = 1e-10  # a row converges when its projected gradient is below TOL * max(1,
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 ROUNDOFF = 1e-14  # relative round-off of a value, which the line search tolerates
 MIN_STEP = 1e-6  # a row whose step length falls below MIN_STEP stops unconverged
-FD_STEP = 1e-5  # central-difference step of the sphere Hessian, on unit rows
 
 
 @dataclass(frozen=True)
@@ -72,6 +70,8 @@ def rn_of_alpha(alpha, n: int) -> float:
     The pattern coefficients are the autocorrelation of alpha, so moments
     follow exactly from the moment engine.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     ms = batch_moments(overlap_coefficients(np.asarray(alpha, dtype=float)), n)
     return float(ratio_from_moments(ms, n))
 
@@ -121,11 +121,9 @@ class NewtonResult:
     success: bool
 
 
-def _retract(y: np.ndarray, sphere: bool) -> np.ndarray:
-    """Rows of ``y`` mapped onto the unit sphere, or onto the probability
-    simplex by clipping negative entries and rescaling to sum 1."""
-    if sphere:
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+def _retract(y: np.ndarray) -> np.ndarray:
+    """Rows of ``y`` mapped onto the probability simplex by clipping negative
+    entries and rescaling to sum 1."""
     y = np.maximum(y, 0.0)
     return y / y.sum(axis=-1, keepdims=True)
 
@@ -138,28 +136,25 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
         return ~np.isnan(_umath_linalg.cholesky_lo(h)[:, -1, -1])
 
 
-def _newton_step(x, g, h, normal, free):
-    """Newton directions of the rows of ``x`` on their faces.
+def _newton_step(x, g, h, free):
+    """Newton directions of the rows of ``x`` on their faces of the simplex.
 
-    A row's face is {d : n . d = 0, d_i = 0 off the free coordinates} for
-    the constraint normal n (the free mask on the simplex, x on the
-    sphere).  With j the row's largest free coordinate, z_i = e_i -
-    (n_i / n_j) e_j for the free i != j span it; the other columns of Z
-    are 0.  The step minimizes the quadratic model along the
-    face.  Where the model's Hessian on the face, Z^T H Z, is not positive
-    definite, 1.5 times its Gershgorin bound is added to its diagonal, which
-    leaves every eigenvalue at least half as large as the most negative one
-    was in size (a factor chosen over 20 seeds of the ``tables`` searches:
-    150 Newton iterations on average, against 155 for 2 and 164 for 2.5).
+    A row's face is {d : sum d = 0, d_i = 0 off the free coordinates}.  With
+    j the row's largest coordinate, z_i = e_i - e_j for the free i != j span
+    it; the other columns of Z are 0.  The step minimizes the quadratic
+    model along the face.  Where the model's Hessian on the face, Z^T H Z,
+    is not positive definite, 1.5 times its Gershgorin bound is added to its
+    diagonal, which leaves every eigenvalue at least half as large as the
+    most negative one was in size (a factor chosen over 20 seeds of the
+    ``tables`` searches: 150 Newton iterations on average, against 155 for 2
+    and 164 for 2.5).
     """
     rows, k = x.shape
     eye = np.eye(k)
-    each = np.arange(rows)
-    pivot = np.argmax(x * normal, axis=-1)
+    pivot = np.argmax(x, axis=-1)
     moves = free.copy()
-    moves[each, pivot] = False
-    w = normal / normal[each, pivot, None]
-    z = (eye - eye[pivot, :, None] * w[:, None, :]) * moves[:, None, :]
+    moves[np.arange(rows), pivot] = False
+    z = (eye - eye[pivot, :, None]) * moves[:, None, :]
     grad = (g[:, None, :] @ z)[:, 0]
     reduced = np.swapaxes(z, 1, 2) @ h @ z + eye * ~moves[:, None, :]
     bad = ~_positive_definite(reduced)
@@ -171,23 +166,21 @@ def _newton_step(x, g, h, normal, free):
     return (z @ np.linalg.solve(reduced, -grad[..., None]))[..., 0]
 
 
-def minimize(fun, x0, args=(), sphere: bool = False) -> NewtonResult:
+def minimize(fun, x0, args=()) -> NewtonResult:
     """Minimize ``fun`` from each row of ``x0`` on its own, by projected Newton.
 
     ``fun(x, *args)`` returns the values, gradients and Hessians of the rows
-    of a (rows, k) array.  The rows live on the probability simplex, or with
-    ``sphere`` on the unit sphere, where steps are tangent and rows are
-    renormalized.  On the simplex a coordinate is active, and stays 0, while
-    it is 0 and its reduced gradient g_i - x . g is positive; the retraction
-    clips coordinates that a step takes below 0.  Each iteration evaluates
-    every row's trial point in one batched call: a row whose trial passes
-    the Armijo test moves there and takes its next Newton step at full
-    length, and a row whose trial fails shortens its step for the next
-    iteration.  A row stops once its gradient projected on its face is
-    below ``TOL * max(1, |value|)``, or unconverged when its step length
-    falls below MIN_STEP.
+    of a (rows, k) array.  The rows live on the probability simplex: a
+    coordinate is active, and stays 0, while it is 0 and its reduced
+    gradient g_i - x . g is positive; the retraction clips coordinates that
+    a step takes below 0.  Each iteration evaluates every row's trial point
+    in one batched call: a row whose trial passes the Armijo test moves
+    there and takes its next Newton step at full length, and a row whose
+    trial fails shortens its step for the next iteration.  A row stops once
+    its gradient projected on its face is below ``TOL * max(1, |value|)``,
+    or unconverged when its step length falls below MIN_STEP.
     """
-    xs = _retract(np.array(x0, dtype=float), sphere)
+    xs = _retract(np.array(x0, dtype=float))
     f, g, h = fun(xs, *args)
     end = [np.empty_like(arr) for arr in (xs, f, g, h)]
     converged = np.zeros(len(xs), dtype=bool)
@@ -199,14 +192,9 @@ def minimize(fun, x0, args=(), sphere: bool = False) -> NewtonResult:
             arr[live[which]] = now[which]
 
     while True:
-        if sphere:
-            free, normal = np.ones(xs.shape, dtype=bool), xs
-            along = g - (g * xs).sum(axis=-1, keepdims=True) * xs
-        else:
-            free = (xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True))
-            normal = free
-            mean = (g * free).sum(axis=-1, keepdims=True) / free.sum(axis=-1, keepdims=True)
-            along = (g - mean) * free
+        free = (xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True))
+        mean = (g * free).sum(axis=-1, keepdims=True) / free.sum(axis=-1, keepdims=True)
+        along = (g - mean) * free
         scale = np.maximum(1.0, np.abs(f))
         # ``along``, the gradient on the face, decides convergence
         run = (along * along).sum(axis=-1) > (TOL * scale) ** 2
@@ -214,11 +202,11 @@ def minimize(fun, x0, args=(), sphere: bool = False) -> NewtonResult:
             converged[live[~run]] = True
             run &= nit < MAX_ITERS
             finish(~run)
-            live, xs, f, g, h, step, scale, normal, free = (
-                arr[run] for arr in (live, xs, f, g, h, step, scale, normal, free))
+            live, xs, f, g, h, step, scale, free = (
+                arr[run] for arr in (live, xs, f, g, h, step, scale, free))
             if not live.size:
                 break
-        trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, normal, free), sphere)
+        trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, free))
         ft, gt, ht = fun(trial, *args)
         nit += 1
         # the Armijo test tolerates round-off, so a Newton step at round-off level passes
@@ -311,7 +299,8 @@ def _neg_rn_over_simplex(a: np.ndarray, n: int):
     waves, transform, mean, lag, total, constants = _trig_grid(k, n)
     b = a @ waves
     p = (b * b.conj()).real
-    pn2 = p  # p^(n-2), by products: a float power takes several times longer
+    # p^(n-2), by products: a float power takes several times longer
+    pn2 = p if n > 2 else np.ones_like(p)
     for _ in range(n - 3):
         pn2 = pn2 * p
     pn1 = pn2 * p
@@ -427,36 +416,27 @@ def werner_coefficients(k: int, lam) -> np.ndarray:
     return cs
 
 
-def _projection_gradient(x, rho: np.ndarray, n: int):
-    """-R_n of a real ``rho`` under sigma_r = x_r x_r^T / S_r, S_r = sum x_r^2,
-    for the rows x_r of ``x``, and its gradient in x.
+def _neg_werner_rn(x: np.ndarray, k: int, lam: float, n: int):
+    """-R_n of werner(k, lam) under the real projections x / |x| for the rows
+    x of ``x``, and its gradients and Hessians in x.
 
-    For real matrices the kernel is symmetric in rho and sigma, so the stack
-    of sigmas can take rho's place.  With T_m = S c_m = sum_p rho_{p,p-m}
-    x_{p-m} x_p and g = dR_n/dc, v = sum_m g_m dT_m/dx = (rho * H) x, where
-    H_pq = g_|p-q| (2 g_0 on the diagonal); T_m is quadratic in x, so
-    x . v = 2 S g . c and g_x = (v - (x . v / S) x) / S.
+    With S = sum x^2 and u = |sum_q x_q e^{iqt}|^2 / S, the pattern is
+    (lam + (1 - lam) u) / k and M_1 = 1/k, so R_n = (1/k) sum_j C(n, j)
+    lam^(n-j) (1 - lam)^j <u^j>, where <u^0> = <u> = 1 and <u^j> = R_j / S
+    for j >= 2, with R_j of ``_neg_rn_over_simplex``.  For the weighted sum
+    P of the -R_j and F = P / S, the quotient rule with dS = 2x and
+    d2S = 2I gives dF = (dP - 2 F x) / S and
+    d2F = (d2P - 2 (dF x^T + x dF^T) - 2 F I) / S.
     """
-    s = np.sum(x * x, axis=-1)
-    sigma = x[..., :, None] * x[..., None, :] / s[..., None, None]
-    r, g = ratio_gradient(matrix_coefficients(sigma, rho), n)
-    lag = np.abs(np.subtract.outer(np.arange(len(rho)), np.arange(len(rho))))
-    v = np.einsum("...pq,...q->...p", rho * (1.0 + np.eye(len(rho))) * g[..., lag], x)
-    return -r, (v - (np.sum(x * v, axis=-1) / s)[..., None] * x) / -s[..., None]
-
-
-def _neg_rn_over_projection(x, rho: np.ndarray, n: int):
-    """``_projection_gradient``'s values and gradients, and Hessians: the
-    symmetrized central differences of the exact gradient over
-    x +- FD_STEP e_i, the 2k points of every row stacked into one gradient
-    call; ``minimize`` keeps the rows unit vectors, so one step suits all."""
-    value, grad = _projection_gradient(x, rho, n)
-    rows, k = x.shape
-    steps = FD_STEP * np.eye(k)
-    shifted = np.stack([x[:, None] + steps, x[:, None] - steps], axis=1)
-    ends = _projection_gradient(shifted.reshape(-1, k), rho, n)[1].reshape(rows, 2, k, k)
-    hess = (ends[:, 0] - ends[:, 1]) / (2 * FD_STEP)
-    return value, grad, (hess + np.swapaxes(hess, 1, 2)) / 2
+    weights = [comb(n, j) * lam ** (n - j) * (1.0 - lam) ** j / k for j in range(n + 1)]
+    terms = [_neg_rn_over_simplex(x, j) for j in range(2, n + 1)]
+    f, g, h = (sum(w * term[i] for w, term in zip(weights[2:], terms)) for i in range(3))
+    s = (x * x).sum(axis=-1)
+    f = f / s
+    g = (g - 2.0 * f[:, None] * x) / s[:, None]
+    gx = g[:, :, None] * x[:, None, :]
+    h = h - 2.0 * (gx + np.swapaxes(gx, 1, 2) + f[:, None, None] * np.eye(k))
+    return f - weights[0] - weights[1], g, h / s[:, None, None]
 
 
 def werner_rn(k: int, lam: float, n: int, projection: str = "w",
@@ -466,23 +446,31 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     projection: "w" projects onto the equal superposition W_k (the optimal
     measurement for Werner-like states at lam = 0), and "optimize"
     maximizes over real projection states chi by one ``minimize`` call on
-    the unit sphere, as in ``maximize_rn_over_ck``: Newton steps in the
-    tangent space on the exact gradient in chi and its central-difference
-    Hessian (restarts from ``cfg``; the first restart starts at W_k and no
-    step lowers R_n beyond round-off, so the result is not below the "w"
-    value).
+    the simplex, as in ``maximize_rn_over_ck`` (restarts from ``cfg``; the
+    first restart starts at W_k and no step lowers R_n beyond round-off, so
+    the result is not below the "w" value).
+
+    Nonnegative chi lose nothing.  Under a unit real chi the pattern has
+    c_0 = 1/k and c_m = (1 - lam)/k A_m with A_m = sum_q chi_{q+m} chi_q,
+    so p = c_0 + 2 sum_m c_m cos(mt) and M_n = <p^n> is a polynomial in the
+    c_m whose coefficients, means of products of cosines, are nonnegative.
+    |A_m(chi)| <= A_m(|chi|) and 1 - lam >= 0 bound each of its terms by
+    the same term at |chi|, and M_1 = 1/k at both, so R_n(|chi|) >=
+    R_n(chi).  R_n depends on chi >= 0 only through its direction
+    (``_neg_werner_rn``), so a search over nonnegative unit chi is a search
+    over the simplex.
     """
-    params = WernerParams(k, lam)
+    WernerParams(k, lam)  # validates k and lam
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if projection == "w":
         return float(ratio_from_moments(batch_moments(werner_coefficients(k, lam), n), n))
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")
-    # the Werner state is real, so real projections give real coefficients
-    rho = werner_state(params).matrix.real
     cfg = cfg or OptimizationConfig(restarts=8)
     starts = _seeded_draws(cfg.seed, cfg.restarts, k).copy()
-    starts[0] = 1.0 / np.sqrt(k)
-    res = minimize(_neg_rn_over_projection, starts, args=(rho, n), sphere=True)
+    starts[0] = 1.0
+    res = minimize(_neg_werner_rn, starts, args=(k, lam, n))
     return float(-res.values.min())
 
 
@@ -511,8 +499,8 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     conditioned than lam).  dR_n/du = n k^(n-1) <q p^(n-1)> >= 0 since p >= 0
     grows with q and <q> = 0, so a bracketed root is unique.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     q = werner_coefficients(k, 0.0)
     q[0] = 0.0
     mu = np.concatenate([[1.0], batch_moments(q, n)])

@@ -5,7 +5,7 @@ probability over one 2*pi period.  This module holds the one coefficient
 kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form with its
 adjoint, and a pure-state fast path) and the one moment engine, which takes
 M_n = <p^n> exactly as the mean over an alias-free grid and accepts leading
-batch axes; the gradient of R_n in the coefficients uses the same grid.
+batch axes.
 Sampling on a user-chosen grid is kept as an independent cross-check oracle.
 """
 
@@ -29,9 +29,9 @@ __all__ = [
     "fit_pattern_from_samples",
 ]
 # The kernel (matrix_coefficients, its adjoint coefficient_gradient,
-# overlap_coefficients) and the engine (batch_moments, ratio_from_moments,
-# ratio_gradient) are unvalidated array building blocks shared by the other
-# modules; they stay out of the public API.
+# overlap_coefficients) and the engine (batch_moments, ratio_from_moments)
+# are unvalidated array building blocks shared by the other modules; they
+# stay out of the public API.
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
@@ -49,6 +49,8 @@ class PatternCoefficients:
         carr = np.array(c, dtype=complex)
         if carr.ndim != 1:
             raise ValueError("c must be a 1-d vector of complex coefficients")
+        if not (np.isfinite(c0) and np.isfinite(carr).all()):
+            raise ValueError("pattern coefficients must be finite")
         object.__setattr__(self, "c0", c0)
         carr.setflags(write=False)
         object.__setattr__(self, "c", carr)
@@ -105,13 +107,15 @@ class OverlapVector:
         a = np.array(alpha, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alpha must be a non-empty 1-d vector")
+        p = np.zeros_like(a) if phi is None else np.array(phi, dtype=float)
+        if p.shape != a.shape:
+            raise ValueError("phi must match alpha in shape")
+        if not (np.isfinite(a).all() and np.isfinite(p).all()):
+            raise ValueError("alpha and phi must be finite")
         if a.min() < 0:
             raise ValueError("alpha entries must be nonnegative")
         if a.sum() > 1.0 + 1e-12:
             raise ValueError(f"sum(alpha) = {a.sum()!r} exceeds the Cauchy-Schwarz bound 1")
-        p = np.zeros_like(a) if phi is None else np.array(phi, dtype=float)
-        if p.shape != a.shape:
-            raise ValueError("phi must match alpha in shape")
         a.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -223,27 +227,6 @@ def ratio_from_moments(ms, n: int):
     """R_n = M_n / M_1^{n-1} along the last axis of a moment array."""
     # indexing the transpose keeps one pattern's moments numpy scalars
     return (ms.T[n - 1] / ms.T[0] ** (n - 1)).T
-
-
-def ratio_gradient(c: np.ndarray, n: int):
-    """R_n of patterns with real one-sided coefficients ``c``, and dR_n/dc.
-
-    Leading axes of ``c`` are a batch; R_n has the batch shape and dR_n/dc
-    the shape of ``c``.  On the engine's grid t_j, with
-    p_j = sum_m w_m c_m cos(m t_j), dM_n/dc_m = n mean(p^(n-1) w_m cos(m t_j));
-    p^(n-1) cos(m t) stays below the grid's alias frequency, so this mean is
-    exact like the moments.  Since M_1 = c_0,
-    dR_n/dc = (dM_n/dc) / M_1^(n-1) - (n-1) R_n / M_1 e_0.
-    """
-    cos_basis, _, _, weights = _moment_grid(c.shape[-1], n)
-    p = np.dot(c, cos_basis)
-    q = p ** (n - 1)
-    m1, mn = np.dot(p, weights), np.dot(q * p, weights)
-    scale = m1 ** (n - 1)
-    r = mn / scale
-    g = np.dot(q * weights, cos_basis.T) * (n / scale)[..., None]
-    g[..., 0] -= (n - 1) * r / m1
-    return r, g
 
 
 def pattern_from_states(rho, sigma) -> PatternCoefficients:

@@ -32,6 +32,12 @@ def test_certify_examples():
         certify_r3(-0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="finite"):
+        certify_r3(value)
+
+
 def test_certify_strictness_at_thresholds():
     assert certify_r3(1.0).certified_level == 1
     assert certify_r3(1.0 + 1e-12).certified_level == 2

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohcert import (
-    DensityMatrix,
     OptimizationConfig,
     PureState,
     WernerParams,
@@ -22,8 +21,7 @@ from cohcert import (
     werner_state,
 )
 from cohcert import optimize
-from cohcert.optimize import _neg_rn_over_projection, _neg_rn_over_simplex, _projection_gradient
-from conftest import rand_density
+from cohcert.optimize import _neg_rn_over_simplex, _neg_werner_rn
 
 FAST = OptimizationConfig(restarts=6, seed=0)
 
@@ -121,6 +119,47 @@ def test_werner_rn_projection_modes():
         werner_rn(3, 0.18, 3, projection="bogus")
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_orders_below_two_rejected(n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        werner_rn(3, 0.5, n)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        rn_of_alpha(np.full(3, 1 / 3), n)
+
+
+# werner_rn(k, lam, n, projection="optimize") for n = 2, 3, 4, 5 at the default
+# configuration, from the search this simplex search replaced: projected Newton
+# over real unit projections of either sign, on a central-difference Hessian
+SIGNED_SEARCH_WERNER = {
+    (2, 0.0): (0.7500000000000001, 1.2500000000000002, 2.1875, 3.9375),
+    (2, 0.18): (0.6681000000000002, 1.0043000000000002, 1.5933728300000003, 2.604864150000001),
+    (2, 0.5): (0.5625000000000001, 0.6875, 0.88671875, 1.1835937500000004),
+    (2, 0.9): (0.5025000000000001, 0.5075000000000001, 0.5150187500000001, 0.5250937500000001),
+    (3, 0.0): (0.7142857142857144, 1.7614116445040697, 4.595907989075369, 12.366415391231834),
+    (3, 0.18): (0.5894857142857145, 1.2586636750929174, 2.876471928570354, 6.797775528951144),
+    (3, 0.5): (0.42857142857142866, 0.6544265588152313, 1.0988399305268708, 1.9392717375209931),
+    (3, 0.9): (0.3371428571428572, 0.34504251968514177, 0.3573973101946927, 0.37466844627385076),
+    (4, 0.0): (0.7022100413685993, 2.300881595696182, 7.992159059912638, 28.646336899098557),
+    (4, 0.18): (0.5540660318162461, 1.5443812530502488, 4.622324502047767, 14.30957444185271),
+    (4, 0.5): (0.36305251034214986, 0.6754835048314287, 1.414828581626305, 3.1266297943962367),
+    (4, 0.9): (0.2545221004136861, 0.26425190359299544, 0.2801012680146681, 0.30326502067068756),
+    (5, 0.0): (0.6966900438894092, 2.8496299434919354, 12.364622797960923, 55.37600097764749),
+    (5, 0.18): (0.5339743855112388, 1.8405397835969703, 6.814864891237833, 26.094626345847466),
+    (5, 0.5): (0.32417251097235233, 0.7168879025822252, 1.8071619575077145, 4.804364128830699),
+    (5, 0.9): (0.20496690043889418, 0.21604817638662335, 0.2348468735060336, 0.26358052136176624),
+    (6, 0.0): (0.6937094305275463, 3.402645624275015, 17.710860208160874, 95.16345238617198),
+    (6, 0.18): (0.5210502210867226, 2.141446286175125, 9.450083741033952, 43.11767274170836),
+    (6, 0.5): (0.2984273576318866, 0.7681481653605916, 2.267661022373958, 7.0475616344140075),
+    (6, 0.9): (0.17193709430527548, 0.18411772943188182, 0.2056251245853443, 0.2399964412564884),
+}
+
+
+def test_werner_projection_search_matches_signed_search():
+    for (k, lam), previous in SIGNED_SEARCH_WERNER.items():
+        for n, value in enumerate(previous, start=2):
+            assert werner_rn(k, lam, n, projection="optimize") == pytest.approx(value, rel=1e-12)
+
+
 def test_lambda_threshold_k3():
     rec = lambda_threshold(3, 3, 5 / 4)
     assert rec.reachable
@@ -134,8 +173,9 @@ def test_lambda_threshold_unreachable():
     assert not rec.reachable and rec.lambda_thr == 0.0
     rec = lambda_threshold(3, 3, 1e-9)
     assert not rec.reachable and rec.lambda_thr == 1.0
-    with pytest.raises(ValueError):
-        lambda_threshold(3, 3, -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            lambda_threshold(3, 3, bad)
 
 
 def test_lambda_threshold_orderings():
@@ -176,7 +216,7 @@ def neg_rn_rows(a, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=stacks(), n=st.sampled_from([3, 4, 5]))
+@given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]))
 def test_stacked_value_is_sum_of_row_values(x, n):
     values = _neg_rn_over_simplex(x, n)[0]
     np.testing.assert_allclose(values, neg_rn_rows(x, n), rtol=1e-12)
@@ -184,52 +224,47 @@ def test_stacked_value_is_sum_of_row_values(x, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=stacks(), n=st.sampled_from([3, 4, 5]))
+@given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]))
 def test_simplex_gradient_matches_central_differences(x, n):
     _, grad, _ = _neg_rn_over_simplex(x, n)
     num = central_differences(lambda y: neg_rn_rows(y, n), x)
     np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
 
 
-def mixed_werner(k, lam, mix, seed):
-    """A Werner state, or one mixed with a random real state (whose diagonal,
-    unlike the Werner state's, is not flat, so c_0 varies with chi)."""
-    other = rand_density(np.random.default_rng(seed), k).matrix.real
-    return DensityMatrix((1 - mix) * werner_state(WernerParams(k, lam)).matrix + mix * other)
+def werner_rn_rows(x, lam, n):
+    """R_n of werner(k, lam) under each row of ``x``, normalized to a projection,
+    through the density-matrix kernel."""
+    rho = werner_state(WernerParams(x.shape[1], lam))
+    return np.array([ratio(pattern_from_states(rho, PureState.normalized(row)), n) for row in x])
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=stacks(), n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
-       mix=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
-def test_projection_gradient_matches_central_differences(x, n, lam, mix, seed):
-    rho = mixed_werner(x.shape[1], lam, mix, seed)
-
-    def neg_rn(y):
-        return np.array([-ratio(pattern_from_states(rho, PureState.normalized(row)), n)
-                         for row in y])
-
-    values, grad = _projection_gradient(x, rho.matrix.real, n)
-    np.testing.assert_allclose(values, neg_rn(x), rtol=1e-12)
-    num = central_differences(neg_rn, x)
+@given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]), lam=st.floats(0.0, 1.0))
+def test_werner_objective_matches_kernel_and_central_differences(x, n, lam):
+    values, grad, _ = _neg_werner_rn(x, x.shape[1], lam, n)
+    np.testing.assert_allclose(values, -werner_rn_rows(x, lam, n), rtol=1e-12)
+    num = central_differences(lambda y: -werner_rn_rows(y, lam, n), x)
     np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
 
 
-def unit_rows(x):
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 8), n=st.sampled_from([2, 3, 4, 5]), lam=st.floats(0.0, 1.0),
+       data=st.data())
+def test_nonnegative_projection_not_worse_on_werner(k, n, lam, data):
+    # the first step of werner_rn's proof: R_n(|chi|) >= R_n(chi) for real chi
+    chi = data.draw(hnp.arrays(float, k, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) >= 1e-3))
+    signed, folded = werner_rn_rows(np.array([chi, np.abs(chi)]), lam, n)
+    assert folded >= signed * (1 - 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=stacks(), n=st.sampled_from([3, 4, 5]), lam=st.floats(0.0, 1.0),
-       mix=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
-def test_hessians_match_central_differences_of_exact_gradients(x, n, lam, mix, seed):
-    # the simplex Hessian is analytic; the sphere Hessian is itself a central
-    # difference (step FD_STEP) of the exact gradient, checked here at another step
-    rho = mixed_werner(x.shape[1], lam, mix, seed).matrix.real
-    cases = ((x, lambda y: _neg_rn_over_simplex(y, n)),
-             (unit_rows(x), lambda y: _neg_rn_over_projection(y, rho, n)))
-    for point, derivatives in cases:
-        hess = derivatives(point)[2]
-        num = central_differences(lambda y: derivatives(y)[1], point, h=1e-5)
+@given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]), lam=st.floats(0.0, 1.0))
+def test_hessians_match_central_differences_of_exact_gradients(x, n, lam):
+    for derivatives in (lambda y: _neg_rn_over_simplex(y, n),
+                        lambda y: _neg_werner_rn(y, x.shape[1], lam, n)):
+        hess = derivatives(x)[2]
+        num = central_differences(lambda y: derivatives(y)[1], x, h=1e-5)
         np.testing.assert_allclose(hess, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
 
 
@@ -239,9 +274,8 @@ def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
     i = data.draw(st.integers(0, len(x) - 1))
     y = x.copy()
     y[i] = data.draw(hnp.arrays(float, x.shape[1], elements=st.floats(0.05, 1.0)))
-    rho = mixed_werner(x.shape[1], 0.3, 0.5, 0).matrix.real
     others = np.arange(len(x)) != i
-    for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_rn_over_projection, (rho, n))):
+    for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_werner_rn, (x.shape[1], 0.3, n))):
         blocks = [fun(z, *args) for z in (x, y)]
         for before, after in zip(*blocks):
             assert np.array_equal(before[others], after[others])
@@ -250,14 +284,14 @@ def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
 def test_one_minimize_call_per_search(monkeypatch):
     calls, minimize = [], optimize.minimize
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("sphere", False))
-        return minimize(*args, **kwargs)
+    def counted(fun, *args, **kwargs):
+        calls.append(fun)
+        return minimize(fun, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "minimize", counted)
     maximize_rn_over_ck(3, 4, FAST)
     werner_rn(3, 0.18, 3, projection="optimize", cfg=FAST)
-    assert calls == [False, True]
+    assert calls == [_neg_rn_over_simplex, _neg_werner_rn]
 
 
 def lbfgsb_maximum(n, k, cfg):

@@ -139,6 +139,18 @@ def test_overlap_vector_validation():
         OverlapVector([0.5, 0.5], phi=[0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_patterns_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        OverlapVector([bad, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        OverlapVector([0.5, 0.5], phi=[0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        PatternCoefficients(bad, [0.1])
+    with pytest.raises(ValueError, match="finite"):
+        PatternCoefficients(0.5, [0.1, complex(0.0, bad)])
+
+
 def test_moment_examples():
     pat = w2_pattern()
     assert moment(pat, 1) == pytest.approx(0.5, abs=1e-14)
