@@ -113,6 +113,8 @@ class DVector:
         d = dt.size + 1
         if not (1.0 / d - 1e-12 <= d0 <= 1.0 + 1e-12):
             raise ValueError(f"D_0 = {d0} outside [1/{d}, 1]")
+        if not np.isfinite(dt).all():
+            raise ValueError("Dtilde entries must be finite")
         if dt.size and dt.min() < -1e-12:
             raise ValueError("Dtilde entries must be nonnegative")
         if dt.size and dt.max() > (d - 1) / 2 + 1e-12:

@@ -569,7 +569,7 @@ def _above(lo):
 
 
 def _add_common(parser, needs_restarts=False):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed (u64)")
+    parser.add_argument("--seed", type=_above(-1), default=0, help="master RNG seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     if needs_restarts:
@@ -608,7 +608,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize R_n over k-coherent states")
     p.add_argument("--n", type=int, default=3, choices=(3, 4, 5))
     p.add_argument("--k", type=_above(1), default=3)
-    p.add_argument("--scan", type=_above(1), default=0,
+    p.add_argument("--scan", type=_above(2), default=0,
                    help="scan k = 2..SCAN and fit the linear growth")
     _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_optimize)

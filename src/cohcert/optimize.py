@@ -17,6 +17,7 @@ R_n is a polynomial in 1 - lam and a threshold is one of its roots.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -57,8 +58,10 @@ class OptimizationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if operator.index(self.restarts) < 1:
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 def rn_of_alpha(alpha, n: int) -> float:
@@ -178,7 +181,8 @@ def minimize(fun, x0, args=()) -> NewtonResult:
     there and takes its next Newton step at full length, and a row whose
     trial fails shortens its step for the next iteration.  A row stops once
     its gradient projected on its face is below ``TOL * max(1, |value|)``,
-    or unconverged when its step length falls below MIN_STEP.
+    or unconverged when its step length falls below MIN_STEP or after
+    MAX_ITERS iterations.
     """
     xs = _retract(np.array(x0, dtype=float))
     f, g, h = fun(xs, *args)
@@ -186,24 +190,21 @@ def minimize(fun, x0, args=()) -> NewtonResult:
     converged = np.zeros(len(xs), dtype=bool)
     live, step = np.arange(len(xs)), np.ones(len(xs))
     nit = 0
-
-    def finish(which):  # record the end state of the live rows ``which``
-        for arr, now in zip(end, (xs, f, g, h)):
-            arr[live[which]] = now[which]
-
     while True:
         free = (xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True))
         mean = (g * free).sum(axis=-1, keepdims=True) / free.sum(axis=-1, keepdims=True)
         along = (g - mean) * free
         scale = np.maximum(1.0, np.abs(f))
-        # ``along``, the gradient on the face, decides convergence
-        run = (along * along).sum(axis=-1) > (TOL * scale) ** 2
-        if not run.all() or nit == MAX_ITERS:
-            converged[live[~run]] = True
-            run &= nit < MAX_ITERS
-            finish(~run)
+        # ``along``, the gradient on the face, decides convergence; a row whose
+        # step fell below MIN_STEP found no descent and stops unconverged
+        done = (along * along).sum(axis=-1) <= (TOL * scale) ** 2
+        stop = done | (step < MIN_STEP) | (nit == MAX_ITERS)
+        if stop.any():
+            converged[live[done]] = True
+            for arr, now in zip(end, (xs, f, g, h)):
+                arr[live[stop]] = now[stop]
             live, xs, f, g, h, step, scale, free = (
-                arr[run] for arr in (live, xs, f, g, h, step, scale, free))
+                arr[~stop] for arr in (live, xs, f, g, h, step, scale, free))
             if not live.size:
                 break
         trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, free))
@@ -212,25 +213,14 @@ def minimize(fun, x0, args=()) -> NewtonResult:
         # the Armijo test tolerates round-off, so a Newton step at round-off level passes
         slope = (g * (trial - xs)).sum(axis=-1)
         ok = ft <= f + ARMIJO * slope + ROUNDOFF * scale
-        if ok.all():
-            xs, f, g, h, step = trial, ft, gt, ht, np.ones(len(xs))
-        else:
-            xs[ok], f[ok], g[ok], h[ok] = trial[ok], ft[ok], gt[ok], ht[ok]
-            # a failed step shrinks to the minimum of the parabola through f, the
-            # slope and the trial value, kept within [1/10, 1/2] of its length
-            # (1/10 where the slope does not descend)
-            fail = ~ok
-            shrink = np.full(fail.sum(), 0.1)
-            np.divide(-0.5 * slope[fail], ft[fail] - f[fail] - slope[fail], out=shrink,
-                      where=slope[fail] < 0.0)
-            step[ok] = 1.0
-            step[fail] *= np.clip(shrink, 0.1, 0.5)
-            if step.min() < MIN_STEP:  # rows that found no descent stop unconverged
-                keep = step >= MIN_STEP
-                finish(~keep)
-                live, xs, f, g, h, step = (arr[keep] for arr in (live, xs, f, g, h, step))
-                if not live.size:
-                    break
+        # a failed step shrinks to the minimum of the parabola through f, the
+        # slope and the trial value, kept within [1/10, 1/2] of its length
+        # (1/10 where the slope does not descend); an accepted one resets to 1
+        shrink = np.full(len(xs), 0.1)
+        np.divide(-0.5 * slope, ft - f - slope, out=shrink, where=~ok & (slope < 0.0))
+        step = np.where(ok, 1.0, step * np.clip(shrink, 0.1, 0.5))
+        xs, f = np.where(ok[:, None], trial, xs), np.where(ok, ft, f)
+        g, h = np.where(ok[:, None], gt, g), np.where(ok[:, None, None], ht, h)
     x, values, jac, hess = end
     return NewtonResult(x=x, values=values, jac=jac, hess=hess, fun=float(values.sum()),
                         nfev=nit + 1, nit=nit, success=bool(converged.all()))
@@ -387,8 +377,8 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
     Each k warm-starts from the previous optimum padded by one level, which
     keeps the scan cheap up to k ~ 30.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    if k_max < 3:
+        raise ValueError(f"k_max must be >= 3 for a line through the maxima, got {k_max}")
     cfg = cfg or OptimizationConfig()
     ks = np.arange(2, k_max + 1)
     results = []

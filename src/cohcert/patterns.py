@@ -62,16 +62,6 @@ class PatternCoefficients:
     def dim(self):
         return self.c.size + 1
 
-    def full_coefficients(self) -> np.ndarray:
-        """Coefficients of e^{-imt} over m = -(d-1)..(d-1), DC at the center."""
-        d = self.dim
-        full = np.zeros(2 * d - 1, dtype=complex)
-        full[d - 1] = self.c0
-        if d > 1:
-            full[d:] = self.c
-            full[: d - 1] = self.c[::-1].conj()
-        return full
-
     def one_sided(self) -> np.ndarray:
         """c_0..c_{d-1} as one complex vector, the kernel's layout."""
         return np.concatenate([[complex(self.c0)], self.c])

@@ -248,5 +248,8 @@ def test_dvector_validation():
         DVector(0.5, [-0.2])
     with pytest.raises(ValueError):
         DVector(0.5, [1.6])  # above (d-1)/2 = 1/2
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DVector(0.5, [0.1, bad])
     dv = DVector(0.5, [0.25, 0.25])
     assert dv.at_frequency(1) == 0.25 and dv.at_frequency(7) == 0.0

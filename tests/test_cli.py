@@ -328,6 +328,10 @@ def test_tables_command(tmp_path):
     ["werner-sweep", "--points", "-1"],
     ["certify", "--input", "samples.csv", "--dim", "0"],
     ["certify", "--input", "samples.csv", "--dim", "-4"],
+    ["optimize", "--scan", "2"],
+    ["optimize", "--seed", "-5"],
+    ["tables", "--restarts", "1", "--seed", "-1"],
+    ["gue-sweep", "--k", "3", "--samples", "1", "--seed", "-1"],
 ])
 def test_out_of_range_numeric_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,12 @@ def test_maximize_validation():
         maximize_rn_over_ck(3, 1)
     with pytest.raises(ValueError):
         OptimizationConfig(restarts=0)
+    with pytest.raises(TypeError):
+        OptimizationConfig(restarts=2.5)
+    with pytest.raises(TypeError):
+        OptimizationConfig(seed=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizationConfig(seed=-1)
 
 
 def test_maximize_beats_uniform_state():
@@ -81,6 +87,13 @@ def test_growth_scan_small():
     diffs = np.diff(scan.values)
     assert diffs == pytest.approx([0.52, 0.55, 0.56], abs=0.02)
     assert np.all(diffs > 0)
+
+
+def test_growth_scan_needs_three_points():
+    # k = 2..2 is one maximum, through which no line is determined
+    with pytest.raises(ValueError, match="k_max"):
+        growth_scan(2, cfg=FAST)
+    assert len(growth_scan(3, cfg=FAST).values) == 2
 
 
 def test_growth_linear_extrapolation_to_k10():
@@ -361,3 +374,29 @@ def test_restart_diagnostics():
     scan = growth_scan(4, cfg=cfg)
     assert [r.value for r in scan.results] == list(scan.values)
     assert scan.converged == all(r.converged for r in scan.results)
+
+
+def test_row_without_descent_stops_at_its_start():
+    # f = |x - c|^2 / 2 on the simplex, but where x_0 > 0.9 the reported gradient
+    # points uphill: that row's Newton trials all fail the Armijo test, so its
+    # step shrinks below MIN_STEP while the other rows converge in one step
+    c = np.array([0.5, 0.5])
+
+    def fun(x):
+        sign = np.where(x[:, :1] > 0.9, -1.0, 1.0)
+        return 0.5 * ((x - c) ** 2).sum(axis=-1), sign * (x - c), np.tile(np.eye(2), (len(x), 1, 1))
+
+    x0 = np.array([[0.6, 0.4], [0.95, 0.05], [0.3, 0.7]])
+    res = optimize.minimize(fun, x0)
+    assert np.array_equal(res.x[1], x0[1]) and res.values[1] == pytest.approx(0.2025)
+    assert np.allclose(res.x[[0, 2]], c) and np.allclose(res.values[[0, 2]], 0.0)
+    assert not res.success and res.nit < optimize.MAX_ITERS
+    assert res.nfev == res.nit + 1 and res.fun == res.values.sum()
+
+
+def test_iteration_cap_stops_every_row(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITERS", 2)
+    starts = optimize._start_points(3, 6, FAST)
+    res = optimize.minimize(_neg_rn_over_simplex, starts, args=(3,))
+    assert res.nit == 2 and res.nfev == 3 and not res.success
+    assert res.x.shape == starts.shape and np.allclose(res.x.sum(axis=-1), 1.0)

