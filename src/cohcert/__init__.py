@@ -15,8 +15,8 @@ from .approx import (
 )
 from .bounds import (
     R3_CERTIFICATION_THRESHOLDS,
-    CertifierResult,
     DVector,
+    Verdict,
     VertexRecord,
     certify_r3,
     d_from_alpha,

@@ -24,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .bounds import certifies
 # unused here; it stays because traced benchmark runs patch approx.minimize.
 # optimize's projected Newton solver is numpy only, like this module.
 from .optimize import minimize  # noqa: F401
@@ -208,9 +209,10 @@ class ReproducibilityVerdict:
     ``exceeds_coherence`` is True when the certified lower bound on the
     residual of every q-coherent mixture exceeds the decision tolerance,
     proving at least (q+1) levels at pattern level.  ``peak_exceeded`` is
-    True when max_t p(t), on a grid of 64 points per level, exceeds q M_1 by
-    more than 1e-9: a peak no q-coherent mixture reaches under any
-    projection (module docstring).  The peak test can only confirm the fit
+    True when max_t p(t), on a grid of 64 points per level, exceeds q M_1
+    by the certification rule ``bounds.certifies`` (a relative round-off
+    margin): a peak no q-coherent mixture reaches under any projection
+    (module docstring).  The peak test can only confirm the fit
     verdict, never veto it: a pattern whose peak stays below q M_1 may still
     be beyond reach of q-coherent mixtures.
     """
@@ -234,6 +236,6 @@ def reproducibility_verdict(target: PatternCoefficients, chi: DensityMatrix,
     approx = best_q_approximation(target, chi, q)
     exceeds = approx.lower_bound > DECISION_TOL
     grid = np.linspace(0.0, 2 * np.pi, 64 * target.dim, endpoint=False)
-    peak = bool(target.evaluate(grid).max() > q * target.c0 + 1e-9)
+    peak = bool(certifies(target.evaluate(grid).max(), q * target.c0))
     return ReproducibilityVerdict(exceeds_coherence=exceeds, residual=approx.residual,
                                   peak_exceeded=peak, approx=approx)

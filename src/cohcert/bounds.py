@@ -20,8 +20,8 @@ from .patterns import overlap_coefficients
 
 __all__ = [
     "R3_CERTIFICATION_THRESHOLDS",
-    "CertifierResult",
     "DVector",
+    "Verdict",
     "VertexRecord",
     "certify_r3",
     "d_from_alpha",
@@ -32,7 +32,8 @@ __all__ = [
     "w_resonance_counts",
     "lambda_dec",
 ]
-# certifies, the rule certify_r3 applies, is shared with the drift sweep, not public API.
+# certifies, the rule certify_r3 applies, is shared with the drift sweep and approx's
+# peak test, not public API.
 
 # Proven maxima of R_3 over C_k, exact rationals; index = k - 1.
 R3_CERTIFICATION_THRESHOLDS = (Fraction(1), Fraction(5, 4), Fraction(179, 96))
@@ -45,8 +46,8 @@ CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CertifierResult:
-    """Verdict of the R_n certifier.
+class Verdict:
+    """Verdict of a certifier on its ladder of proven maxima.
 
     ``certified_level`` is the largest k whose threshold the value exceeds
     by more than the relative round-off margin, plus one; ``threshold_used``
@@ -58,7 +59,6 @@ class CertifierResult:
     value does not clear (both None at the top level).
     """
 
-    n: int
     value: float
     certified_level: int
     threshold_used: float
@@ -73,7 +73,7 @@ def certifies(value, threshold):
     return value > float(threshold) * (1.0 + ROUNDOFF_MARGIN)
 
 
-def certify_r3(value: float) -> CertifierResult:
+def certify_r3(value: float) -> Verdict:
     """Classify an R_3 value against the proven thresholds 1, 5/4, 179/96.
 
     Level k+1 is certified when ``certifies(value, thr)`` holds for thr, the
@@ -82,16 +82,13 @@ def certify_r3(value: float) -> CertifierResult:
     value = float(value)
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"R_3 must be finite and nonnegative, got {value}")
-    level = 1
-    for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
-        if certifies(value, thr):
-            level = k + 1
+    level = 1 + sum(certifies(value, thr) for thr in R3_CERTIFICATION_THRESHOLDS)
     used, nxt = (None, *R3_CERTIFICATION_THRESHOLDS, None)[level - 1:level + 1]
     used_margin, next_margin = (None if t is None else value / float(t) - 1.0 for t in (used, nxt))
-    return CertifierResult(n=3, value=value, certified_level=level,
-                           threshold_used=0.0 if used is None else float(used),
-                           threshold_exact=used, margin_used=used_margin,
-                           next_threshold_exact=nxt, margin_to_next=next_margin)
+    return Verdict(value=value, certified_level=level,
+                   threshold_used=0.0 if used is None else float(used),
+                   threshold_exact=used, margin_used=used_margin,
+                   next_threshold_exact=nxt, margin_to_next=next_margin)
 
 
 class DVector:

@@ -15,6 +15,7 @@ import os
 import re
 import stat
 import sys
+from fractions import Fraction
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -312,9 +313,11 @@ def _moment_block(pat):
     }
 
 
-def _exact(thr):
-    """An exact threshold as its string, e.g. "5/4"; None stays None."""
-    return None if thr is None else str(thr)
+def _verdict(verdict) -> dict:
+    """The document form of a ``bounds.Verdict``: its fields, each exact threshold
+    as its string (e.g. "5/4"), and the statement of the certified level."""
+    return {**{name: str(x) if isinstance(x, Fraction) else x for name, x in vars(verdict).items()},
+            "statement": f"state is at least {verdict.certified_level}-coherent"}
 
 
 def cmd_certify(args, warnings):
@@ -323,22 +326,16 @@ def cmd_certify(args, warnings):
         raise CliInputError(f"{args.input}: fitted p(t) leaves [{-RANGE_SLACK}, "
                             f"{1 + RANGE_SLACK}]; p must be a probability")
     block = _moment_block(pat)
-    verdict = bounds.certify_r3(block["ratios"]["R_3"])
+    r3 = block["ratios"]["R_3"]
+    if r3 < 0.0:  # M_3 < 0: a fit within RANGE_SLACK that dips below 0 where it is dark
+        raise CliInputError(f"{args.input}: fitted p(t) has R_3 = {r3} < 0; "
+                            "p must be a probability")
+    verdict = bounds.certify_r3(r3)
     best_known = {f"C_{k} best known R_3": PUBLISHED_TABLE2[(3, k)][0] for k in (2, 3, 4, 5)}
     data = {
         "pattern": info,
         **block,
-        "verdict": {
-            "n": verdict.n,
-            "value": verdict.value,
-            "certified_level": verdict.certified_level,
-            "threshold_used": verdict.threshold_used,
-            "threshold_exact": _exact(verdict.threshold_exact),
-            "margin_used": verdict.margin_used,
-            "next_threshold_exact": _exact(verdict.next_threshold_exact),
-            "margin_to_next": verdict.margin_to_next,
-            "statement": f"state is at least {verdict.certified_level}-coherent",
-        },
+        "verdict": {"n": 3, **_verdict(verdict)},
         "reference_maxima": best_known,
     }
     return data, None, None

@@ -215,9 +215,11 @@ def minimize(fun, x0, args=()) -> NewtonResult:
         ok = ft <= f + ARMIJO * slope + ROUNDOFF * scale
         # a failed step shrinks to the minimum of the parabola through f, the
         # slope and the trial value, kept within [1/10, 1/2] of its length
-        # (1/10 where the slope does not descend); an accepted one resets to 1
+        # (1/10 where the slope does not descend or the trial value is not
+        # finite); an accepted one resets to 1
         shrink = np.full(len(xs), 0.1)
-        np.divide(-0.5 * slope, ft - f - slope, out=shrink, where=~ok & (slope < 0.0))
+        np.divide(-0.5 * slope, ft - f - slope, out=shrink,
+                  where=~ok & (slope < 0.0) & np.isfinite(ft))
         step = np.where(ok, 1.0, step * np.clip(shrink, 0.1, 0.5))
         xs, f = np.where(ok[:, None], trial, xs), np.where(ok, ft, f)
         g, h = np.where(ok[:, None], gt, g), np.where(ok[:, None, None], ht, h)

@@ -133,6 +133,17 @@ def test_verdict_peak_bound_consistency():
                 assert verdict.peak_exceeded
 
 
+@pytest.mark.parametrize("k, q", [(3, 2), (4, 3), (5, 2), (6, 4)])
+def test_peak_rule_splits_werner_at_lambda_dec(k, q):
+    # under W_k the Werner peak is q M_1 exactly at lambda_dec and exceeds it
+    # by about 1e-9 relative just below, where the state is (q+1)-coherent;
+    # the relative certification margin keeps the first and resolves the second
+    lam = lambda_dec(k, q)
+    for at, exceeded in ((lam, False), (lam - 1e-9, True)):
+        verdict = reproducibility_verdict(werner_pattern(at, k), w_state(k).density(), q)
+        assert verdict.peak_exceeded is exceeded, (k, q, at)
+
+
 def q_coherent_mixture(rng, d, q, parts, chi=None):
     """A mixture of ``parts`` pure states, each on its own random support of
     at most q of the d levels.  Given a pure projection ``chi``, each state

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cohcert import bounds
 from cohcert.cli import main, parse_state_spec, read_pattern_csv, to_json, CliInputError
 from cohcert.patterns import COND_LIMIT
 
@@ -425,6 +427,13 @@ def test_certify_verdict_carries_exact_thresholds_and_margins(tmp_path, spec, le
         assert verdict["margin_to_next"] < 1e-14
 
 
+def test_certify_verdict_renders_every_field_of_the_record(tmp_path):
+    rc, doc, _ = run_cli(["certify", "--state", "W:3"], tmp_path)
+    assert rc == 0
+    fields = {f.name for f in dataclasses.fields(bounds.Verdict)}
+    assert set(doc["data"]["verdict"]) == fields | {"n", "statement"}
+
+
 @pytest.mark.parametrize("n,dim", [(16, 2), (32, 8), (63, 4), (100, 8), (256, 3)])
 def test_certify_fitted_w2_fringe_stays_level_2(tmp_path, n, dim):
     # R_3 of (1 + cos t)/2 is exactly 5/4; round-off in the fit and the
@@ -476,6 +485,20 @@ def test_certify_rejects_non_probability_fringe(tmp_path, capsys, func):
     assert captured.out == ""
     assert captured.err == (f"error: {path}: fitted p(t) leaves [-0.1, 1.1]; "
                             "p must be a probability\n")
+
+
+def test_certify_rejects_fit_with_negative_third_moment(tmp_path, capsys):
+    # a dark fringe whose fit stays inside [-0.1, 1.1] but dips below 0 far
+    # enough that M_3 < 0, so R_3 = -20: not a probability, not a traceback
+    path = write_samples_csv(
+        tmp_path, lambda t: 0.002 + 0.06 * np.cos(t) - 0.035 * np.cos(2 * t), n=400)
+    assert main(["certify", "--input", path, "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {re.escape(path)}: fitted p\(t\) has R_3 = -20\.0\d* < 0; "
+                        r"p must be a probability\n", captured.err)
+    rc, doc, _ = run_cli(["moments", "--input", path, "--dim", "3"], tmp_path)
+    assert rc == 0 and doc["data"]["ratios"]["R_3"] == pytest.approx(-20.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("func, level", [

@@ -394,6 +394,19 @@ def test_row_without_descent_stops_at_its_start():
     assert res.nfev == res.nit + 1 and res.fun == res.values.sum()
 
 
+def test_non_finite_trial_shrinks_and_stops():
+    # f = -x_0 is NaN past x_0 = 0.7: every trial across that edge fails and
+    # shrinks by 1/10, so the row creeps up to the edge and stops by MIN_STEP
+    # instead of carrying a NaN step length to MAX_ITERS
+    def fun(x):
+        f = np.where(x[:, 0] > 0.7, np.nan, -x[:, 0])
+        return f, np.tile([-1.0, 0.0], (len(x), 1)), np.tile(np.eye(2), (len(x), 1, 1))
+
+    res = optimize.minimize(fun, np.array([[0.69, 0.31]]))
+    assert not res.success and res.nit < 20
+    assert 0.7 - 1e-5 <= res.x[0, 0] <= 0.7 and res.values[0] == -res.x[0, 0]
+
+
 def test_iteration_cap_stops_every_row(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITERS", 2)
     starts = optimize._start_points(3, 6, FAST)
