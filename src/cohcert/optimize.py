@@ -2,14 +2,15 @@
 
 The search space for max R_n over k-coherent states reduces to nonnegative
 overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
-equal to projection).  Each restart draws its own start point from a spawned
-seed, and one call of ``minimize``, a batched projected Newton method
-(Bertsekas 1982) on the exact gradient and Hessian of R_n, moves every
-restart on its own: each row has its own active face of the simplex, its
-own Newton direction and its own Armijo step, and stops once it has
-converged.  A row can still end on a boundary point that is a genuine local
-maximum of R_n: a one-level vertex (R_n = 1; near a = (1, 0) at n = 3,
-k = 2, R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
+equal to projection).  Every search starts from the uniform row and from
+rows drawn by one generator seeded by the configuration's seed, and one
+call of ``minimize``, a batched projected Newton method (Bertsekas 1982) on
+the exact gradient and Hessian of R_n, moves every restart on its own:
+each row has its own active face of the simplex, its own Newton direction
+and its own Armijo step, and stops once it has converged.  A row can
+still end on a boundary point that is a genuine local maximum of R_n: a
+one-level vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2,
+R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
 (R_3 = 5/4).
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
@@ -27,7 +28,7 @@ from numpy.polynomial import Polynomial
 
 from .bounds import r3_w_closed_form
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
-from .states import WernerParams, psi_star, w_state
+from .states import WernerParams, w_state
 
 __all__ = [
     "OptimizationConfig",
@@ -150,7 +151,9 @@ def _newton_step(x, g, h, free):
     diagonal, which leaves every eigenvalue at least half as large as the
     most negative one was in size (a factor chosen over 20 seeds of the
     ``tables`` searches: 150 Newton iterations on average, against 155 for 2
-    and 164 for 2.5).
+    and 164 for 2.5).  Where that bound is not negative, Z^T H Z is positive
+    semidefinite and singular; the shift is then the norm of the reduced
+    gradient Z^T g, which bounds the solution of the reduced system by 1.
     """
     rows, k = x.shape
     eye = np.eye(k)
@@ -162,10 +165,11 @@ def _newton_step(x, g, h, free):
     reduced = np.swapaxes(z, 1, 2) @ h @ z + eye * ~moves[:, None, :]
     bad = ~_positive_definite(reduced)
     if bad.any():
-        # Gershgorin: no eigenvalue lies below min_i (H_ii - sum_{l != i} |H_il|) < 0
+        # Gershgorin: no eigenvalue lies below min_i (H_ii - sum_{l != i} |H_il|)
         on_diag = np.diagonal(reduced, axis1=1, axis2=2)
         lowest = np.min(on_diag + np.abs(on_diag) - np.abs(reduced).sum(axis=-1), axis=-1)
-        reduced[:, np.arange(k), np.arange(k)] -= 1.5 * np.where(bad, lowest, 0.0)[:, None] * moves
+        shift = np.where(lowest < 0.0, -1.5 * lowest, np.linalg.norm(grad, axis=-1))
+        reduced[:, np.arange(k), np.arange(k)] += np.where(bad, shift, 0.0)[:, None] * moves
     return (z @ np.linalg.solve(reduced, -grad[..., None]))[..., 0]
 
 
@@ -228,32 +232,12 @@ def minimize(fun, x0, args=()) -> NewtonResult:
                         nfev=nit + 1, nit=nit, success=bool(converged.all()))
 
 
-@functools.lru_cache(maxsize=128)
-def _seeded_draws(seed: int, restarts: int, k: int) -> np.ndarray:
-    """One row per restart: k uniform draws + 0.05 from the restart's spawned
-    seed.  Every search with the same seed, restarts and k draws the same
-    rows, and spawning and seeding 32 generators takes about a fifth of a
-    search, so they are drawn once."""
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    draws = np.array([np.random.default_rng(child).random(k) + 0.05 for child in children])
-    draws.setflags(write=False)
-    return draws
-
-
-def _start_points(n: int, k: int, cfg: OptimizationConfig, extra=()) -> np.ndarray:
-    """One start row per restart: deterministic seeds (uniform,
-    center-weighted bump, tabulated profile, ``extra``), then random draws."""
-    starts = [np.full(k, 1.0 / k)]
-    p = np.arange(k)
-    bump = 1.0 - 0.5 * ((p - (k - 1) / 2) / ((k - 1) / 2 + 1e-12)) ** 2
-    starts.append(bump / bump.sum())
-    try:
-        starts.append(np.abs(psi_star(k, order=n).amplitudes) ** 2)
-    except ValueError:
-        pass
-    starts.extend(extra)
-    draws = _seeded_draws(cfg.seed, cfg.restarts, k)[len(starts):]
-    return np.concatenate([starts, draws / draws.sum(axis=-1, keepdims=True)])[:cfg.restarts]
+def _start_points(k: int, cfg: OptimizationConfig) -> np.ndarray:
+    """One start row per restart: the uniform row 1/k, then ``cfg.restarts - 1``
+    rows of k uniform draws + 0.05 from one generator seeded by ``cfg.seed``,
+    each normalized.  The rows of r restarts are the leading rows of R > r."""
+    draws = np.random.default_rng(cfg.seed).random((cfg.restarts - 1, k)) + 0.05
+    return np.concatenate([np.full((1, k), 1.0 / k), draws / draws.sum(axis=-1, keepdims=True)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,8 +311,7 @@ def _kkt_certificate(a: np.ndarray, g: np.ndarray, h: np.ndarray):
     return float(np.linalg.norm(g - g.mean())), float(np.linalg.eigvalsh(basis.T @ h @ basis).max())
 
 
-def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
-                        extra_starts=()) -> OptimizeResult:
+def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None) -> OptimizeResult:
     """Maximize R_n over states populating k adjacent levels.
 
     Returns the best overlap vector (equal to the amplitude-squared profile
@@ -341,7 +324,7 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None,
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     cfg = cfg or OptimizationConfig()
-    res = minimize(_neg_rn_over_simplex, _start_points(n, k, cfg, extra_starts), args=(n,))
+    res = minimize(_neg_rn_over_simplex, _start_points(k, cfg), args=(n,))
     values = -res.values
     best = values.argmax()
     best_val = values[best]
@@ -374,23 +357,12 @@ class GrowthScan:
 
 
 def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -> GrowthScan:
-    """Run the maximizer for k = 2..k_max and fit a line through the maxima.
-
-    Each k warm-starts from the previous optimum padded by one level, which
-    keeps the scan cheap up to k ~ 30.
-    """
+    """Run the maximizer for k = 2..k_max and fit a line through the maxima."""
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3 for a line through the maxima, got {k_max}")
     cfg = cfg or OptimizationConfig()
     ks = np.arange(2, k_max + 1)
-    results = []
-    for k in ks:
-        extra = []
-        if results:
-            prev = results[-1].alpha
-            padded = np.concatenate([prev, [prev[-1] * 0.5]])
-            extra.append(padded / padded.sum())
-        results.append(maximize_rn_over_ck(n, int(k), cfg, extra_starts=extra))
+    results = [maximize_rn_over_ck(n, int(k), cfg) for k in ks]
     values = np.array([res.value for res in results])
     slope, intercept = np.polyfit(ks, values, 1)
     residuals = values - (slope * ks + intercept)
@@ -460,9 +432,7 @@ def werner_rn(k: int, lam: float, n: int, projection: str = "w",
     if projection != "optimize":
         raise ValueError(f"unknown projection {projection!r}")
     cfg = cfg or OptimizationConfig(restarts=8)
-    starts = _seeded_draws(cfg.seed, cfg.restarts, k).copy()
-    starts[0] = 1.0
-    res = minimize(_neg_werner_rn, starts, args=(k, lam, n))
+    res = minimize(_neg_werner_rn, _start_points(k, cfg), args=(k, lam, n))
     return float(-res.values.min())
 
 

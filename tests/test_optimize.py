@@ -99,7 +99,7 @@ def test_growth_scan_needs_three_points():
 def test_growth_linear_extrapolation_to_k10():
     cfg = OptimizationConfig(restarts=4, seed=3)
     scan = growth_scan(5, cfg=cfg)
-    res10 = maximize_rn_over_ck(3, 10, cfg, extra_starts=(np.full(10, 0.1),))
+    res10 = maximize_rn_over_ck(3, 10, cfg)
     extrapolated = scan.slope * 10 + scan.intercept
     assert abs(res10.value - extrapolated) / extrapolated < 0.05
 
@@ -295,16 +295,47 @@ def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
 
 
 def test_one_minimize_call_per_search(monkeypatch):
-    calls, minimize = [], optimize.minimize
+    calls, starts, minimize = [], [], optimize.minimize
 
-    def counted(fun, *args, **kwargs):
+    def counted(fun, x0, *args, **kwargs):
         calls.append(fun)
-        return minimize(fun, *args, **kwargs)
+        starts.append(x0)
+        return minimize(fun, x0, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "minimize", counted)
     maximize_rn_over_ck(3, 4, FAST)
-    werner_rn(3, 0.18, 3, projection="optimize", cfg=FAST)
+    werner_rn(4, 0.18, 3, projection="optimize", cfg=FAST)
     assert calls == [_neg_rn_over_simplex, _neg_werner_rn]
+    # both searches start from the same rows for the same (k, cfg)
+    assert np.array_equal(starts[0], starts[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 12), r=st.integers(1, 8), more=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_start_rows_are_uniform_row_then_a_prefix_of_more_restarts(k, r, more, seed):
+    few = optimize._start_points(k, OptimizationConfig(restarts=r, seed=seed))
+    many = optimize._start_points(k, OptimizationConfig(restarts=r + more, seed=seed))
+    assert few.shape == (r, k) and many.shape == (r + more, k)
+    assert np.all(many > 0.0) and np.allclose(many.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(many[0], np.full(k, 1.0 / k))
+    assert np.array_equal(few, many[:r])
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (3, 5), (4, 4), (5, 3)])
+def test_more_restarts_never_lower_the_maximum(n, k):
+    # the rows of r restarts are the leading rows of R > r, and minimize moves
+    # each row on its own; batched BLAS may still move the last bits
+    for seed in (0, 7):
+        values = [maximize_rn_over_ck(n, k, OptimizationConfig(restarts=r, seed=seed)).value
+                  for r in (1, 2, 5, 12)]
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:])), (seed, values)
+
+
+def test_growth_scan_beyond_table_range_needs_no_warm_start():
+    scan = growth_scan(12, cfg=OptimizationConfig(restarts=4, seed=3))
+    assert scan.converged
+    assert np.all(np.diff(scan.values) > 0.0)
 
 
 def lbfgsb_maximum(n, k, cfg):
@@ -313,7 +344,7 @@ def lbfgsb_maximum(n, k, cfg):
     g_x = (2 x / S)(g_a - a . g_a)."""
     from scipy.optimize import minimize
 
-    x0 = np.sqrt(optimize._start_points(n, k, cfg))
+    x0 = np.sqrt(optimize._start_points(k, cfg))
 
     def neg_sum(flat):
         x = flat.reshape(x0.shape)
@@ -394,6 +425,16 @@ def test_row_without_descent_stops_at_its_start():
     assert res.nfev == res.nit + 1 and res.fun == res.values.sum()
 
 
+def test_zero_face_hessian_takes_a_shifted_step():
+    # f = -x_0 with a zero Hessian: every face Hessian is singular and its
+    # Gershgorin bound is 0, so the Newton step needs a positive shift
+    def fun(x):
+        return -x[:, 0], np.tile([-1.0, 0.0, 0.0], (len(x), 1)), np.zeros((len(x), 3, 3))
+
+    res = optimize.minimize(fun, np.array([[0.2, 0.3, 0.5]]))
+    assert res.success and np.array_equal(res.x[0], [1.0, 0.0, 0.0]) and res.values[0] == -1.0
+
+
 def test_non_finite_trial_shrinks_and_stops():
     # f = -x_0 is NaN past x_0 = 0.7: every trial across that edge fails and
     # shrinks by 1/10, so the row creeps up to the edge and stops by MIN_STEP
@@ -409,7 +450,7 @@ def test_non_finite_trial_shrinks_and_stops():
 
 def test_iteration_cap_stops_every_row(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITERS", 2)
-    starts = optimize._start_points(3, 6, FAST)
+    starts = optimize._start_points(6, FAST)
     res = optimize.minimize(_neg_rn_over_simplex, starts, args=(3,))
     assert res.nit == 2 and res.nfev == 3 and not res.success
     assert res.x.shape == starts.shape and np.allclose(res.x.sum(axis=-1), 1.0)
