@@ -354,12 +354,14 @@ def _search(res) -> dict:
 
 def cmd_tables(args, warnings):
     cfg = optimize.OptimizationConfig(restarts=args.restarts, seed=args.seed)
-    # Fig. 1's scan holds the n = 3 maxima for k = 2..8; Tables 1 and 2 read theirs from it
-    scan = optimize.growth_scan(8, n=3, cfg=cfg)
+    # one search per order: Fig. 1's scan holds the n = 3 maxima for k = 2..8, and
+    # Tables 1 and 2 read theirs from it; Table 2 scans n = 4, 5 for k = 2..5
+    scans = {n: optimize.growth_scan(k_max, n=n, cfg=cfg) for n, k_max in ((3, 8), (4, 5), (5, 5))}
+    scan = scans[3]
     table2 = []
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5):
-            res = scan.results[k - 2] if n == 3 else optimize.maximize_rn_over_ck(n, k, cfg)
+            res = scans[n].results[k - 2]
             if not res.converged:
                 warnings.append(f"optimizer did not converge for (n={n}, k={k})")
             w_val = optimize.rn_of_alpha(np.full(k, 1.0 / k), n)

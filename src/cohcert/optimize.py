@@ -3,11 +3,13 @@
 The search space for max R_n over k-coherent states reduces to nonnegative
 overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
 equal to projection).  Every search starts from the uniform row and from
-rows drawn by one generator seeded by the configuration's seed, and one
+rows drawn by one generator seeded by the configuration's seed.  One
 call of ``minimize``, a batched projected Newton method (Bertsekas 1982) on
-the exact gradient and Hessian of R_n, moves every restart on its own:
-each row has its own active face of the simplex, its own Newton direction
-and its own Armijo step, and stops once it has converged.  A row can
+the exact gradient and Hessian of R_n, moves every restart of every k of
+one order n on its own: each k's rows are padded with zeros to the largest
+k, a zero coordinate of a start row stays 0, and each row has its own
+active face of the simplex, its own Newton direction and its own Armijo
+step, and stops once it has converged.  A row can
 still end on a boundary point that is a genuine local maximum of R_n: a
 one-level vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2,
 R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
@@ -87,8 +89,8 @@ class OptimizeResult:
     Each restart stops once the gradient of R_n, projected on its face of
     the simplex, is below ``TOL * max(1, value)``; Newton's quadratic
     convergence leaves ``value`` and ``alpha`` resolved to round-off.
-    ``nit`` counts the Newton iterations of the one ``minimize`` call over
-    all restarts.  From the restarts' end values: ``n_agree`` restarts end
+    ``nit`` counts the Newton iterations until the last of this cell's
+    restarts stopped.  From the restarts' end values: ``n_agree`` restarts end
     within ``TOL * max(1, value)`` of ``value``; ``spread`` = best - worst,
     which reads ``value - 1`` when a restart ends on a one-level vertex (see
     the module docstring).  The best restart's KKT certificate, on the face
@@ -111,14 +113,17 @@ class OptimizeResult:
 @dataclass(frozen=True)
 class NewtonResult:
     """End of a ``minimize`` call: end rows ``x`` with their ``values``,
-    gradients ``jac`` and Hessians ``hess``, the summed value ``fun``,
-    ``nfev`` batched evaluations of the objective, ``nit`` Newton iterations,
-    and ``success`` when every row converged."""
+    gradients ``jac`` and Hessians ``hess``, the iteration ``stops`` at which
+    each row stopped and whether it ``converged``; the summed value ``fun``,
+    ``nfev`` batched evaluations of the objective, ``nit`` Newton iterations
+    (the last row's stop), and ``success`` when every row converged."""
 
     x: np.ndarray
     values: np.ndarray
     jac: np.ndarray
     hess: np.ndarray
+    stops: np.ndarray
+    converged: np.ndarray
     fun: float
     nfev: int
     nit: int
@@ -177,7 +182,10 @@ def minimize(fun, x0, args=()) -> NewtonResult:
     """Minimize ``fun`` from each row of ``x0`` on its own, by projected Newton.
 
     ``fun(x, *args)`` returns the values, gradients and Hessians of the rows
-    of a (rows, k) array.  The rows live on the probability simplex: a
+    of a (rows, k) array.  The rows live on the probability simplex, each
+    on the face of the coordinates that are positive in its (retracted)
+    start row: a coordinate that is 0 there stays 0, so a row padded with
+    zeros searches only its own leading levels.  Within that face a
     coordinate is active, and stays 0, while it is 0 and its reduced
     gradient g_i - x . g is positive; the retraction clips coordinates that
     a step takes below 0.  Each iteration evaluates every row's trial point
@@ -186,16 +194,18 @@ def minimize(fun, x0, args=()) -> NewtonResult:
     trial fails shortens its step for the next iteration.  A row stops once
     its gradient projected on its face is below ``TOL * max(1, |value|)``,
     or unconverged when its step length falls below MIN_STEP or after
-    MAX_ITERS iterations.
+    MAX_ITERS iterations; ``stops`` and ``converged`` report each row's end.
     """
     xs = _retract(np.array(x0, dtype=float))
+    support = xs > 0.0
     f, g, h = fun(xs, *args)
     end = [np.empty_like(arr) for arr in (xs, f, g, h)]
+    stops = np.zeros(len(xs), dtype=int)
     converged = np.zeros(len(xs), dtype=bool)
     live, step = np.arange(len(xs)), np.ones(len(xs))
     nit = 0
     while True:
-        free = (xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True))
+        free = support & ((xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True)))
         mean = (g * free).sum(axis=-1, keepdims=True) / free.sum(axis=-1, keepdims=True)
         along = (g - mean) * free
         scale = np.maximum(1.0, np.abs(f))
@@ -205,10 +215,11 @@ def minimize(fun, x0, args=()) -> NewtonResult:
         stop = done | (step < MIN_STEP) | (nit == MAX_ITERS)
         if stop.any():
             converged[live[done]] = True
+            stops[live[stop]] = nit
             for arr, now in zip(end, (xs, f, g, h)):
                 arr[live[stop]] = now[stop]
-            live, xs, f, g, h, step, scale, free = (
-                arr[~stop] for arr in (live, xs, f, g, h, step, scale, free))
+            live, xs, f, g, h, step, scale, free, support = (
+                arr[~stop] for arr in (live, xs, f, g, h, step, scale, free, support))
             if not live.size:
                 break
         trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, free))
@@ -228,8 +239,9 @@ def minimize(fun, x0, args=()) -> NewtonResult:
         xs, f = np.where(ok[:, None], trial, xs), np.where(ok, ft, f)
         g, h = np.where(ok[:, None], gt, g), np.where(ok[:, None, None], ht, h)
     x, values, jac, hess = end
-    return NewtonResult(x=x, values=values, jac=jac, hess=hess, fun=float(values.sum()),
-                        nfev=nit + 1, nit=nit, success=bool(converged.all()))
+    return NewtonResult(x=x, values=values, jac=jac, hess=hess, stops=stops, converged=converged,
+                        fun=float(values.sum()), nfev=nit + 1, nit=nit,
+                        success=bool(converged.all()))
 
 
 def _start_points(k: int, cfg: OptimizationConfig) -> np.ndarray:
@@ -311,6 +323,44 @@ def _kkt_certificate(a: np.ndarray, g: np.ndarray, h: np.ndarray):
     return float(np.linalg.norm(g - g.mean())), float(np.linalg.eigvalsh(basis.T @ h @ basis).max())
 
 
+def _maximize(n: int, ks, cfg: OptimizationConfig | None = None) -> list:
+    """Maximize R_n over states populating k adjacent levels, for each k of
+    ``ks``, in one ``minimize`` call.
+
+    Each k's start rows are padded with zeros to width max(ks); a padded row
+    searches its own k-level simplex, and R_n of it is R_n of its first k
+    entries (the objective's grid of n(max(ks) - 1) + 1 points is alias-free
+    for every k).  Each k's result is read from its own block of rows.
+    """
+    if n not in (3, 4, 5):
+        raise ValueError(f"n must be one of 3, 4, 5, got {n}")
+    if min(ks) < 2:
+        raise ValueError(f"k must be >= 2, got {min(ks)}")
+    cfg = cfg or OptimizationConfig()
+    rows = cfg.restarts
+    x0 = np.zeros((len(ks) * rows, max(ks)))
+    for i, k in enumerate(ks):
+        x0[i * rows:(i + 1) * rows, :k] = _start_points(k, cfg)
+    res = minimize(_neg_rn_over_simplex, x0, args=(n,))
+    results = []
+    for i, k in enumerate(ks):
+        block = slice(i * rows, (i + 1) * rows)
+        values = -res.values[block]
+        best = values.argmax()
+        best_val = values[best]
+        if n == 3:
+            assert best_val >= r3_w_closed_form(k) - TOL
+        row = block.start + best
+        kkt_gradient, kkt_curvature = _kkt_certificate(res.x[row], -res.jac[row], -res.hess[row])
+        results.append(OptimizeResult(
+            alpha=res.x[row, :k], value=float(best_val), converged=bool(res.converged[block].all()),
+            nit=int(res.stops[block].max()),
+            n_agree=int(np.sum(values >= best_val - TOL * max(1.0, best_val))),
+            spread=float(best_val - values.min()),
+            kkt_gradient=kkt_gradient, kkt_curvature=kkt_curvature))
+    return results
+
+
 def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None) -> OptimizeResult:
     """Maximize R_n over states populating k adjacent levels.
 
@@ -319,23 +369,7 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None) -
     restart stopped short of its tolerance; the best value found is still
     reported.
     """
-    if n not in (3, 4, 5):
-        raise ValueError(f"n must be one of 3, 4, 5, got {n}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    cfg = cfg or OptimizationConfig()
-    res = minimize(_neg_rn_over_simplex, _start_points(k, cfg), args=(n,))
-    values = -res.values
-    best = values.argmax()
-    best_val = values[best]
-    if n == 3:
-        assert best_val >= r3_w_closed_form(k) - TOL
-    kkt_gradient, kkt_curvature = _kkt_certificate(res.x[best], -res.jac[best], -res.hess[best])
-    return OptimizeResult(
-        alpha=res.x[best], value=float(best_val), converged=res.success, nit=res.nit,
-        n_agree=int(np.sum(values >= best_val - TOL * max(1.0, best_val))),
-        spread=float(best_val - values.min()),
-        kkt_gradient=kkt_gradient, kkt_curvature=kkt_curvature)
+    return _maximize(n, (k,), cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -357,12 +391,13 @@ class GrowthScan:
 
 
 def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -> GrowthScan:
-    """Run the maximizer for k = 2..k_max and fit a line through the maxima."""
+    """Maximize R_n for k = 2..k_max in one search and fit a line through the
+    maxima."""
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3 for a line through the maxima, got {k_max}")
     cfg = cfg or OptimizationConfig()
     ks = np.arange(2, k_max + 1)
-    results = [maximize_rn_over_ck(n, int(k), cfg) for k in ks]
+    results = _maximize(n, range(2, k_max + 1), cfg)
     values = np.array([res.value for res in results])
     slope, intercept = np.polyfit(ks, values, 1)
     residuals = values - (slope * ks + intercept)

@@ -898,14 +898,27 @@ def test_certify_rejects_projection_with_input(tmp_path, capsys):
 def test_tables_maximizes_each_cell_once(tmp_path, monkeypatch):
     from cohcert import optimize
 
-    calls = []
-    maximize = optimize.maximize_rn_over_ck
-    monkeypatch.setattr(optimize, "maximize_rn_over_ck",
-                        lambda n, k, *a, **kw: calls.append((n, k)) or maximize(n, k, *a, **kw))
+    cfg = optimize.OptimizationConfig(restarts=3, seed=2)
+    calls, cells, minimize = [], [], optimize.minimize
+
+    def counted(fun, x0, args=()):
+        (n,) = args
+        calls.append(n)
+        # one block of cfg.restarts start rows per k, zero-padded to the widest k
+        for block in np.split(x0, len(x0) // cfg.restarts):
+            k = int(np.count_nonzero(block[0]))
+            padded = np.zeros_like(block)
+            padded[:, :k] = optimize._start_points(k, cfg)
+            assert np.array_equal(block, padded)
+            cells.append((n, k))
+        return minimize(fun, x0, args)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
     rc, doc, _ = run_cli(["tables", "--restarts", "3", "--seed", "2"], tmp_path)
     assert rc == 0
-    # Fig. 1 scans n = 3, k = 2..8; Table 2 adds n = 4, 5 for k = 2..5
-    assert len(calls) == 15 == len(set(calls))
+    # one search per order: Fig. 1 scans n = 3, k = 2..8; Table 2 adds n = 4, 5 for k = 2..5
+    assert calls == [3, 4, 5]
+    assert sorted(cells) == [(3, k) for k in range(2, 9)] + [(n, k) for n in (4, 5) for k in range(2, 6)]
     data = doc["data"]
     fig1 = {row["k"]: row for row in data["fig1"]["rows"]}
     for row in data["table2"]:

@@ -332,6 +332,20 @@ def test_more_restarts_never_lower_the_maximum(n, k):
         assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:])), (seed, values)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), ks=st.lists(st.integers(2, 8), min_size=1, max_size=7, unique=True),
+       restarts=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_padded_cells_match_single_cell_searches(n, ks, restarts, seed):
+    # every k of one search is padded with zeros to max(ks); each cell must come
+    # out as its own unpadded search does, up to the round-off of a larger grid
+    cfg = OptimizationConfig(restarts=restarts, seed=seed)
+    for k, res in zip(ks, optimize._maximize(n, ks, cfg)):
+        ref = maximize_rn_over_ck(n, k, cfg)
+        assert (res.nit, res.n_agree, res.converged) == (ref.nit, ref.n_agree, ref.converged)
+        assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        assert len(res.alpha) == k
+
+
 def test_growth_scan_beyond_table_range_needs_no_warm_start():
     scan = growth_scan(12, cfg=OptimizationConfig(restarts=4, seed=3))
     assert scan.converged
@@ -367,10 +381,12 @@ def test_newton_maximum_not_below_lbfgsb(n, k, seed):
 
 
 def test_kkt_certificates_of_table2_and_fig1():
-    # the cells of tables: Fig. 1's scan holds n = 3, k = 2..8, and Table 2 adds n = 4, 5
-    scan = growth_scan(8)
-    cells = {(3, int(k)): res for k, res in zip(scan.ks, scan.results)}
-    cells.update({(n, k): maximize_rn_over_ck(n, k) for n in (4, 5) for k in (2, 3, 4, 5)})
+    # the cells of tables, one scan per order: Fig. 1's scan holds n = 3, k = 2..8,
+    # and Table 2 adds n = 4, 5 for k = 2..5
+    cells = {}
+    for n, k_max in ((3, 8), (4, 5), (5, 5)):
+        scan = growth_scan(k_max, n=n)
+        cells.update({(n, int(k)): res for k, res in zip(scan.ks, scan.results)})
     for (n, k), res in cells.items():
         assert res.kkt_gradient <= 1e-9 * max(1.0, res.value), (n, k)
         assert res.kkt_curvature < 0.0, (n, k)
@@ -422,7 +438,31 @@ def test_row_without_descent_stops_at_its_start():
     assert np.array_equal(res.x[1], x0[1]) and res.values[1] == pytest.approx(0.2025)
     assert np.allclose(res.x[[0, 2]], c) and np.allclose(res.values[[0, 2]], 0.0)
     assert not res.success and res.nit < optimize.MAX_ITERS
+    # each row reports its own stop: the converged rows after their one step
+    assert res.stops.tolist() == [1, res.nit, 1] and res.converged.tolist() == [True, False, True]
     assert res.nfev == res.nit + 1 and res.fun == res.values.sum()
+
+
+def test_zero_start_coordinate_stays_zero():
+    # f = -x_2 favours the last level, but the first row starts without it and
+    # keeps it at exactly 0; the second row starts with it and moves there
+    def fun(x):
+        return -x[:, 2], np.tile([0.0, 0.0, -1.0], (len(x), 1)), np.zeros((len(x), 3, 3))
+
+    res = optimize.minimize(fun, np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+    assert res.success and res.x[0].tolist() == [0.5, 0.5, 0.0] and res.stops[0] == 0
+    assert np.array_equal(res.x[1], [0.0, 0.0, 1.0]) and res.values[1] == -1.0
+
+
+def test_each_row_stops_as_it_would_alone():
+    # rows of one call move independently: a row's stop iteration and flag are
+    # those of a call on that row alone, and nit is the last row's stop
+    starts = optimize._start_points(5, OptimizationConfig(restarts=8, seed=1))
+    res = optimize.minimize(_neg_rn_over_simplex, starts, args=(4,))
+    alone = [optimize.minimize(_neg_rn_over_simplex, row[None], args=(4,)) for row in starts]
+    assert res.stops.tolist() == [r.nit for r in alone]
+    assert res.converged.tolist() == [r.success for r in alone]
+    assert res.nit == res.stops.max() > res.stops.min()
 
 
 def test_zero_face_hessian_takes_a_shifted_step():
