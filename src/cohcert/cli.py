@@ -15,6 +15,7 @@ import os
 import re
 import stat
 import sys
+import time
 from fractions import Fraction
 from warnings import catch_warnings, simplefilter
 
@@ -117,14 +118,8 @@ def read_pattern_csv(path: str) -> np.ndarray:
     return arr
 
 
-RECORDS_PER_CALL = 256  # flat dicts of one list that to_json encodes in one call
 _SCALARS = frozenset((str, int, float, bool, type(None), np.float64))
 _STR = frozenset((str,))
-
-
-def _flat_dict(obj: dict) -> bool:
-    """Does the dict have only str keys and values the C encoder writes as they are?"""
-    return _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
 
 
 def _default(obj):
@@ -167,7 +162,7 @@ def _write(obj, depth: int, out: list) -> None:
         out.extend(_flat_encoder(0)(obj, 0))
         return
     if kind is dict:
-        flat = _flat_dict(obj)
+        flat = _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
     elif kind is list or kind is tuple:
         flat = _SCALARS.issuperset(map(type, obj))
     else:
@@ -181,19 +176,23 @@ def _write(obj, depth: int, out: list) -> None:
         text = "".join(_flat_encoder(depth + 1)(obj, 0))
         out += text[0], pad, text[1:-1], pad[:-2], text[-1]
         return
-    if kind is not dict and all(type(item) is dict and item and _flat_dict(item) for item in obj):
-        # records: one C encoder call per batch, indented at their own depth by widening
-        # the separators between records (an encoded string holds no raw newline); small
-        # batches keep the document from being copied whole
-        inner = pad + "  "
-        encode, sep = _flat_encoder(depth + 2), "[" + pad
-        for start in range(0, len(obj), RECORDS_PER_CALL):
-            text = "".join(encode(obj[start:start + RECORDS_PER_CALL], 0))[2:-2]
-            out += sep, "{", inner, text.replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
-            out += pad, "}"
-            sep = "," + pad
-        out += pad[:-2], "]"
-        return
+    keys = obj[0].keys() if kind is not dict and type(obj[0]) is dict else None
+    if keys and _STR.issuperset(map(type, keys)) and all(
+            type(item) is dict and item.keys() == keys for item in obj):
+        # a table: records of one str key set.  Its values, row by row in sorted-name order,
+        # go through one encoder call; an encoded scalar holds no raw newline, so the
+        # separator ",\n" splits the text into one text per value.  One record template
+        # (names with "%" doubled), repeated, takes them all in one % fill
+        names = sorted(keys)
+        values = [item[name] for item in obj for name in names]
+        if _SCALARS.issuperset(map(type, values)):
+            inner = pad + "  "
+            record = "{" + inner + ("," + inner).join(
+                json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+                for name in names) + pad + "}"
+            texts = "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
+            out += "[", pad, ("," + pad).join([record] * len(obj)) % tuple(texts), pad[:-2], "]"
+            return
     sep = pad
     if kind is dict:
         out.append("{")
@@ -216,8 +215,12 @@ def to_json(obj) -> str:
 
     numpy scalars and arrays become Python numbers and lists, complex numbers
     ``{"re": ..., "im": ...}``, and dict keys print and sort as ``str(key)``.
-    Containers of scalars go through one C encoder call each, so a document
-    of many flat records encodes at about the speed of the compact encoder.
+    Containers of scalars go through one C encoder call each.  So does a
+    table: a list or tuple of plain dicts that all have the same non-empty
+    set of str keys and only scalar values.  Its values are encoded in one
+    call and filled into one repeated record template, so a document of many
+    such records costs about one compact encoding of its values.  Any other
+    list of records is written one record at a time.
     """
     out: list = []
     _write(obj, 0, out)
@@ -235,13 +238,13 @@ def build_document(command: str, params: dict, data, warnings, seed) -> dict:
     }
 
 
-def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
-    """Write the document as JSON, or as CSV when rows are provided.
+def encode(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> str:
+    """The text of the document as JSON, or as CSV when ``fmt`` is "csv".
 
     CSV output keeps the provenance as leading comment lines so the data
     section stays machine-readable and byte-reproducible.
     """
-    if args.format == "csv":
+    if fmt == "csv":
         if csv_rows is None:
             raise CliInputError(f"command {doc['command']!r} has no CSV series; use --format json")
         buf = io.StringIO()
@@ -252,17 +255,20 @@ def emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         writer = csv.writer(buf)
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = to_json(doc) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliInputError(f"cannot write {args.out}: {exc}") from exc
-    else:
+        return buf.getvalue()
+    return to_json(doc) + "\n"
+
+
+def write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is empty or None."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _state_and_projection(spec: str, projection: str | None):
@@ -571,6 +577,9 @@ def _add_common(parser, needs_restarts=False):
     parser.add_argument("--seed", type=_above(-1), default=0, help="master RNG seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--timings", metavar="PATH", default=None,
+                        help="write the wall seconds of the compute, encode and write stages "
+                             "as JSON to PATH")
     if needs_restarts:
         parser.add_argument("--restarts", type=_above(0), default=32,
                             help="multi-start restarts for numeric searches")
@@ -646,19 +655,31 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     The document's ``params`` echo every option that has a value, given or
-    defaulted, except ``--out`` and ``--format``; ``--dim`` shapes only a
-    pattern fitted to ``--input``, so it is echoed only with ``--input``.
+    defaulted, except ``--out``, ``--format`` and ``--timings``; ``--dim``
+    shapes only a pattern fitted to ``--input``, so it is echoed only with
+    ``--input``.  Wall times vary from run to run, so they go only to the
+    ``--timings`` file: ``encode`` includes the CSV series a command computes
+    as it is written.
     """
     args = _shared_parser().parse_args(argv)
     warnings: list = []
     try:
+        start = time.perf_counter()
         data, csv_rows, csv_header = args.func(args, warnings)
         params = {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "format") and v is not None and (k != "dim" or args.input)
+            if k not in ("func", "out", "format", "timings") and v is not None
+            and (k != "dim" or args.input)
         }
         doc = build_document(args.command, params, data, warnings, args.seed)
-        emit(doc, args, csv_rows, csv_header)
+        computed = time.perf_counter()
+        text = encode(doc, args.format, csv_rows, csv_header)
+        encoded = time.perf_counter()
+        write(text, args.out)
+        if args.timings:
+            stages = {"compute": computed - start, "encode": encoded - computed,
+                      "write": time.perf_counter() - encoded}
+            write(to_json({"command": args.command, "stages": stages}) + "\n", args.timings)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

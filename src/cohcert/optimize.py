@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyroots, polyval
 
 from .bounds import r3_w_closed_form
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
@@ -501,14 +501,15 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     q = werner_coefficients(k, 0.0)
     q[0] = 0.0
     mu = np.concatenate([[1.0], batch_moments(q, n)])
-    rn = Polynomial([comb(n, j) * float(k) ** (j - 1) * mu[j] for j in range(n + 1)])
+    c = np.array([comb(n, j) * float(k) ** (j - 1) * mu[j] for j in range(n + 1)])
     desc = f"werner({k}) under w projection"
-    if rn(1.0) <= threshold:
+    if polyval(1.0, c) <= threshold:
         return ThresholdRecord(n, k, 0.0, desc, threshold, reachable=False)
-    if rn(0.0) >= threshold:
+    if polyval(0.0, c) >= threshold:
         return ThresholdRecord(n, k, 1.0, desc, threshold, reachable=False)
+    c[0] -= threshold
     # the root nearest the segment [0, 1] of the real axis is the bracketed one
-    u = min((rn - threshold).roots(),
+    u = min(polyroots(c),
             key=lambda r: abs(r.imag) + max(-r.real, r.real - 1, 0.0)).real
     return ThresholdRecord(n, k, 1.0 - u, desc, threshold, reachable=True)
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -373,6 +374,28 @@ def test_document_reproducibility_json(tmp_path):
     assert text1 == text2
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--state", "W:3"],
+    ["gue-sweep", "--k", "3", "--samples", "2", "--seed", "1"],
+    ["werner-sweep", "--k", "3", "--points", "5", "--format", "csv"],
+], ids=lambda argv: argv[0])
+def test_timings_file_leaves_the_document_unchanged(tmp_path, argv):
+    name = "out.csv" if "csv" in argv else "out.json"
+    rc, _, plain = run_cli(argv, tmp_path, name=name)
+    timings = tmp_path / "timings.json"
+    assert run_cli(argv + ["--timings", str(timings)], tmp_path, name=name) == (rc, _, plain)
+    record = json.loads(timings.read_text())
+    assert record["command"] == argv[0]
+    assert sorted(record["stages"]) == ["compute", "encode", "write"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in record["stages"].values())
+
+
+def test_unwritable_timings_is_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.json"
+    assert main(["certify", "--state", "W:3", "--timings", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}:")
+
+
 def test_shared_parser_leaks_no_defaults(tmp_path):
     # one process alternates commands; each document must match the one a
     # freshly built parser produces for the same command line
@@ -702,34 +725,112 @@ def test_to_json_matches_reference_encoding(obj):
     assert to_json(obj) == reference_encoding(obj)
 
 
-def test_to_json_without_c_encoder(monkeypatch):
-    # the pure-Python encoder serves where the C accelerator is missing
-    from cohcert import cli, tolerance_sweep
+@contextlib.contextmanager
+def without_c_encoder():
+    """``to_json`` with the pure-Python encoder, as where the C accelerator is missing."""
+    from cohcert import cli
+
+    c_make_encoder = json.encoder.c_make_encoder
+    json.encoder.c_make_encoder = None
+    cli._flat_encoder.cache_clear()
+    try:
+        yield
+    finally:
+        json.encoder.c_make_encoder = c_make_encoder
+        cli._flat_encoder.cache_clear()
+
+
+def test_to_json_without_c_encoder():
+    from cohcert import tolerance_sweep
 
     sweep = tolerance_sweep(3, 2, seed=4)
     names = sweep.records.dtype.names
     obj = {"records": [dict(zip(names, r)) for r in sweep.records.tolist()], "bins": sweep.bin_mean,
            "flat": {"b": True, "a": None, "c": "\u00e9"}, 10: [1, 2.5], 2: ()}
     expected = reference_encoding(obj)
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    cli._flat_encoder.cache_clear()
-    try:
+    with without_c_encoder():
         assert to_json(obj) == expected
-    finally:
-        monkeypatch.undo()
-        cli._flat_encoder.cache_clear()
     assert to_json(obj) == expected
 
 
-def test_to_json_encodes_record_lists_in_batches():
-    # records cross the batch boundary; a string holding the separator pattern stays as it is
+def test_to_json_encodes_record_tables(monkeypatch):
+    # a drift-sized table: keys inserted in shuffled order, names that are format
+    # directives, a string holding the record separator and every kind of scalar
     from cohcert import cli
 
-    records = [{"seed": i, "tau": i / 7, "D": np.float64(i) / 3, "ok": i % 2 == 0,
-                "note": "},\n      {" if i % 5 else "x"}
-               for i in range(2 * cli.RECORDS_PER_CALL + 3)]
-    for obj in (records, {"data": {"records": records, "last": [records[0]]}}, (records[:2],)):
+    calls = []
+    flat_encoder = cli._flat_encoder
+
+    def counting_encoder(depth):
+        return lambda obj, level: calls.append(obj) or flat_encoder(depth)(obj, level)
+
+    monkeypatch.setattr(cli, "_flat_encoder", counting_encoder)
+    specials = [np.float64(0.1), True, False, float("nan"), float("inf"), -float("inf"), -0.0,
+                None, 3, "\u00e9"]
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(2040):
+        values = {"seed": i, "tau": i / 7, "D": np.float64(i) / 3, "r3": specials[i % 10],
+                  "%": specials[(i + 3) % 10], "%s": "},\n      {" if i % 5 else "x",
+                  "a%%b": i % 2 == 0}
+        order = list(values)
+        rng.shuffle(order)
+        records.append({name: values[name] for name in order})
+    assert to_json(records) == reference_encoding(records)
+    assert len(calls) == 1  # the whole table in one encoder call
+    for obj in ({"data": {"records": records, "last": [records[0]]}}, (records[:2],)):
         assert to_json(obj) == reference_encoding(obj)
+    # fall-through to one record at a time: differing key sets, a nested value,
+    # a record that is not a plain dict, keys that are not strings
+    extra = records[:5] + [{**records[5], "extra": 1.0}]
+    renamed = records[:5] + [{("tau2" if k == "tau" else k): v for k, v in records[5].items()}]
+    nested = records[:5] + [{**records[5], "tau": [1, 2.5]}]
+    ordered = records[:5] + [OrderedDict(records[5])]
+    int_keys = [{1: 0.5, 20: None, 3: True}, {3: 1.0, 1: -0.0, 20: "x"}]
+    for obj in (extra, renamed, nested, ordered, int_keys):
+        del calls[:]
+        assert to_json(obj) == reference_encoding(obj)
+        assert len(calls) > 1
+
+
+table_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text,
+                         st.floats().map(np.float64))
+
+
+@st.composite
+def record_tables(draw):
+    """Lists of 1-6 records sharing one key set, sometimes with one record perturbed."""
+    keys = draw(st.lists(json_keys, min_size=1, max_size=4, unique=True))
+    row = st.lists(table_leaves, min_size=len(keys), max_size=len(keys))
+    records = [dict(zip(draw(st.permutations(keys)), draw(row)))
+               for _ in range(draw(st.integers(1, 6)))]
+    i = draw(st.integers(0, len(records) - 1))
+    perturb = draw(st.sampled_from(["none", "extra", "drop", "rename", "nested", "ordered",
+                                    "float32"]))
+    name = keys[0]
+    if perturb == "extra":
+        records[i] = {**records[i], draw(json_keys): draw(table_leaves)}
+    elif perturb == "drop":
+        records[i] = {k: v for k, v in records[i].items() if k != name}
+    elif perturb == "rename":
+        records[i] = {(f"{k}'" if k == name else k): v for k, v in records[i].items()}
+    elif perturb == "nested":
+        records[i] = {**records[i], name: [records[i][name]]}
+    elif perturb == "ordered":
+        records[i] = OrderedDict(records[i])
+    elif perturb == "float32":
+        records[i] = {**records[i], name: np.float32(0.5)}
+    return draw(st.sampled_from([records, tuple(records), {"records": records}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_tables())
+@example([{"%": 1.0, "%s": "%s"}, {"%s": "},\n  {", "%": -0.0}])
+def test_to_json_encodes_record_tables_like_the_reference(obj):
+    expected = reference_encoding(obj)
+    assert to_json(obj) == expected
+    with without_c_encoder():
+        assert to_json(obj) == expected
 
 
 SEEDED_COMMANDS = [
