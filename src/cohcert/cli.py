@@ -21,8 +21,9 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from . import bounds, optimize, robustness
-from .approx import reproducibility_verdict
+# only the modules certify, moments and vertex-check run; each other command
+# imports its own, so a fresh process loads what its command needs
+from . import bounds
 from .patterns import (batch_moments, fit_pattern_from_samples, moments, pattern_from_states,
                        ratio_from_moments)
 from .reference import PUBLISHED_TABLE1, PUBLISHED_TABLE2, PUBLISHED_TABLE3, PUBLISHED_VERTEX
@@ -359,6 +360,8 @@ def _search(res) -> dict:
 
 
 def cmd_tables(args, warnings):
+    from . import optimize
+
     cfg = optimize.OptimizationConfig(restarts=args.restarts, seed=args.seed)
     # one search per order: Fig. 1's scan holds the n = 3 maxima for k = 2..8, and
     # Tables 1 and 2 read theirs from it; Table 2 scans n = 4, 5 for k = 2..5
@@ -431,6 +434,8 @@ def cmd_tables(args, warnings):
 
 
 def cmd_optimize(args, warnings):
+    from . import optimize
+
     cfg = optimize.OptimizationConfig(restarts=args.restarts, seed=args.seed)
     if args.scan:
         scan = optimize.growth_scan(args.scan, n=args.n, cfg=cfg)
@@ -483,6 +488,8 @@ def cmd_vertex_check(args, warnings):
 
 
 def cmd_werner_sweep(args, warnings):
+    from . import optimize
+
     lams = np.linspace(0.0, 1.0, args.points)
     ms = batch_moments(optimize.werner_coefficients(args.k, lams), 5)
     series = {n: ratio_from_moments(ms, n).tolist() for n in (3, 4, 5)}
@@ -509,6 +516,8 @@ def cmd_werner_sweep(args, warnings):
 
 
 def cmd_gue_sweep(args, warnings):
+    from . import robustness
+
     sweep = robustness.tolerance_sweep(args.k, args.samples, seed=args.seed)
     summary = robustness.sweep_summary(sweep)
     if summary["crossings_found"] < args.samples:
@@ -537,6 +546,8 @@ def _approx_rows(target, components, proj, points):
 
 
 def cmd_approx(args, warnings):
+    from .approx import reproducibility_verdict
+
     rho, proj = _state_and_projection(args.target, args.projection)
     target = pattern_from_states(rho, proj)
     verdict = reproducibility_verdict(target, proj.density(), args.q)

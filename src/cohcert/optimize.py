@@ -26,7 +26,6 @@ from math import comb
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from numpy.polynomial.polynomial import polyroots, polyval
 
 from .bounds import r3_w_closed_form
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
@@ -496,6 +495,9 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     conditioned than lam).  dR_n/du = n k^(n-1) <q p^(n-1)> >= 0 since p >= 0
     grows with q and <q> = 0, so a bracketed root is unique.
     """
+    # imported here, its only use, so that importing this module skips numpy.polynomial
+    from numpy.polynomial.polynomial import polyroots, polyval
+
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     q = werner_coefficients(k, 0.0)

@@ -58,7 +58,14 @@ class PureState:
     @classmethod
     def normalized(cls, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex)
-        nrm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(amps)
+        if not 0 < nrm < np.inf and np.isfinite(amps).all() and amps.any():
+            # the sum of squares under- or overflowed: scale the largest part to 1 first,
+            # dividing the parts as reals (a complex division overflows on subnormals)
+            scale = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            amps = amps.real / scale + 1j * (amps.imag / scale)
+            nrm = np.linalg.norm(amps)
         if not np.isfinite(nrm):
             raise ValueError("amplitudes must be finite")
         if nrm == 0:

@@ -614,6 +614,25 @@ def test_non_finite_vec_spec_is_input_error(capsys, argv):
     assert captured.err.count("\n") == 1 and "amplitudes must be finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, plain", [("vec:3e-200,4e-200", "vec:0.6,0.8"),
+                                         ("vec:1e308,1e308", "vec:1,1")])
+def test_vec_spec_normalizes_past_under_and_overflow(tmp_path, spec, plain):
+    # the plain sum of squares is 0 or inf, but the vector is finite and nonzero;
+    # a warning, such as numpy's overflow in the norm, fails the test
+    rc, doc, _ = run_cli(["certify", "--state", spec], tmp_path, "scaled.json")
+    _, ref, _ = run_cli(["certify", "--state", plain], tmp_path)
+    assert rc == 0
+    assert doc["data"]["verdict"]["certified_level"] == ref["data"]["verdict"]["certified_level"]
+    for name, value in ref["data"]["ratios"].items():
+        assert doc["data"]["ratios"][name] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spec", ["vec:0,0", "vec:nan,1", "vec:inf,1"])
+def test_unnormalizable_vec_spec_is_input_error(spec):
+    assert main(["certify", "--state", spec]) == 2
+
+
 SEARCH_FIELDS = {"nit", "n_agree", "spread", "kkt_gradient", "kkt_curvature"}
 
 
