@@ -37,6 +37,7 @@ def write_fringe(path):
     t = [2 * math.pi * i / 32 for i in range(32)]
     path.write_text("t,p\n" + "".join(f"{ti!r},{(1 + math.cos(ti)) / 2!r}\n" for ti in t))
 
+
 SCRIPT = """
 import json, sys
 from cohcert.cli import main
