@@ -156,6 +156,42 @@ def _flat_encoder(depth: int):
                                        None, ": ", item_separator, True, False, True)
 
 
+def _is_table(obj) -> bool:
+    """Whether ``obj`` is a non-empty 1-d structured array of bool, int, uint and
+    float fields no wider than 8 bytes, each of which views as unsigned ints."""
+    names = obj.dtype.names if isinstance(obj, np.ndarray) else None
+    return bool(names) and obj.ndim == 1 and obj.size > 0 and all(
+        obj.dtype[name].kind in "biuf" and obj.dtype[name].itemsize in (1, 2, 4, 8)
+        for name in names)
+
+
+def _write_table(arr: np.ndarray, depth: int, out: list) -> None:
+    """Append the ``indent=2`` JSON text of a structured array, as a list of records.
+
+    Each field's distinct bit patterns (so -0.0 stays apart from 0.0, and NaN
+    payloads apart from each other) go through one encoder call; an encoded
+    scalar holds no raw newline, so the separator ",\\n" splits the text into
+    one text per distinct value, and the inverse index spreads them over the
+    rows.  One record template (names sorted, "%" doubled), repeated, takes the
+    texts of all rows in one % fill.
+    """
+    names = sorted(arr.dtype.names)
+    cells = np.empty((arr.size, len(names)), dtype=object)
+    for j, name in enumerate(names):
+        field = arr[name]
+        _, first, inverse = np.unique(field.view(f"u{field.itemsize}"),
+                                      return_index=True, return_inverse=True)
+        texts = "".join(_flat_encoder(0)(field[first].tolist(), 0))[1:-1].split(",\n")
+        cells[:, j] = np.array(texts, dtype=object)[inverse]
+    pad = "\n" + "  " * (depth + 1)
+    inner = pad + "  "
+    record = "{" + inner + ("," + inner).join(
+        json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in names) + pad + "}"
+    body = ("," + pad).join([record] * arr.size) % tuple(cells.ravel().tolist())
+    out += "[", pad, body, pad[:-2], "]"
+
+
 def _write(obj, depth: int, out: list) -> None:
     """Append the ``indent=2`` JSON text of ``obj``, nested ``depth`` levels deep, to ``out``."""
     kind = type(obj)
@@ -166,6 +202,9 @@ def _write(obj, depth: int, out: list) -> None:
         flat = _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
     elif kind is list or kind is tuple:
         flat = _SCALARS.issuperset(map(type, obj))
+    elif _is_table(obj):
+        _write_table(obj, depth, out)
+        return
     else:
         _write(_default(obj), depth, out)
         return
@@ -177,23 +216,6 @@ def _write(obj, depth: int, out: list) -> None:
         text = "".join(_flat_encoder(depth + 1)(obj, 0))
         out += text[0], pad, text[1:-1], pad[:-2], text[-1]
         return
-    keys = obj[0].keys() if kind is not dict and type(obj[0]) is dict else None
-    if keys and _STR.issuperset(map(type, keys)) and all(
-            type(item) is dict and item.keys() == keys for item in obj):
-        # a table: records of one str key set.  Its values, row by row in sorted-name order,
-        # go through one encoder call; an encoded scalar holds no raw newline, so the
-        # separator ",\n" splits the text into one text per value.  One record template
-        # (names with "%" doubled), repeated, takes them all in one % fill
-        names = sorted(keys)
-        values = [item[name] for item in obj for name in names]
-        if _SCALARS.issuperset(map(type, values)):
-            inner = pad + "  "
-            record = "{" + inner + ("," + inner).join(
-                json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-                for name in names) + pad + "}"
-            texts = "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
-            out += "[", pad, ("," + pad).join([record] * len(obj)) % tuple(texts), pad[:-2], "]"
-            return
     sep = pad
     if kind is dict:
         out.append("{")
@@ -216,12 +238,15 @@ def to_json(obj) -> str:
 
     numpy scalars and arrays become Python numbers and lists, complex numbers
     ``{"re": ..., "im": ...}``, and dict keys print and sort as ``str(key)``.
-    Containers of scalars go through one C encoder call each.  So does a
-    table: a list or tuple of plain dicts that all have the same non-empty
-    set of str keys and only scalar values.  Its values are encoded in one
-    call and filled into one repeated record template, so a document of many
-    such records costs about one compact encoding of its values.  Any other
-    list of records is written one record at a time.
+    Containers of scalars go through one C encoder call each, so a list of
+    records is written one record at a time.  A table, a non-empty 1-d
+    structured array of bool, int, uint and float fields (such as a sweep's
+    record array), is written as the list of its records, one dict per row:
+    each field goes through one encoder call that sees each of its distinct
+    bit patterns once, and the texts fill one repeated record template.  So a
+    table costs about one compact encoding of its distinct values, which pays
+    off where a column repeats, like the tau grid of a drift sweep.  Any other
+    structured array is written as ``tolist()`` writes it, a list of lists.
     """
     out: list = []
     _write(obj, 0, out)
@@ -515,6 +540,12 @@ def cmd_werner_sweep(args, warnings):
     return data, rows, ("lambda", "r3", "r4", "r5")
 
 
+def _gue_rows(records):
+    """CSV rows of a sweep's records, computed only when ``--format csv`` consumes them."""
+    for seed, tau, dev, r3 in records.tolist():
+        yield seed, repr(tau), repr(dev), repr(r3)
+
+
 def cmd_gue_sweep(args, warnings):
     from . import robustness
 
@@ -524,15 +555,12 @@ def cmd_gue_sweep(args, warnings):
         warnings.append(
             f"{args.samples - summary['crossings_found']} samples never crossed the threshold"
         )
-    # Python scalars, so each record dict takes the encoder's flat path
-    records = sweep.records.tolist()
-    data = {
-        "summary": summary,
-        "records": [{"seed": seed, "tau": tau, "D": dev, "r3": r3}
-                    for seed, tau, dev, r3 in records],
-    }
-    rows = ((seed, repr(tau), repr(dev), repr(r3)) for seed, tau, dev, r3 in records)
-    return data, rows, ("seed", "tau", "D", "r3")
+    header = ("seed", "tau", "D", "r3")
+    # the library's fields under the document's names (deviation -> D) in a new
+    # array: a view shares its dtype, so renaming its fields would rename the sweep's
+    records = np.rec.fromarrays(
+        [sweep.records[name] for name in ("seed", "tau", "deviation", "r3")], names=header)
+    return {"summary": summary, "records": records}, _gue_rows(records), header
 
 
 def _approx_rows(target, components, proj, points):

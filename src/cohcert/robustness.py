@@ -155,9 +155,31 @@ def tolerance_sweep(k: int, n_samples: int, seed: int = 0) -> ToleranceSweep:
     )
 
 
+def _median_and_quartiles(values: np.ndarray):
+    """``np.median(values)`` and ``np.percentile(values, [25, 50, 75])`` of a
+    non-empty array, bit for bit, from one sort (the numpy functions import
+    ``numpy.ma`` on first use).  numpy's rules: the median is the middle value
+    or the mean (a + b) / 2 of the middle two; a percentile q takes the virtual
+    index (n - 1) q between a = x[i] and b = x[i + 1], with g its fractional
+    part, as a + (b - a) g for g < 0.5 and b - (b - a)(1 - g) otherwise.
+    """
+    x = np.sort(values).tolist()
+    n = len(x)
+    h = n // 2
+    median = x[h] if n % 2 else (x[h - 1] + x[h]) / 2
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        i = int((n - 1) * q)
+        g = (n - 1) * q - i
+        a, b = x[i], x[min(i + 1, n - 1)]
+        quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return median, quartiles
+
+
 def sweep_summary(sweep: ToleranceSweep) -> dict:
     """JSON-ready binned statistics and crossing figures."""
     crossed = sweep.crossing[~np.isnan(sweep.crossing)]
+    median, quartiles = _median_and_quartiles(crossed) if crossed.size else (None, None)
     return {
         "k": sweep.k,
         "seed": sweep.master_seed,
@@ -170,8 +192,6 @@ def sweep_summary(sweep: ToleranceSweep) -> dict:
         "bin_std": [None if np.isnan(x) else float(x) for x in sweep.bin_std],
         "bin_count": [int(x) for x in sweep.bin_count],
         "crossings_found": len(crossed),
-        "median_crossing_deviation": float(np.median(crossed)) if crossed.size else None,
-        "crossing_deviation_quartiles": (
-            [float(q) for q in np.percentile(crossed, [25, 50, 75])] if crossed.size else None
-        ),
+        "median_crossing_deviation": median,
+        "crossing_deviation_quartiles": quartiles,
     }

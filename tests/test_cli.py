@@ -692,7 +692,10 @@ def test_mixed_projection_is_input_error(capsys, command, flag):
 
 
 def reference_form(obj):
-    """The conversion documents went through before ``to_json``, booleans kept."""
+    """The conversion documents went through before ``to_json``, booleans kept;
+    a 1-d structured array becomes the list of its records, one dict per row."""
+    if isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
+        return [dict(zip(obj.dtype.names, row)) for row in obj.tolist()]
     if isinstance(obj, np.ndarray):
         return [reference_form(x) for x in obj]
     if isinstance(obj, bool):
@@ -763,8 +766,7 @@ def test_to_json_without_c_encoder():
     from cohcert import tolerance_sweep
 
     sweep = tolerance_sweep(3, 2, seed=4)
-    names = sweep.records.dtype.names
-    obj = {"records": [dict(zip(names, r)) for r in sweep.records.tolist()], "bins": sweep.bin_mean,
+    obj = {"records": sweep.records, "bins": sweep.bin_mean,
            "flat": {"b": True, "a": None, "c": "\u00e9"}, 10: [1, 2.5], 2: ()}
     expected = reference_encoding(obj)
     with without_c_encoder():
@@ -773,8 +775,8 @@ def test_to_json_without_c_encoder():
 
 
 def test_to_json_encodes_record_tables(monkeypatch):
-    # a drift-sized table: keys inserted in shuffled order, names that are format
-    # directives, a string holding the record separator and every kind of scalar
+    # a drift-sized table: fields in unsorted order, names that are format
+    # directives, a column of few distinct values and every special float
     from cohcert import cli
 
     calls = []
@@ -784,32 +786,29 @@ def test_to_json_encodes_record_tables(monkeypatch):
         return lambda obj, level: calls.append(obj) or flat_encoder(depth)(obj, level)
 
     monkeypatch.setattr(cli, "_flat_encoder", counting_encoder)
-    specials = [np.float64(0.1), True, False, float("nan"), float("inf"), -float("inf"), -0.0,
-                None, 3, "\u00e9"]
-    rng = np.random.default_rng(5)
-    records = []
-    for i in range(2040):
-        values = {"seed": i, "tau": i / 7, "D": np.float64(i) / 3, "r3": specials[i % 10],
-                  "%": specials[(i + 3) % 10], "%s": "},\n      {" if i % 5 else "x",
-                  "a%%b": i % 2 == 0}
-        order = list(values)
-        rng.shuffle(order)
-        records.append({name: values[name] for name in order})
+    specials = [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 3.0, 1e-300]
+    n = 2040
+    i = np.arange(n)
+    table = np.rec.fromarrays(
+        [i.astype(np.uint32), (i % 51) / 7, np.array(specials)[i % 8], i / 3, i % 5 == 0,
+         (i % 3 - 1).astype(np.int8), (i / 9).astype(np.float32)],
+        names=("seed", "tau", "r3", "D", "a%%b", "%", "%s"))
+    assert to_json(table) == reference_encoding(table)
+    assert len(calls) == 7  # one encoder call per field
+    # each call holds its field's distinct values once, -0.0 apart from 0.0
+    assert [len(values) for values in calls] == [3, n, n, 2, 8, n, 51]  # sorted names
+    for obj in ({"data": {"records": table, "last": [table[:1]]}}, (table[:2],)):
+        assert to_json(obj) == reference_encoding(obj)
+    # a list of records is written one record at a time
+    records = reference_form(table[:6])
+    del calls[:]
     assert to_json(records) == reference_encoding(records)
-    assert len(calls) == 1  # the whole table in one encoder call
-    for obj in ({"data": {"records": records, "last": [records[0]]}}, (records[:2],)):
-        assert to_json(obj) == reference_encoding(obj)
-    # fall-through to one record at a time: differing key sets, a nested value,
-    # a record that is not a plain dict, keys that are not strings
-    extra = records[:5] + [{**records[5], "extra": 1.0}]
-    renamed = records[:5] + [{("tau2" if k == "tau" else k): v for k, v in records[5].items()}]
-    nested = records[:5] + [{**records[5], "tau": [1, 2.5]}]
-    ordered = records[:5] + [OrderedDict(records[5])]
-    int_keys = [{1: 0.5, 20: None, 3: True}, {3: 1.0, 1: -0.0, 20: "x"}]
-    for obj in (extra, renamed, nested, ordered, int_keys):
-        del calls[:]
-        assert to_json(obj) == reference_encoding(obj)
-        assert len(calls) > 1
+    assert len(calls) == len(records)
+    # structured arrays that are not tables are written as tolist() writes them
+    complex_field = np.zeros(2, dtype=[("a", "f8"), ("z", "c16")])
+    for obj in (table[:0], table[:4].reshape(2, 2), complex_field):
+        assert to_json(obj) == json.dumps(obj.tolist(), sort_keys=True, indent=2,
+                                          default=lambda z: {"re": z.real, "im": z.imag})
 
 
 table_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text,
@@ -852,6 +851,42 @@ def test_to_json_encodes_record_tables_like_the_reference(obj):
         assert to_json(obj) == expected
 
 
+TABLE_NAMES = ["seed", "tau", "D", "r3", "%", "%s", "a%%b", "é"]
+TABLE_DTYPES = [np.int64, np.int8, np.uint32, np.bool_, np.float32, np.float64, ">f8"]
+# the last is a NaN with every bit set, a payload other than np.nan's
+SPECIAL_FLOATS = np.concatenate([[-0.0, 0.0, np.nan, np.inf, -np.inf],
+                                 np.full(1, -1).view(np.float64)])
+
+
+@st.composite
+def structured_tables(draw):
+    """1-d structured arrays of 0-12 rows whose fields draw from a few values,
+    so values repeat; float fields also from -0.0, 0.0, NaN (two payloads) and +-inf."""
+    names = draw(st.lists(st.sampled_from(TABLE_NAMES), min_size=1, max_size=5, unique=True))
+    dtype = np.dtype([(name, draw(st.sampled_from(TABLE_DTYPES))) for name in names])
+    n = draw(st.integers(0, 12))
+    table = np.zeros(n, dtype)
+    for name in names:
+        kind = dtype[name]
+        pool = draw(hnp.arrays(kind, draw(st.integers(1, 4))))
+        if kind.kind == "f":
+            pool = np.concatenate([pool, SPECIAL_FLOATS.astype(kind)])
+        table[name] = pool[draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_tables(), st.integers(0, 2))
+def test_to_json_encodes_structured_tables_like_the_reference(table, depth):
+    obj = table
+    for _ in range(depth):
+        obj = {"records": obj, "n": [len(table)]}
+    expected = reference_encoding(obj)
+    assert to_json(obj) == expected
+    with without_c_encoder():
+        assert to_json(obj) == expected
+
+
 SEEDED_COMMANDS = [
     ["certify", "--state", "W:3"],
     ["certify", "--input", "{csv}", "--dim", "4"],
@@ -883,17 +918,35 @@ def test_gue_sweep_json_and_csv_rows_match_the_records():
 
     from cohcert import cli, tolerance_sweep
 
+    sweep = tolerance_sweep(4, 3, seed=8)
     data, rows, header = cli.cmd_gue_sweep(Namespace(k=4, samples=3, seed=8), [])
-    records = tolerance_sweep(4, 3, seed=8).records
-    rows = list(rows)
     assert header == ("seed", "tau", "D", "r3")
-    assert len(data["records"]) == len(rows) == len(records) == 3 * 51
-    for doc_rec, row, rec in zip(data["records"], rows, records):
-        # Python scalars, not numpy ones, keep the record on the C encoder's path
-        assert [type(doc_rec[key]) for key in header] == [int, float, float, float]
-        assert (doc_rec["seed"], doc_rec["tau"], doc_rec["D"], doc_rec["r3"]) == tuple(rec)
-        assert row == (int(rec.seed), repr(float(rec.tau)), repr(float(rec.deviation)),
-                       repr(float(rec.r3)))
+    # the sweep's record array under the document's names, written as a table
+    doc_records = data["records"]
+    assert doc_records.dtype.names == header and cli._is_table(doc_records)
+    assert sweep.records.dtype.names == ("seed", "tau", "deviation", "r3")
+    assert doc_records.tolist() == sweep.records.tolist()
+    assert len(doc_records) == 3 * 51
+    assert list(rows) == [(int(rec.seed), repr(float(rec.tau)), repr(float(rec.deviation)),
+                           repr(float(rec.r3))) for rec in sweep.records]
+
+
+def test_gue_sweep_builds_csv_rows_only_for_csv(tmp_path, monkeypatch):
+    from cohcert import cli
+
+    built = []
+    gue_rows = cli._gue_rows
+
+    def counting_rows(records):
+        built.append(len(records))
+        yield from gue_rows(records)
+
+    monkeypatch.setattr(cli, "_gue_rows", counting_rows)
+    argv = ["gue-sweep", "--k", "3", "--samples", "2", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 0
+    assert built == []
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert built == [2 * 51]
 
 
 def reference_read_pattern_csv(path):

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohcert import (
     OptimizationConfig,
@@ -172,3 +174,24 @@ def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
                         lambda psi, chi: np.full(chi.shape[:-1], on_threshold))
     sweep = tolerance_sweep(3, 4, seed=0)
     assert (sweep.crossing == 0.0).all() and sweep.crossing.size == 4
+
+
+@st.composite
+def crossing_samples(draw):
+    """1-59 values across decades, drawn from a pool so that some tie."""
+    value = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-12, 12))
+    pool = draw(st.lists(value, min_size=1, max_size=59))
+    n = draw(st.integers(1, 59))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_samples())
+@example(np.array([0.3]))
+@example(np.array([0.1, 0.7]))
+@example(np.array([0.2, 0.2, 0.5, 0.5]))
+@example(np.array([1e-9, 3e-3, 0.25, 0.25, 7.0]))
+def test_median_and_quartiles_match_numpy(values):
+    median, quartiles = robustness._median_and_quartiles(values)
+    assert median == float(np.median(values))
+    assert quartiles == [float(q) for q in np.percentile(values, [25, 50, 75])]

@@ -114,7 +114,7 @@ LIGHT = ({"cohcert.optimize", "cohcert.robustness", "cohcert.approx", "numpy.pol
     (["moments", "--state", "W:3"], LIGHT),
     (["vertex-check"], LIGHT),
     (["gue-sweep", "--k", "3", "--samples", "1"],
-     ({"cohcert.optimize", "cohcert.approx"}, {"cohcert.robustness"})),
+     ({"cohcert.optimize", "cohcert.approx", "numpy.ma"}, {"cohcert.robustness"})),
     (["tables", "--restarts", "1"],
      ({"cohcert.robustness", "cohcert.approx"}, {"cohcert.optimize"})),
     (["approx", "--target", "werner:4:0.3", "--q", "2"],
