@@ -556,10 +556,13 @@ def cmd_gue_sweep(args, warnings):
             f"{args.samples - summary['crossings_found']} samples never crossed the threshold"
         )
     header = ("seed", "tau", "D", "r3")
-    # the library's fields under the document's names (deviation -> D) in a new
-    # array: a view shares its dtype, so renaming its fields would rename the sweep's
-    records = np.rec.fromarrays(
-        [sweep.records[name] for name in ("seed", "tau", "deviation", "r3")], names=header)
+    # the library's fields under the document's names (deviation -> D), through a
+    # view with a new dtype of the same offsets: no copy, and the sweep's dtype
+    # keeps its names
+    dtype = sweep.records.dtype
+    formats, offsets = zip(*(dtype.fields[name] for name in dtype.names))
+    records = sweep.records.view(np.dtype({"names": header, "formats": formats,
+                                           "offsets": offsets, "itemsize": dtype.itemsize}))
     return {"summary": summary, "records": records}, _gue_rows(records), header
 
 

@@ -29,6 +29,21 @@ TAU_GRID = _readonly(np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)]))
 # R_3 is averaged over N_BINS equal deviation bins covering [0, BIN_MAX)
 N_BINS = 12
 BIN_MAX = 0.6
+# drifted_projection accepts H with max |H - H^dag| up to this fraction of max |H|
+HERMITIAN_RTOL = 1e-12
+
+
+def _gue_draws(d: int, seed: int) -> np.ndarray:
+    """The standard normal real and imaginary parts of one GUE matrix, as one
+    (2, d, d) draw from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).standard_normal((2, d, d))
+
+
+def _hermitian(draws: np.ndarray) -> np.ndarray:
+    """H = (A + A^dag)/2 with A = draws[..., 0, :, :] + i draws[..., 1, :, :];
+    leading axes of ``draws`` are a batch."""
+    a = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def sample_gue(d: int, seed: int) -> np.ndarray:
@@ -40,9 +55,7 @@ def sample_gue(d: int, seed: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + a.conj().T) / 2.0
+    return _hermitian(_gue_draws(d, seed))
 
 
 def _drift(h: np.ndarray, psi: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -55,8 +68,28 @@ def _drift(h: np.ndarray, psi: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def drifted_projection(psi: PureState, h, tau: float) -> PureState:
-    """Evolve the projection state: e^{i H tau} |psi>, via eigendecomposition."""
-    out = _drift(np.asarray(h), psi.amplitudes, np.array([float(tau)]))[0]
+    """Evolve the projection state: e^{i H tau} |psi>, via eigendecomposition.
+
+    ``tau`` must be finite, and ``h`` a finite square matrix of psi's
+    dimension, Hermitian to max |H - H^dag| <= HERMITIAN_RTOL max |H| (the
+    eigendecomposition reads one triangle only, so it would silently drop an
+    anti-Hermitian part).
+    """
+    h = np.asarray(h)
+    tau = float(tau)
+    d = psi.amplitudes.size
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"H must be a square matrix, got shape {h.shape}")
+    if h.shape[0] != d:
+        raise ValueError(f"dimension mismatch: H is {h.shape[0]} x {h.shape[0]}, psi has {d} levels")
+    if not np.isfinite(h).all():
+        raise ValueError("H must be finite")
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    asymmetry = np.abs(h - h.conj().T).max()
+    if asymmetry > HERMITIAN_RTOL * np.abs(h).max():
+        raise ValueError(f"H is not Hermitian: max |H - H^dag| = {asymmetry:.3g}")
+    out = _drift(h, psi.amplitudes, np.array([tau]))[0]
     return PureState(out / np.linalg.norm(out))
 
 
@@ -120,7 +153,8 @@ def tolerance_sweep(k: int, n_samples: int, seed: int = 0) -> ToleranceSweep:
     drift_free = float(_r3_psi_chi(psi_vec, psi_vec))
 
     seeds = np.random.SeedSequence(seed).generate_state(n_samples)
-    chi = _drift(np.stack([sample_gue(psi_vec.size, int(s)) for s in seeds]), psi_vec, taus)
+    draws = np.array([_gue_draws(psi_vec.size, s) for s in seeds.tolist()])
+    chi = _drift(_hermitian(draws), psi_vec, taus)
     # tau = 0 must anchor the drift-free value exactly, round-off free
     anchor = taus == 0.0
     chi[:, anchor] = psi_vec
@@ -137,17 +171,19 @@ def tolerance_sweep(k: int, n_samples: int, seed: int = 0) -> ToleranceSweep:
     crossing = _readonly(np.where(below[i, first], devs[i, first], np.nan))
 
     edges = np.linspace(0.0, BIN_MAX, N_BINS + 1)
-    devs, r3s = devs.ravel(), r3s.ravel()
-    idx = np.digitize(devs, edges) - 1
+    idx = np.digitize(devs.ravel(), edges) - 1
+    # a stable sort keeps each bin's records in record order, so a bin's slice
+    # holds the values a boolean mask would pick, in the same order
+    order = np.argsort(idx, kind="stable")
+    starts = np.searchsorted(idx[order], np.arange(N_BINS + 1))
+    binned = r3s.ravel()[order]
+    count = np.diff(starts)
     mean = np.full(N_BINS, np.nan)
     std = np.full(N_BINS, np.nan)
-    count = np.zeros(N_BINS, dtype=int)
-    for b in range(N_BINS):
-        sel = idx == b
-        count[b] = int(sel.sum())
-        if count[b]:
-            mean[b] = r3s[sel].mean()
-            std[b] = r3s[sel].std()
+    for b in np.flatnonzero(count):
+        values = binned[starts[b]:starts[b + 1]]
+        mean[b] = values.mean()
+        std[b] = values.std()
     return ToleranceSweep(
         k=k, master_seed=int(seed), threshold=threshold, drift_free_r3=drift_free,
         records=records, bin_edges=edges, bin_mean=mean,

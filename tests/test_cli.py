@@ -931,6 +931,26 @@ def test_gue_sweep_json_and_csv_rows_match_the_records():
                            repr(float(rec.r3))) for rec in sweep.records]
 
 
+def test_gue_sweep_renames_its_records_through_a_view(tmp_path, monkeypatch):
+    from cohcert import cli, robustness
+
+    sweeps, docs = [], []
+    sweep_fn, build = robustness.tolerance_sweep, cli.build_document
+    monkeypatch.setattr(robustness, "tolerance_sweep",
+                        lambda *a, **kw: sweeps.append(sweep_fn(*a, **kw)) or sweeps[-1])
+    monkeypatch.setattr(cli, "build_document", lambda *a: docs.append(build(*a)) or docs[-1])
+    _, _, text = run_cli(["gue-sweep", "--k", "4", "--samples", "5", "--seed", "2"], tmp_path)
+    (sweep,) = sweeps
+    assert sweep.records.dtype.names == ("seed", "tau", "deviation", "r3")
+    records = docs[0]["data"]["records"]
+    assert records.dtype.names == ("seed", "tau", "D", "r3")
+    assert np.shares_memory(records, sweep.records)
+    # the document equals the one written from a renamed copy
+    docs[0]["data"]["records"] = np.rec.fromarrays(
+        [sweep.records[name] for name in sweep.records.dtype.names], names=records.dtype.names)
+    assert text == cli.to_json(docs[0]) + "\n"
+
+
 def test_gue_sweep_builds_csv_rows_only_for_csv(tmp_path, monkeypatch):
     from cohcert import cli
 

@@ -103,6 +103,44 @@ def test_real_coefficients_take_the_cosine_rows(seed, d, nmax):
                                rtol=0, atol=TOL)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, d=st.integers(1, 8), nmax=st.integers(1, 6),
+       batch=st.sampled_from([(), (1,), (3,), (2, 3)]), real=st.booleans(),
+       zero=st.sampled_from([None, "grid", "anywhere"]))
+def test_moments_by_products_match_float_powers(seed, d, nmax, batch, real, zero):
+    """The engine's p^n by products against ``moment_by_sampling``'s ``p ** n``.
+
+    Both evaluate p from about 2d terms and round n times more for p^n, so they
+    agree to a few ulps per rounding: 4 (n + d) ulps of M_n (40 000 random
+    cases gave at most 19.4 ulps, at n = 5 and d = 8).  With ``zero`` set, each
+    pattern's p(t) touches 0, at a point of the engine's grid or anywhere.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(batch + (d,))
+    if not real:
+        z = z + 1j * rng.standard_normal(batch + (d,))
+    if zero and d > 1:
+        # p = |sum_q z_q e^{-iqt}|^2 vanishes where the polynomial sum_q z_q x^q
+        # has a root x = e^{-it}
+        n_points = nmax * (d - 1) + 1
+        if real:  # a real polynomial's unimodular real roots: x = 1 (t = 0) and x = -1
+            root = 1.0 if zero == "grid" else -1.0
+        elif zero == "grid":
+            root = np.exp(2j * np.pi * rng.integers(n_points) / n_points)
+        else:
+            root = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        z = np.apply_along_axis(np.convolve, -1, z[..., 1:], [1.0, -root])
+    z = z / np.abs(z).sum(axis=-1, keepdims=True)
+    cs = overlap_coefficients(z)
+    got = batch_moments(cs, nmax)
+    assert got.shape == batch + (nmax,)
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(batch):
+        for n in range(1, nmax + 1):
+            ref = moment_by_sampling(pattern(cs[idx]), n, 2 * n * (d - 1) + 1 + seed % 5)
+            assert abs(got[idx][n - 1] - ref) <= 4 * (n + d) * eps * ref
+
+
 # -- per-record reference for the drift sweep -------------------------------
 
 def _conv_moments(full: np.ndarray, nmax: int) -> np.ndarray:

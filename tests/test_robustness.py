@@ -11,6 +11,7 @@ from cohcert import (
     drifted_projection,
     maximize_rn_over_ck,
     measurement_deviation,
+    psi_star,
     sample_gue,
     sweep_summary,
     tolerance_sweep,
@@ -76,6 +77,39 @@ def test_drifted_projection_unitary_and_reversible():
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
         back = drifted_projection(out, h, -tau)
         assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-10
+
+
+def test_drifted_projection_rejects_a_non_hermitian_h():
+    # eigh reads one triangle only: this H would leave psi unchanged
+    h = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        drifted_projection(psi_star(3), h, 0.5)
+    # round-off far below the tolerance is accepted
+    h = sample_gue(3, 4)
+    h[0, 1] *= 1 + 1e-15
+    drifted_projection(psi_star(3), h, 0.5)
+
+
+def test_drifted_projection_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        drifted_projection(psi_star(3), sample_gue(4, 1), 0.5)
+
+
+def test_drifted_projection_rejects_a_non_square_h():
+    with pytest.raises(ValueError, match="square"):
+        drifted_projection(psi_star(3), np.zeros((3, 4)), 0.5)
+    with pytest.raises(ValueError, match="square"):
+        drifted_projection(psi_star(3), np.zeros(3), 0.5)
+
+
+def test_drifted_projection_rejects_a_non_finite_h_or_tau():
+    h = sample_gue(3, 2)
+    h[1, 1] = np.nan
+    with pytest.raises(ValueError, match="H must be finite"):
+        drifted_projection(psi_star(3), h, 0.5)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            drifted_projection(psi_star(3), sample_gue(3, 2), tau)
 
 
 def test_measurement_deviation():
@@ -163,6 +197,40 @@ def test_sweep_records_are_one_read_only_array():
     kept = certifies(by_sample.r3, sweep.threshold).all(axis=1)
     assert 0 < kept.sum() < 40
     assert (np.isnan(sweep.crossing) == kept).all()
+
+
+def test_sweep_hamiltonians_equal_sample_gue(monkeypatch):
+    hamiltonians = []
+    drift = robustness._drift
+    monkeypatch.setattr(robustness, "_drift", lambda h, *a: hamiltonians.append(h) or drift(h, *a))
+    for k in (3, 4):
+        sweep = tolerance_sweep(k, 7, seed=k)
+        seeds = sweep.records.seed[::robustness.TAU_GRID.size]
+        h = hamiltonians.pop()
+        assert h.shape == (7, k, k)
+        for s, hs in zip(seeds.tolist(), h):
+            assert hs.tobytes() == sample_gue(k, s).tobytes()
+
+
+@pytest.mark.parametrize("k, n_samples, seed", [(3, 40, 11), (4, 40, 12), (3, 3, 1), (4, 100, 0)])
+def test_sweep_bins_equal_the_mask_loop(k, n_samples, seed):
+    """The sorted-slice bins against one boolean mask per bin, bit for bit."""
+    sweep = tolerance_sweep(k, n_samples, seed=seed)
+    idx = np.digitize(sweep.records.deviation, sweep.bin_edges) - 1
+    mean = np.full(robustness.N_BINS, np.nan)
+    std = np.full(robustness.N_BINS, np.nan)
+    count = np.zeros(robustness.N_BINS, dtype=int)
+    for b in range(robustness.N_BINS):
+        sel = idx == b
+        count[b] = int(sel.sum())
+        if count[b]:
+            mean[b] = sweep.records.r3[sel].mean()
+            std[b] = sweep.records.r3[sel].std()
+    assert sweep.bin_count.tolist() == count.tolist()
+    assert mean.tobytes() == sweep.bin_mean.tobytes()
+    assert std.tobytes() == sweep.bin_std.tobytes()
+    # the cases include records beyond the binned window, and (3, 3, 1) an empty bin
+    assert count.sum() < len(sweep.records)
 
 
 def test_sweep_crossing_uses_the_certification_rule(monkeypatch):
