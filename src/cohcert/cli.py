@@ -392,13 +392,16 @@ def cmd_tables(args, warnings):
     # Tables 1 and 2 read theirs from it; Table 2 scans n = 4, 5 for k = 2..5
     scans = {n: optimize.growth_scan(k_max, n=n, cfg=cfg) for n, k_max in ((3, 8), (4, 5), (5, 5))}
     scan = scans[3]
+    thresholds = optimize.decoherence_threshold_table()
+    # R_n of the uniform k-profile is Table 3's comparison threshold at k + 1
+    w_values = {(rec.n, rec.k - 1): rec.threshold for rec in thresholds}
     table2 = []
     for n in (3, 4, 5):
         for k in (2, 3, 4, 5):
             res = scans[n].results[k - 2]
             if not res.converged:
                 warnings.append(f"optimizer did not converge for (n={n}, k={k})")
-            w_val = optimize.rn_of_alpha(np.full(k, 1.0 / k), n)
+            w_val = w_values[(n, k)]
             pub_max, pub_w, pub_prof = PUBLISHED_TABLE2[(n, k)]
             table2.append({
                 "n": n, "k": k,
@@ -427,7 +430,7 @@ def cmd_tables(args, warnings):
             "search": search,
         })
     table3 = []
-    for rec in optimize.decoherence_threshold_table():
+    for rec in thresholds:
         published = PUBLISHED_TABLE3[rec.n][rec.k - 3]
         if not rec.reachable:
             warnings.append(f"threshold unreachable for (n={rec.n}, k={rec.k})")

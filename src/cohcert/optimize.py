@@ -16,13 +16,19 @@ R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
 (R_3 = 5/4).
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
-R_n is a polynomial in 1 - lam and a threshold is one of its roots.
+R_n is a polynomial in u = 1 - lam, increasing and convex on [0, 1], and a
+threshold is its one root there.  Newton's method from u = 1, safeguarded by
+a bisection bracket, finds it from values of the polynomial on [0, 1] alone;
+a leading coefficient that is round-off (the odd moments of q vanish at
+k = 2) moves those values by as little, where a companion-matrix root finder
+divides by it.
 """
 
 import functools
 import operator
+import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -148,25 +154,30 @@ def _newton_step(x, g, h, free):
     """Newton directions of the rows of ``x`` on their faces of the simplex.
 
     A row's face is {d : sum d = 0, d_i = 0 off the free coordinates}.  With
-    j the row's largest coordinate, z_i = e_i - e_j for the free i != j span
-    it; the other columns of Z are 0.  The step minimizes the quadratic
-    model along the face.  Where the model's Hessian on the face, Z^T H Z,
-    is not positive definite, 1.5 times its Gershgorin bound is added to its
-    diagonal, which leaves every eigenvalue at least half as large as the
-    most negative one was in size (a factor chosen over 20 seeds of the
-    ``tables`` searches: 150 Newton iterations on average, against 155 for 2
-    and 164 for 2.5).  Where that bound is not negative, Z^T H Z is positive
-    semidefinite and singular; the shift is then the norm of the reduced
-    gradient Z^T g, which bounds the solution of the reduced system by 1.
+    j the row's largest coordinate, z_i = e_i - e_j for the free i != j, the
+    moving coordinates, span it.  The step minimizes the quadratic model
+    along the face: in these coordinates the reduced gradient is g_i - g_j
+    and the reduced Hessian Z^T H Z is H_il - H_jl - (H_ij - H_jj), with the
+    identity off the moving coordinates; the solution y maps back to the
+    direction d_i = y_i, d_j = -sum_i y_i.  Where Z^T H Z is not positive
+    definite, 1.5 times its Gershgorin bound is added to its diagonal, which
+    leaves every eigenvalue at least half as large as the most negative one
+    was in size (a factor chosen over 20 seeds of the ``tables`` searches:
+    150 Newton iterations on average, against 155 for 2 and 164 for 2.5).
+    Where that bound is not negative, Z^T H Z is positive semidefinite and
+    singular; the shift is then the norm of the reduced gradient, which
+    bounds the solution of the reduced system by 1.
     """
     rows, k = x.shape
-    eye = np.eye(k)
+    at = np.arange(rows)
     pivot = np.argmax(x, axis=-1)
     moves = free.copy()
-    moves[np.arange(rows), pivot] = False
-    z = (eye - eye[pivot, :, None]) * moves[:, None, :]
-    grad = (g[:, None, :] @ z)[:, 0]
-    reduced = np.swapaxes(z, 1, 2) @ h @ z + eye * ~moves[:, None, :]
+    moves[at, pivot] = False
+    grad = (g - g[at, pivot, None]) * moves
+    row_j, col_j = h[at, pivot], h[at, :, pivot]
+    reduced = np.where(moves[:, :, None] & moves[:, None, :],
+                       (h - row_j[:, None, :]) - (col_j - row_j[at, pivot, None])[:, :, None],
+                       np.eye(k))
     bad = ~_positive_definite(reduced)
     if bad.any():
         # Gershgorin: no eigenvalue lies below min_i (H_ii - sum_{l != i} |H_il|)
@@ -174,7 +185,9 @@ def _newton_step(x, g, h, free):
         lowest = np.min(on_diag + np.abs(on_diag) - np.abs(reduced).sum(axis=-1), axis=-1)
         shift = np.where(lowest < 0.0, -1.5 * lowest, np.linalg.norm(grad, axis=-1))
         reduced[:, np.arange(k), np.arange(k)] += np.where(bad, shift, 0.0)[:, None] * moves
-    return (z @ np.linalg.solve(reduced, -grad[..., None]))[..., 0]
+    step = np.linalg.solve(reduced, -grad[..., None])[..., 0]
+    step[at, pivot] = -step.sum(axis=-1)
+    return step
 
 
 def minimize(fun, x0, args=()) -> NewtonResult:
@@ -311,14 +324,22 @@ def _neg_rn_over_simplex(a: np.ndarray, n: int):
     return -r[:, 0], c * a - u, hess
 
 
+@functools.lru_cache(maxsize=None)
+def _face_basis(size: int) -> np.ndarray:
+    """An orthonormal basis, as (size, size - 1) columns, of the directions
+    along a face of ``size`` levels (entries summing to 0); read-only."""
+    basis = np.linalg.qr(np.eye(size)[:, 1:] - 1.0 / size)[0]
+    basis.setflags(write=False)
+    return basis
+
+
 def _kkt_certificate(a: np.ndarray, g: np.ndarray, h: np.ndarray):
     """Norm of the gradient ``g`` of R_n at the simplex point ``a`` projected on
     the face of a's nonzero levels, and the largest eigenvalue of the Hessian
     ``h`` on that face."""
     face = a > 0.0
     g, h = g[face], h[np.ix_(face, face)]
-    # an orthonormal basis of the directions along the face (entries summing to 0)
-    basis = np.linalg.qr(np.eye(len(g))[:, 1:] - 1.0 / len(g))[0]
+    basis = _face_basis(len(g))
     return float(np.linalg.norm(g - g.mean())), float(np.linalg.eigvalsh(basis.T @ h @ basis).max())
 
 
@@ -487,33 +508,78 @@ class ThresholdRecord:
     reachable: bool
 
 
+def _increasing_root(c, target: float) -> float:
+    """The root in (0, 1) of P(u) = sum_j c_j u^j = target, for a polynomial
+    increasing on [0, 1] with P(0) < target < P(1).
+
+    Newton's method from u = 1, safeguarded by bisection: each evaluation
+    shrinks the bracket [lo, hi] around the root, and a step that leaves it,
+    or one from a point where P' is not positive, is replaced by the
+    midpoint.  Where P is also convex, as R_n of the Werner family is,
+    Newton's iterates from the right decrease to the root without crossing
+    it and need no midpoint.  It stops once a step moves u by at most 4
+    ulps.  Only values of P on [0, 1] enter, so a round-off error d in a
+    coefficient moves P by at most |d| there and the root by |d| / P'; the
+    degree and the leading coefficient play no role.
+    """
+    lo, hi, u = 0.0, 1.0, 1.0
+    for _ in range(100):  # 100 halvings of [0, 1] reach an ulp of any root above 4e-15
+        f = df = 0.0
+        for cj in reversed(c):  # Horner, with the derivative alongside
+            df = df * u + f
+            f = f * u + cj
+        f -= target
+        if f < 0.0:
+            lo = u
+        else:
+            hi = u
+        step = f / df if df > 0.0 else inf
+        if abs(step) <= 4 * sys.float_info.epsilon * u:
+            return u - step
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+    return u
+
+
+def _werner_threshold(n: int, k: int, mu, threshold: float) -> ThresholdRecord:
+    """Solve R_n(werner(k, 1 - u)) = threshold for u, given the moments
+    ``mu`` = <q^j>, j = 1..n (or more), of the centred W_k pattern q."""
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    threshold = float(threshold)
+    c = [comb(n, j) * float(k) ** (j - 1) * m for j, m in enumerate([1.0, *mu[:n]])]
+    desc = f"werner({k}) under w projection"
+    if sum(c) <= threshold:
+        return ThresholdRecord(n, k, 0.0, desc, threshold, reachable=False)
+    if c[0] >= threshold:
+        return ThresholdRecord(n, k, 1.0, desc, threshold, reachable=False)
+    return ThresholdRecord(n, k, 1.0 - _increasing_root(c, threshold), desc, threshold,
+                           reachable=True)
+
+
 def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     """Solve R_n(werner(k, lam)) = threshold under the W_k projection.
 
     With u = 1 - lam and mu_j = <q^j> for the centred W_k pattern q, M_1 = 1/k
     and R_n = sum_j C(n, j) k^(j-1) mu_j u^j, kept in the u basis (better
     conditioned than lam).  dR_n/du = n k^(n-1) <q p^(n-1)> >= 0 since p >= 0
-    grows with q and <q> = 0, so a bracketed root is unique.
+    grows with q and <q> = 0, so a bracketed root is unique, and
+    d2R_n/du2 = n(n-1) k^(n-1) <q^2 p^(n-2)> >= 0.  The root is found on
+    [0, 1] by Newton's method from u = 1, safeguarded by bisection
+    (``_increasing_root``), which evaluates the polynomial there and never
+    divides by its leading coefficient.  That coefficient can be round-off:
+    at k = 2 the odd moments of q = cos(t) / 2 vanish and the computed ones
+    are about 1e-17, so the roots of the companion matrix other than the
+    bracketed one lie anywhere, while the values on [0, 1] move by only that
+    much.
     """
-    # imported here, its only use, so that importing this module skips numpy.polynomial
-    from numpy.polynomial.polynomial import polyroots, polyval
-
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-    q = werner_coefficients(k, 0.0)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    # the W_k pattern under W_k is the autocorrelation of the uniform profile 1/k
+    q = overlap_coefficients(np.full(k, 1.0 / k))
     q[0] = 0.0
-    mu = np.concatenate([[1.0], batch_moments(q, n)])
-    c = np.array([comb(n, j) * float(k) ** (j - 1) * mu[j] for j in range(n + 1)])
-    desc = f"werner({k}) under w projection"
-    if polyval(1.0, c) <= threshold:
-        return ThresholdRecord(n, k, 0.0, desc, threshold, reachable=False)
-    if polyval(0.0, c) >= threshold:
-        return ThresholdRecord(n, k, 1.0, desc, threshold, reachable=False)
-    c[0] -= threshold
-    # the root nearest the segment [0, 1] of the real axis is the bracketed one
-    u = min(polyroots(c),
-            key=lambda r: abs(r.imag) + max(-r.real, r.real - 1, 0.0)).real
-    return ThresholdRecord(n, k, 1.0 - u, desc, threshold, reachable=True)
+    return _werner_threshold(n, k, batch_moments(q, n).tolist(), threshold)
 
 
 def decoherence_threshold_table(k_values=range(3, 11)):
@@ -523,7 +589,19 @@ def decoherence_threshold_table(k_values=range(3, 11)):
     The comparison threshold for losing (k)-coherence is R_n of the equal
     superposition of k-1 levels, which is what the published threshold
     table tracks (the slightly larger best-known maxima over C_{k-1} would
-    shift the n=3 row down by up to 0.02).
+    shift the n=3 row down by up to 0.02).  One moment pass, up to n = 5,
+    serves every k: the centred W_k patterns (the autocorrelation of the
+    uniform k-profile, less its mean) and the uniform (k-1)-profiles,
+    zero-padded to the largest k.
     """
-    return [lambda_threshold(n, k, rn_of_alpha(np.full(k - 1, 1.0 / (k - 1)), n))
-            for n in (3, 4, 5) for k in k_values]
+    ks = list(k_values)
+    if ks and min(ks) < 2:
+        raise ValueError(f"k must be >= 2, got {min(ks)}")
+    cs = np.zeros((2, len(ks), max(ks, default=2)))
+    for row, k in enumerate(ks):
+        cs[0, row, :k] = overlap_coefficients(np.full(k, 1.0 / k))
+        cs[1, row, :k - 1] = overlap_coefficients(np.full(k - 1, 1.0 / (k - 1)))
+    cs[0, :, 0] = 0.0
+    mu, ms = batch_moments(cs, 5).tolist()
+    return [_werner_threshold(n, k, mu[row], ms[row][n - 1] / ms[row][0] ** (n - 1))
+            for n in (3, 4, 5) for row, k in enumerate(ks)]

@@ -317,6 +317,22 @@ def test_tables_command(tmp_path):
     assert 0.5 < fit["slope"] < 0.6
 
 
+def test_tables_w_values_are_table3_thresholds(tmp_path):
+    # R_n of the uniform k-profile is both Table 2's W value at k and Table 3's
+    # comparison threshold at k + 1: one value, from Table 3's moment pass
+    from cohcert.optimize import rn_of_alpha
+
+    rc, doc, _ = run_cli(["tables", "--restarts", "1"], tmp_path)
+    assert rc == 0
+    used = {(row["n"], row["k"]): row["threshold_used"] for row in doc["data"]["table3"]}
+    for row in doc["data"]["table2"]:
+        n, k = row["n"], row["k"]
+        assert row["w_value_computed"] == used[(n, k + 1)], (n, k)
+        assert row["w_value_computed"] == pytest.approx(rn_of_alpha(np.full(k, 1 / k), n), rel=1e-14)
+    assert all(0.0 < row["lambda_thr_computed"] < 1.0 for row in doc["data"]["table3"])
+    assert len(doc["data"]["table3"]) == 24 and not doc["warnings"]
+
+
 @pytest.mark.parametrize("argv", [
     ["approx", "--target", "werner:3:0.5", "--q", "0"],
     ["optimize", "--restarts", "0"],

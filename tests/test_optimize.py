@@ -138,6 +138,8 @@ def test_orders_below_two_rejected(n):
         werner_rn(3, 0.5, n)
     with pytest.raises(ValueError, match="n must be >= 2"):
         rn_of_alpha(np.full(3, 1 / 3), n)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        lambda_threshold(n, 3, 1.0)
 
 
 # werner_rn(k, lam, n, projection="optimize") for n = 2, 3, 4, 5 at the default
@@ -208,6 +210,66 @@ def test_decoherence_thresholds_solve_defining_equation():
         rho = werner_state(WernerParams(rec.k, rec.lambda_thr))
         value = ratio(pattern_from_states(rho, w_state(rec.k).density()), rec.n)
         assert value == pytest.approx(rec.threshold, rel=1e-12), (rec.n, rec.k)
+
+
+def test_lambda_threshold_k2_is_the_bracketed_root():
+    # the odd moments of the centred W_2 pattern cos(t) / 2 vanish, so the
+    # computed leading coefficients at n = 3 and 5 are round-off
+    rec = lambda_threshold(3, 2, 1.0)
+    assert rec.reachable and rec.lambda_thr == pytest.approx(1 - np.sqrt(2 / 3), abs=1e-14)
+    for n in (3, 4, 5):
+        rec = lambda_threshold(n, 2, 1.0)
+        assert rec.reachable and 0.0 < rec.lambda_thr < 1.0
+        rho = werner_state(WernerParams(2, rec.lambda_thr))
+        assert ratio(pattern_from_states(rho, w_state(2).density()), n) == pytest.approx(1.0, abs=1e-12)
+    assert [r.k for r in decoherence_threshold_table(k_values=(2,))] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_thresholds_reject_level_counts_below_two(k):
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        lambda_threshold(3, k, 1.0)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        decoherence_threshold_table(k_values=(3, k))
+
+
+def test_lambda_thr_is_a_python_float():
+    records = decoherence_threshold_table() + [
+        lambda_threshold(3, 3, 100.0), lambda_threshold(3, 3, 1e-9), lambda_threshold(4, 5, 2.0)]
+    assert {type(rec.lambda_thr) for rec in records} == {float}
+    assert {type(rec.threshold) for rec in records} == {float}
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 12), n=st.sampled_from([3, 4, 5]), s=st.floats(1e-6, 1.0 - 1e-6))
+def test_reachable_thresholds_solve_their_equation(k, n, s):
+    # a threshold strictly between R_n at lam = 1 (1/k) and at lam = 0
+    low, high = werner_rn(k, 1.0, n), werner_rn(k, 0.0, n)
+    threshold = low + s * (high - low)
+    rec = lambda_threshold(n, k, threshold)
+    assert rec.reachable and 0.0 <= rec.lambda_thr <= 1.0
+    rho = werner_state(WernerParams(k, rec.lambda_thr))
+    value = ratio(pattern_from_states(rho, w_state(k).density()), n)
+    assert value == pytest.approx(threshold, rel=1e-12)
+
+
+def test_increasing_root_bisects_where_newton_leaves_the_bracket():
+    # P(u) = 1 - (1 - u)^5 is increasing but concave: P'(1) = 0, and Newton
+    # steps from the right of the root overshoot below 0
+    c = [0.0, 5.0, -10.0, 10.0, -5.0, 1.0]
+    for target in (1e-6, 0.3, 0.9, 0.99):
+        root = optimize._increasing_root(c, target)
+        assert root == pytest.approx(-np.expm1(np.log1p(-target) / 5), rel=1e-12), target
+
+
+def test_threshold_table_matches_single_thresholds():
+    # one moment pass for every k gives the thresholds of one lambda_threshold
+    # call per cell, on R_n of the uniform (k-1)-profile
+    for rec in decoherence_threshold_table(k_values=(2, 3, 7, 12)):
+        assert rec.threshold == pytest.approx(rn_of_alpha(np.full(rec.k - 1, 1 / (rec.k - 1)), rec.n),
+                                              rel=1e-14)
+        alone = lambda_threshold(rec.n, rec.k, rec.threshold)
+        assert rec.lambda_thr == pytest.approx(alone.lambda_thr, rel=1e-13), (rec.n, rec.k)
 
 
 def stacks(min_rows=1):
@@ -494,3 +556,71 @@ def test_iteration_cap_stops_every_row(monkeypatch):
     res = optimize.minimize(_neg_rn_over_simplex, starts, args=(3,))
     assert res.nit == 2 and res.nfev == 3 and not res.success
     assert res.x.shape == starts.shape and np.allclose(res.x.sum(axis=-1), 1.0)
+
+
+def test_face_basis_is_cached_and_read_only():
+    for size in range(1, 9):
+        basis = optimize._face_basis(size)
+        assert basis is optimize._face_basis(size) and not basis.flags.writeable
+        assert basis.shape == (size, size - 1)
+        assert np.allclose(basis.T @ basis, np.eye(size - 1)) and np.allclose(basis.sum(axis=0), 0.0)
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), count=st.integers(1, 6))
+def test_positive_definite_agrees_with_eigenvalues(seed, size, count):
+    # the private cholesky gufunc leaves NaN in the factor of a matrix that is
+    # not positive definite; a numpy release that changes that fails here
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(count, size, size)))[0]
+    scale = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+    eig = rng.uniform(0.01, 1.0, size=(count, size)) * scale
+    # about half the matrices get one eigenvalue below -1e-8 of their norm
+    flip = rng.random(count) < 0.5
+    eig[flip, 0] = -(10.0 ** rng.uniform(-7, 0, size=flip.sum())) * scale[flip, 0]
+    h = (q * eig[:, None, :]) @ np.swapaxes(q, 1, 2)
+    h = (h + np.swapaxes(h, 1, 2)) / 2
+    eigenvalues = np.linalg.eigvalsh(h)
+    lowest, norm = eigenvalues.min(axis=-1), np.abs(eigenvalues).max(axis=-1)
+    assert np.all((lowest > 1e-8 * norm) | (lowest < -1e-8 * norm))
+    assert optimize._positive_definite(h).tolist() == (lowest > 0.0).tolist()
+
+
+def reference_newton_step(x, g, h, free):
+    """The Newton direction through the face basis Z (columns e_i - e_j for
+    the moving coordinates i, with j the pivot) and the products Z^T H Z."""
+    rows, k = x.shape
+    eye = np.eye(k)
+    pivot = np.argmax(x, axis=-1)
+    moves = free.copy()
+    moves[np.arange(rows), pivot] = False
+    z = (eye - eye[pivot, :, None]) * moves[:, None, :]
+    grad = (g[:, None, :] @ z)[:, 0]
+    reduced = np.swapaxes(z, 1, 2) @ h @ z + eye * ~moves[:, None, :]
+    bad = ~optimize._positive_definite(reduced)
+    on_diag = np.diagonal(reduced, axis1=1, axis2=2)
+    lowest = np.min(on_diag + np.abs(on_diag) - np.abs(reduced).sum(axis=-1), axis=-1)
+    shift = np.where(lowest < 0.0, -1.5 * lowest, np.linalg.norm(grad, axis=-1))
+    reduced[:, np.arange(k), np.arange(k)] += np.where(bad, shift, 0.0)[:, None] * moves
+    return (z @ np.linalg.solve(reduced, -grad[..., None]))[..., 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), rows=st.integers(1, 6))
+def test_newton_step_equals_the_face_basis_products(seed, k, rows):
+    rng = np.random.default_rng(seed)
+    x = rng.random((rows, k)) * (rng.random((rows, k)) < 0.8)
+    x[:, rng.integers(k)] += 0.1
+    x /= x.sum(axis=-1, keepdims=True)
+    free = (x > 0.0) | (rng.random((rows, k)) < 0.3)
+    g = rng.normal(size=(rows, k))
+    h = rng.normal(size=(rows, k, k))
+    h = h + np.swapaxes(h, 1, 2)
+    h[rng.random(rows) < 0.5] *= -1.0  # some faces need a shift
+    step = optimize._newton_step(x, g, h, free)
+    expected = reference_newton_step(x, g, h, free)
+    assert np.allclose(step, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    assert np.allclose(step.sum(axis=-1), 0.0, atol=1e-12 * max(1.0, np.abs(step).max()))
+    assert np.all(step[~free] == 0.0)

@@ -116,7 +116,7 @@ LIGHT = ({"cohcert.optimize", "cohcert.robustness", "cohcert.approx", "numpy.pol
     (["gue-sweep", "--k", "3", "--samples", "1"],
      ({"cohcert.optimize", "cohcert.approx", "numpy.ma"}, {"cohcert.robustness"})),
     (["tables", "--restarts", "1"],
-     ({"cohcert.robustness", "cohcert.approx"}, {"cohcert.optimize"})),
+     ({"cohcert.robustness", "cohcert.approx", "numpy.polynomial"}, {"cohcert.optimize"})),
     (["approx", "--target", "werner:4:0.3", "--q", "2"],
      ({"cohcert.robustness", "numpy.polynomial"}, {"cohcert.approx"})),
 ], ids=["certify-state", "certify-input", "moments", "vertex-check", "gue-sweep", "tables",
