@@ -19,6 +19,7 @@ the bound holds for every mixture of such states under every mixture of
 pure projections.  Under W_k, where M_1 = 1/k, it is the bound q/k.
 """
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,7 +29,8 @@ from .bounds import certifies
 # unused here; it stays because traced benchmark runs patch approx.minimize.
 # optimize's projected Newton solver is numpy only, like this module.
 from .optimize import minimize  # noqa: F401
-from .patterns import PatternCoefficients, coefficient_gradient, matrix_coefficients
+from .patterns import (PatternCoefficients, coefficient_gradient, grid_values,
+                       matrix_coefficients)
 from .states import DensityMatrix, PureState, coherence_support
 
 __all__ = [
@@ -145,6 +147,17 @@ def nnls(columns: np.ndarray, target: np.ndarray, start: np.ndarray) -> np.ndarr
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _supports(dim: int, q: int):
+    """The q-level supports of ``dim`` levels in ``combinations`` order, and the
+    flat indices of their principal submatrices in a dim x dim matrix; read-only."""
+    supports = np.array(list(combinations(range(dim), q)))
+    flat = supports[:, :, None] * dim + supports[:, None, :]
+    for arr in (supports, flat):
+        arr.setflags(write=False)
+    return supports, flat
+
+
 def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
                          q: int) -> MixtureApprox:
     """Closest pattern to ``target`` from mixtures of q-coherent states.
@@ -152,7 +165,9 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
     The projection ``chi`` stays fixed.  Fully-corrective Frank-Wolfe from
     the equal superposition of the first q levels; it stops when the duality
     gap falls to ``GAP_TOL + GAP_RTOL * residual`` and gives up after
-    ``MAX_ITERS`` iterations.
+    ``MAX_ITERS`` iterations.  The active atoms (state, coefficient row and
+    residual-embedding column) sit in the leading rows of buffers that
+    double when full; they are compacted only when a weight drops to 0.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -160,30 +175,39 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
     sigma_mat = chi.matrix
     if sigma_mat.shape[0] != dim:
         raise ValueError(f"dimension mismatch: pattern {dim} vs projection {sigma_mat.shape[0]}")
-    supports = np.array(list(combinations(range(dim), min(q, dim))))
+    supports, blocks = _supports(dim, min(q, dim))
     tgt = target.one_sided()
     tgt_vec = _coeff_residual_vector(tgt)
 
     psi = np.zeros(dim, dtype=complex)
     psi[supports[0]] = 1.0 / np.sqrt(supports.shape[1])
-    # each atom's coefficient row and residual-embedding column, computed once
-    psis = np.empty((0, dim), dtype=complex)
-    coeffs = np.empty((0, dim), dtype=complex)
-    columns = np.empty((tgt_vec.size, 0))
+    # each atom's coefficient row and residual-embedding column, computed once;
+    # embeddings are stored as rows, so embeds[:n].T is the column matrix
+    # (F-ordered; nnls gets a C-ordered copy, never written to afterwards)
+    psis = np.empty((8, dim), dtype=complex)
+    coeffs = np.empty_like(psis)
+    embeds = np.empty((8, tgt_vec.size))
+    n = 0
     weights = np.empty(0)  # the first solve has one column, whose weight is 1
     converged = False
     for _ in range(MAX_ITERS):
+        if n == len(psis):
+            psis, coeffs, embeds = (np.concatenate((buf, np.empty_like(buf)))
+                                    for buf in (psis, coeffs, embeds))
         row = matrix_coefficients(np.outer(psi, psi.conj()), sigma_mat)
-        psis = np.vstack([psis, psi])
-        coeffs = np.vstack([coeffs, row])
-        columns = np.column_stack([columns, _coeff_residual_vector(row)])
-        weights = nnls(columns, tgt_vec, weights)
+        psis[n], coeffs[n], embeds[n] = psi, row, _coeff_residual_vector(row)
+        n += 1
+        weights = nnls(embeds[:n].T.copy(), tgt_vec, weights)
         keep = weights > 0
-        psis, coeffs, columns, weights = psis[keep], coeffs[keep], columns[:, keep], weights[keep]
-        r_vec = columns @ weights - tgt_vec
+        if not keep.all():
+            kept = int(np.count_nonzero(keep))
+            for buf in (psis, coeffs, embeds):
+                buf[:kept] = buf[:n][keep]
+            n, weights = kept, weights[keep]
+        r_vec = embeds[:n].T @ weights - tgt_vec
         residual = float(r_vec @ r_vec)
-        grad = coefficient_gradient(weights @ coeffs - tgt, sigma_mat)
-        vals, vecs = np.linalg.eigh(grad[supports[:, :, None], supports[:, None, :]])
+        grad = coefficient_gradient(weights @ coeffs[:n] - tgt, sigma_mat)
+        vals, vecs = np.linalg.eigh(grad.take(blocks))
         best = int(np.argmin(vals[:, 0]))
         # Tr(G rho) = 2 <r, c(rho)>, because the coefficients c are linear in rho
         tr_grad_rho = 2.0 * float(r_vec @ (r_vec + tgt_vec))
@@ -195,7 +219,7 @@ def best_q_approximation(target: PatternCoefficients, chi: DensityMatrix,
         psi = np.zeros(dim, dtype=complex)
         psi[supports[best]] = vecs[best, :, 0]
 
-    components = [(float(w), PureState.normalized(psi)) for w, psi in zip(weights, psis)]
+    components = [(float(w), PureState.normalized(psi)) for w, psi in zip(weights, psis[:n])]
     assert abs(sum(w for w, _ in components) - 1.0) <= 1e-10
     assert all(coherence_support(s) <= q for _, s in components)
     return MixtureApprox(q=q, components=components, residual=residual,
@@ -231,11 +255,12 @@ def reproducibility_verdict(target: PatternCoefficients, chi: DensityMatrix,
     ``GAP_TOL``) on the best q-coherent residual exceeds ``DECISION_TOL``, so
     the claim is proven, not inferred from a search that found nothing better.  An
     exceeded peak bound q M_1 is reported alongside as an independent analytic
-    confirmation.
+    confirmation; the peak is the largest p(t_j) on the grid t_j = 2 pi j / (64 d),
+    one product of the coefficients with the cached basis of
+    ``patterns.grid_values``.
     """
     approx = best_q_approximation(target, chi, q)
     exceeds = approx.lower_bound > DECISION_TOL
-    grid = np.linspace(0.0, 2 * np.pi, 64 * target.dim, endpoint=False)
-    peak = bool(certifies(target.evaluate(grid).max(), q * target.c0))
+    peak = bool(certifies(grid_values(target.one_sided(), 64 * target.dim).max(), q * target.c0))
     return ReproducibilityVerdict(exceeds_coherence=exceeds, residual=approx.residual,
                                   peak_exceeded=peak, approx=approx)

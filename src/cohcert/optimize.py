@@ -35,7 +35,7 @@ from numpy.linalg import _umath_linalg
 
 from .bounds import r3_w_closed_form
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
-from .states import WernerParams, w_state
+from .states import WernerParams
 
 __all__ = [
     "OptimizationConfig",
@@ -427,9 +427,10 @@ def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -
 
 def werner_coefficients(k: int, lam) -> np.ndarray:
     """Coefficients of werner(k, lam) under the W_k projection: c_0 = 1/k and
-    c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``."""
-    w = w_state(k).amplitudes
-    c_w = overlap_coefficients(w * w.conj())
+    c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``.  The W_k
+    pattern under W_k, c^W, is the autocorrelation of the uniform profile
+    1/k, as in the threshold code."""
+    c_w = overlap_coefficients(np.full(k, 1.0 / k))
     cs = np.multiply.outer(1.0 - np.asarray(lam, dtype=float), c_w)
     cs[..., 0] = 1.0 / k
     return cs

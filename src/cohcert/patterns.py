@@ -3,7 +3,8 @@
 A pattern p(t) = c0 + 2 sum_m Re(c_m e^{-imt}) collects the detection
 probability over one 2*pi period.  This module holds the one coefficient
 kernel c_m = sum_p rho_{p,p-m} sigma_{p-m,p} (a matrix form with its
-adjoint, and a pure-state fast path) and the one moment engine, which takes
+adjoint, and a pure-state fast path), the one cached grid basis that
+evaluates p on a uniform grid, and the one moment engine, which takes
 M_n = <p^n> exactly as the mean over an alias-free grid and accepts leading
 batch axes.
 Sampling on a user-chosen grid is kept as an independent cross-check oracle.
@@ -29,9 +30,9 @@ __all__ = [
     "fit_pattern_from_samples",
 ]
 # The kernel (matrix_coefficients, its adjoint coefficient_gradient,
-# overlap_coefficients) and the engine (batch_moments, ratio_from_moments)
-# are unvalidated array building blocks shared by the other modules; they
-# stay out of the public API.
+# overlap_coefficients), the grid evaluation (grid_values) and the engine
+# (batch_moments, ratio_from_moments) are unvalidated array building blocks
+# shared by the other modules; they stay out of the public API.
 
 RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
@@ -76,8 +77,8 @@ class PatternCoefficients:
 
     def is_physical(self, tol: float = RANGE_TOL) -> bool:
         """Check p(t) stays inside [-tol, 1 + tol] on a dense grid (16 points per
-        level), evaluated by one FFT of the coefficients."""
-        vals = 2.0 * np.fft.fft(self.one_sided(), SAMPLES_PER_DIM * self.dim).real - self.c0
+        level), evaluated through the cached grid basis of ``grid_values``."""
+        vals = grid_values(self.one_sided(), SAMPLES_PER_DIM * self.dim)
         return bool(vals.min() >= -tol and vals.max() <= 1.0 + tol)
 
     def __repr__(self):
@@ -138,6 +139,17 @@ def matrix_coefficients(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.array([np.diagonal(rho, -m, -2, -1) @ np.diagonal(sigma, m) for m in range(d)]).T
 
 
+@functools.lru_cache(maxsize=None)
+def _lags(d: int):
+    """|i - j| and the mask i < j of a d x d matrix, read-only."""
+    i = np.arange(d)
+    lag = np.subtract.outer(i, i)
+    lags = (np.abs(lag), lag < 0)
+    for arr in lags:
+        arr.setflags(write=False)
+    return lags
+
+
 def coefficient_gradient(r, sigma: np.ndarray) -> np.ndarray:
     """Adjoint of the matrix kernel: the Hermitian G with Tr(G drho) = dF.
 
@@ -146,13 +158,12 @@ def coefficient_gradient(r, sigma: np.ndarray) -> np.ndarray:
     G[p-m, p] = 2 conj(r_m) sigma[p-m, p], G[p, p-m] = its conjugate and
     G[p, p] = 2 r_0 sigma[p, p].  The Hermitian Toeplitz matrix T[i, j] =
     r_{i-j} below the diagonal and conj(r_{j-i}) above it is built by
-    indexing (the tests match it bit for bit with a library Toeplitz
-    constructor).
+    indexing with the cached lags of ``_lags`` (the tests match it bit for
+    bit with a library Toeplitz constructor).
     """
-    i = np.arange(len(r))
-    lag = np.subtract.outer(i, i)
-    t = r[np.abs(lag)]
-    return 2.0 * sigma * np.where(lag < 0, t.conj(), t)
+    abs_lag, upper = _lags(len(r))
+    t = r[abs_lag]
+    return 2.0 * sigma * np.where(upper, t.conj(), t)
 
 
 def overlap_coefficients(z) -> np.ndarray:
@@ -176,29 +187,46 @@ def overlap_coefficients(z) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _moment_grid(width: int, nmax: int):
-    """Alias-free grid of nmax*(width-1)+1 points for patterns of ``width`` levels.
+def _grid_basis(width: int, points: int):
+    """The read-only basis of p on the grid t_j = 2 pi j / points, for patterns
+    of ``width`` levels.
 
-    p^n has frequencies up to n*(width-1), below the grid size, so the grid
-    mean of p^n is exact.  Returns (cos_basis, basis, weights): rows 2m and
-    2m+1 of ``basis`` hold w_m cos(m t_j) and w_m sin(m t_j) (w_0 = 1,
-    w_m = 2 otherwise), so interleaved (Re c_m, Im c_m) coefficients times
-    ``basis`` give p(t_j); ``cos_basis`` holds the cosine rows alone and
-    serves real coefficients.  The engine raises p(t_j) to the powers
-    2..nmax by repeated products, p^n = p^(n-1) p, since a float power takes
-    several times longer.
+    Returns (cos_basis, basis, weights): rows 2m and 2m+1 of ``basis`` hold
+    w_m cos(m t_j) and w_m sin(m t_j) (w_0 = 1, w_m = 2 otherwise), so
+    interleaved (Re c_m, Im c_m) coefficients times ``basis`` give p(t_j);
+    ``cos_basis`` holds the cosine rows alone and serves real coefficients;
+    ``weights`` holds 1/points per point, so that a product with it is the
+    grid mean.
     """
-    n_points = nmax * (width - 1) + 1
-    t = np.arange(n_points) * (2 * np.pi / n_points)
+    t = np.arange(points) * (2 * np.pi / points)
     m = np.arange(width)[:, None]
     w = np.where(m == 0, 1.0, 2.0)
-    basis = np.empty((2 * width, n_points))
+    basis = np.empty((2 * width, points))
     basis[0::2] = w * np.cos(m * t)
     basis[1::2] = w * np.sin(m * t)
-    grid = (np.ascontiguousarray(basis[0::2]), basis, np.full(n_points, 1.0 / n_points))
+    grid = (np.ascontiguousarray(basis[0::2]), basis, np.full(points, 1.0 / points))
     for arr in grid:
         arr.setflags(write=False)
     return grid
+
+
+def grid_values(cs, points: int) -> np.ndarray:
+    """p(t_j) at t_j = 2 pi j / points for the one-sided coefficients ``cs``.
+
+    ``cs`` holds c_0..c_{d-1} along its last axis (real or complex); leading
+    axes are a batch, flattened into the rows of the (batch, points) result.
+    One matrix product with the cached basis of ``_grid_basis``: no FFT and
+    no complex exponentials per call.
+    """
+    cs = np.asarray(cs)
+    cos_basis, basis, _ = _grid_basis(cs.shape[-1], points)
+    if cs.dtype.kind == "c":
+        cs = np.ascontiguousarray(cs, dtype=complex).view(float)
+    else:
+        basis = cos_basis
+    # 2-d operands throughout: np.dot passes a matrix to BLAS but loops over a
+    # stack in C; on one pattern it costs less than matmul
+    return np.dot(cs.reshape(-1, basis.shape[0]), basis)
 
 
 def batch_moments(cs, nmax: int) -> np.ndarray:
@@ -206,25 +234,21 @@ def batch_moments(cs, nmax: int) -> np.ndarray:
 
     ``cs`` holds c_0..c_{d-1} along its last axis (real or complex); leading
     axes are a batch and the result has shape ``cs.shape[:-1] + (nmax,)``.
-    p is evaluated on the grid of ``_moment_grid`` and its powers are taken
-    by repeated products, p^n = p^(n-1) p, never by a float power: each
-    product adds at most half an ulp of relative error, so M_n is within
-    about n ulps of the mean of ``p ** n``.
+    p is evaluated by ``grid_values`` on the alias-free grid of
+    nmax*(d-1)+1 points: p^n has frequencies up to n*(d-1), below the grid
+    size, so the grid mean of p^n is exact.  Its powers are taken by
+    repeated products, p^n = p^(n-1) p, never by a float power, which takes
+    several times longer: each product adds at most half an ulp of relative
+    error, so M_n is within about n ulps of the mean of ``p ** n``.
     """
     cs = np.asarray(cs)
     shape = cs.shape[:-1] + (nmax,)
-    cos_basis, basis, weights = _moment_grid(cs.shape[-1], nmax)
-    if cs.dtype.kind == "c":
-        cs = np.ascontiguousarray(cs, dtype=complex).view(float)
-    else:
-        basis = cos_basis
-    # 2-d operands throughout: np.dot passes a matrix to BLAS but loops over a
-    # stack in C; on one pattern it costs less than matmul
-    p = np.dot(cs.reshape(-1, basis.shape[0]), basis)
+    points = nmax * (cs.shape[-1] - 1) + 1
+    p = grid_values(cs, points)
     powers = [p]
     for _ in range(nmax - 1):
         powers.append(powers[-1] * p)
-    ms = np.dot(np.concatenate(powers), weights)
+    ms = np.dot(np.concatenate(powers), _grid_basis(cs.shape[-1], points)[2])
     return ms.reshape(nmax, -1).T.reshape(shape)
 
 
@@ -334,10 +358,17 @@ def fit_pattern_from_samples(samples, dim: int) -> PatternFit:
 
     Method: the design X, with columns 1, 2 cos mt and 2 sin mt (0 < m < dim),
     is built by a recurrence.  The normal equations are solved through the
-    Cholesky factor of the Gram matrix X^T X, followed by one refinement step
-    on the residual: Bjorck's corrected semi-normal equations (Linear Algebra
-    Appl. 88/89, 1987), which match a QR solve while cond(X) stays well below
-    1/sqrt(eps), about 7e7.  The factor only ever multiplies vectors.
+    eigendecomposition X^T X = V diag(lambda) V^T that also gives ``cond``:
+    x = V ((V^T X^T p) / lambda), followed by one refinement step on the
+    residual, x += V ((V^T X^T (p - X x)) / lambda).  This is Bjorck's
+    corrected semi-normal equations (Linear Algebra Appl. 88/89, 1987) with
+    the eigen-factor diag(sqrt(lambda)) V^T in place of a triangular one:
+    eigh is backward stable, so the computed factor is exact for a Gram
+    matrix perturbed by about eps |X^T X|, as a Cholesky factor is, and the
+    refined solution matches a QR solve while cond(X) stays well below
+    1/sqrt(eps), about 7e7.  The factor only ever multiplies vectors; the
+    same eigenpairs give (X^T X)^-1 = V diag(1/lambda) V^T, the covariance
+    of the coefficients up to the noise variance.
 
     ``cond`` is sqrt(lambda_max / lambda_min) of X^T X, with lambda_min taken
     as |X v|^2 at the Gram matrix's lowest eigenvector v.  Up to the limit it
@@ -345,9 +376,9 @@ def fit_pattern_from_samples(samples, dim: int) -> PatternFit:
     it, it is a lower bound.
     No regularization: a design with cond above COND_LIMIT = 1e6 is rejected
     with a ValueError.  At that limit the Gram matrix's condition number is
-    1e12, well inside what Cholesky and one refinement step resolve; beyond
-    it a fit amplifies the noise in p about cond-fold (64 samples over a
-    quarter period give about 5e9 at dim 8).
+    1e12, well inside what the eigen-factor and one refinement step resolve;
+    beyond it a fit amplifies the noise in p about cond-fold (64 samples
+    over a quarter period give about 5e9 at dim 8).
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -369,13 +400,8 @@ def fit_pattern_from_samples(samples, dim: int) -> PatternFit:
             f"ill-conditioned fit: design condition number {cond:.3g} exceeds the limit "
             f"{COND_LIMIT:g}; lower the fit dimension or spread the sample times over the period"
         )
-    chol = np.linalg.cholesky(gram)
-
-    def solve(v):  # (X^T X)^-1 v through the factor: two triangular solves
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
-
-    coef = solve(design @ p)
-    coef += solve(design @ (p - coef @ design))
+    coef = vec @ ((design @ p) @ vec / lam)
+    coef += vec @ ((design @ (p - coef @ design)) @ vec / lam)
     resid = p - coef @ design
     pat = PatternCoefficients(coef[0], coef[2::2] + 1j * coef[1::2])
     return PatternFit(pat, float(np.sqrt(np.mean(resid * resid))), cond)

@@ -77,9 +77,11 @@ class PureState:
         return self.amplitudes.size
 
     def density(self):
-        """Rank-1 density matrix |psi><psi|."""
+        """Rank-1 density matrix |psi><psi|: Hermitian and PSD by construction,
+        with unit trace within twice the 1e-12 norm tolerance, so it skips
+        validation."""
         a = self.amplitudes
-        return DensityMatrix(np.outer(a, a.conj()))
+        return DensityMatrix._trusted(np.outer(a, a.conj()))
 
     def __repr__(self):
         return f"PureState({np.array2string(self.amplitudes, precision=4)})"
@@ -88,8 +90,12 @@ class PureState:
 class DensityMatrix:
     """A density operator: Hermitian, unit trace, positive semidefinite.
 
-    Hermiticity and trace are enforced within 1e-12; eigenvalues may dip to
-    -1e-10 to tolerate round-off in externally supplied matrices.
+    The constructor validates a supplied matrix: Hermiticity and trace are
+    enforced within 1e-12, and eigenvalues (one ``eigvalsh``) may dip to
+    -1e-10 to tolerate round-off in externally supplied matrices.  The
+    library's own builds that hold these properties by construction,
+    :meth:`PureState.density` and :func:`werner_state`, go through
+    ``_trusted`` and skip the checks.
     """
 
     __slots__ = ("matrix",)
@@ -107,6 +113,14 @@ class DensityMatrix:
         if evals.min() < PSD_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -1e-10")
         object.__setattr__(self, "matrix", _readonly(mat))
+
+    @classmethod
+    def _trusted(cls, mat):
+        """Wrap a complex matrix that is a density operator by construction,
+        without validation or a copy; the matrix becomes read-only."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", _readonly(mat))
+        return rho
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -173,11 +187,12 @@ def psi_star(k: int, order: int = 3) -> PureState:
 
 
 def werner_state(params: WernerParams) -> DensityMatrix:
-    """(1-lam)|W_k><W_k| + (lam/k) I_k."""
+    """(1-lam)|W_k><W_k| + (lam/k) I_k: real symmetric, unit trace and PSD
+    for the validated ``params``, so it skips validation."""
     k, lam = params.k, params.lam
     mat = np.full((k, k), (1.0 - lam) / k, dtype=complex)
     mat[np.diag_indices(k)] = 1.0 / k
-    return DensityMatrix(mat)
+    return DensityMatrix._trusted(mat)
 
 
 def l1_norm(rho: DensityMatrix) -> float:

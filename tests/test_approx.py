@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohcert.approx
+import cohcert.bounds
 import cohcert.optimize
 from cohcert import (
     DensityMatrix,
@@ -328,3 +331,91 @@ def test_scipy_entry_points_stay_patchable(monkeypatch):
     assert calls and set(calls) == {"nnls"}
     maximize_rn_over_ck(3, 3, cohcert.optimize.OptimizationConfig(restarts=2))
     assert calls[-1] == "minimize" and calls.count("minimize") == 1
+
+
+def best_q_approximation_reference(target, chi, q):
+    """The Frank-Wolfe loop before its atoms moved into buffers, kept as the
+    reference: every iteration re-stacks each atom array and re-indexes them all."""
+    dim = target.dim
+    sigma_mat = chi.matrix
+    supports = np.array(list(combinations(range(dim), min(q, dim))))
+    tgt = target.one_sided()
+    tgt_vec = cohcert.approx._coeff_residual_vector(tgt)
+
+    psi = np.zeros(dim, dtype=complex)
+    psi[supports[0]] = 1.0 / np.sqrt(supports.shape[1])
+    psis = np.empty((0, dim), dtype=complex)
+    coeffs = np.empty((0, dim), dtype=complex)
+    columns = np.empty((tgt_vec.size, 0))
+    weights = np.empty(0)
+    converged = False
+    for _ in range(cohcert.approx.MAX_ITERS):
+        row = matrix_coefficients(np.outer(psi, psi.conj()), sigma_mat)
+        psis = np.vstack([psis, psi])
+        coeffs = np.vstack([coeffs, row])
+        columns = np.column_stack([columns, cohcert.approx._coeff_residual_vector(row)])
+        weights = cohcert.approx.nnls(columns, tgt_vec, weights)
+        keep = weights > 0
+        psis, coeffs, columns, weights = psis[keep], coeffs[keep], columns[:, keep], weights[keep]
+        r_vec = columns @ weights - tgt_vec
+        residual = float(r_vec @ r_vec)
+        grad = coefficient_gradient(weights @ coeffs - tgt, sigma_mat)
+        vals, vecs = np.linalg.eigh(grad[supports[:, :, None], supports[:, None, :]])
+        best = int(np.argmin(vals[:, 0]))
+        tr_grad_rho = 2.0 * float(r_vec @ (r_vec + tgt_vec))
+        gap = max(tr_grad_rho - float(vals[best, 0]), 0.0)
+        lower = max(residual - gap, 0.0)
+        if (gap <= cohcert.approx.GAP_TOL + cohcert.approx.GAP_RTOL * residual
+                or residual <= cohcert.approx.ROUNDOFF_RESIDUAL):
+            converged = True
+            break
+        psi = np.zeros(dim, dtype=complex)
+        psi[supports[best]] = vecs[best, :, 0]
+    return weights, psis, residual, converged, lower
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), q=st.integers(1, 6),
+       pure_sigma=st.booleans(), werner=st.booleans())
+@example(seed=2, d=3, q=2, pure_sigma=False, werner=False)  # a fit that drops atoms
+def test_best_q_approx_matches_restacking_reference(seed, d, q, pure_sigma, werner):
+    # the buffered atoms reproduce the re-stacked loop bit for bit
+    rng = np.random.default_rng(seed)
+    q = min(q, d)
+    chi = rand_pure(rng, d).density() if pure_sigma else rand_density(rng, d)
+    if werner:
+        rho = werner_state(WernerParams(d, float(rng.random())))
+        chi = rand_pure(rng, d).density() if pure_sigma else w_state(d).density()
+    else:
+        rho = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
+    target = pattern_from_states(rho, chi)
+    approx = best_q_approximation(target, chi, q)
+    weights, psis, residual, converged, lower = best_q_approximation_reference(target, chi, q)
+    assert [w for w, _ in approx.components] == [float(w) for w in weights]
+    for (_, state), psi in zip(approx.components, psis):
+        assert state.amplitudes.tobytes() == PureState.normalized(psi).amplitudes.tobytes()
+    assert (approx.residual, approx.converged, approx.lower_bound) == (residual, converged, lower)
+
+
+def peak_exceeded_reference(target, q):
+    """The peak test before the cached grid basis: complex exponentials per call."""
+    grid = np.linspace(0.0, 2 * np.pi, 64 * target.dim, endpoint=False)
+    return bool(cohcert.bounds.certifies(target.evaluate(grid).max(), q * target.c0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), q=st.integers(2, 5),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_peak_test_decides_patterns_at_its_bound(seed, d, q, side):
+    # a pattern whose grid peak sits 1e-9 relative below or above the bound
+    # q M_1 (1 + margin) of the certification rule: both evaluations agree
+    rng = np.random.default_rng(seed)
+    q = min(q, d)
+    sigma = rand_density(rng, d)
+    c = pattern_from_states(rand_density(rng, d), sigma).c
+    grid = np.linspace(0.0, 2 * np.pi, 64 * d, endpoint=False)
+    swing = PatternCoefficients(0.0, c).evaluate(grid).max()
+    scale = q * (1.0 + cohcert.bounds.ROUNDOFF_MARGIN) * (1.0 + side * 1e-9)
+    target = PatternCoefficients(swing / (scale - 1.0), c)
+    assert peak_exceeded_reference(target, q) is (side > 0)
+    assert reproducibility_verdict(target, sigma, q).peak_exceeded is (side > 0)

@@ -19,10 +19,11 @@ from cohcert import (
     sample_gue,
     tolerance_sweep,
 )
-from cohcert import robustness
+from cohcert import patterns, robustness
 from cohcert.patterns import (
     batch_moments,
     coefficient_gradient,
+    grid_values,
     matrix_coefficients,
     overlap_coefficients,
     ratio_from_moments,
@@ -213,3 +214,56 @@ def test_ratio_from_moments_batches():
     ms = batch_moments(np.array([[0.5, 0.25], [1.0, 0.0]]), 3)
     np.testing.assert_allclose(ratio_from_moments(ms, 3), [1.25, 1.0], rtol=1e-14)
     assert isinstance(ratio_from_moments(ms[0], 3), np.floating)
+
+
+# -- the cached grid basis --------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, d=st.integers(1, 8), per_level=st.sampled_from([1, 4, 16, 64]),
+       batch=st.sampled_from([(), (3,)]), real=st.booleans())
+def test_grid_values_match_evaluate(seed, d, per_level, batch, real):
+    # the basis product against the complex exponentials of ``evaluate``
+    rng = np.random.default_rng(seed)
+    cs = rng.standard_normal(batch + (d,))
+    if not real:
+        cs = cs + 1j * rng.standard_normal(batch + (d,))
+        cs[..., 0] = cs[..., 0].real
+    points = per_level * d + seed % 3
+    got = grid_values(cs, points)
+    assert got.shape == (int(np.prod(batch)), points)
+    t = np.arange(points) * (2 * np.pi / points)
+    for row, c in zip(got, cs.reshape(-1, d)):
+        ref = pattern(c).evaluate(t)
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_grid_basis_is_cached_and_read_only():
+    cos_basis, basis, weights = patterns._grid_basis(4, 64)
+    assert patterns._grid_basis(4, 64)[1] is basis
+    assert basis.shape == (8, 64) and cos_basis.shape == (4, 64) and weights.shape == (64,)
+    for arr in (cos_basis, basis, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, d=st.integers(1, 8), side=st.sampled_from([-1.0, 1.0]),
+       edge=st.sampled_from(["top", "bottom"]))
+def test_is_physical_decides_patterns_at_its_bounds(seed, d, side, edge):
+    # p placed 1e-9 inside or outside [-tol, 1 + tol] on the 16-per-level grid,
+    # where the former FFT evaluation put it; the other edge is left far inside
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+    c *= 0.2 / max(2.0 * np.abs(c).sum(), 1e-300)  # a swing of at most 0.4
+    n = patterns.SAMPLES_PER_DIM * d
+    osc = 2.0 * np.fft.fft(np.concatenate([[0.0], c]), n).real
+    tol = patterns.RANGE_TOL
+    if edge == "top":
+        c0 = 1.0 + tol + side * 1e-9 - osc.max()
+    else:
+        c0 = -tol - side * 1e-9 - osc.min()
+    pat = PatternCoefficients(c0, c)
+    fft_vals = 2.0 * np.fft.fft(pat.one_sided(), n).real - pat.c0
+    expected = bool(fft_vals.min() >= -tol and fft_vals.max() <= 1.0 + tol)
+    assert expected is (side < 0)
+    assert pat.is_physical() is expected

@@ -159,3 +159,33 @@ print(json.dumps({"loaded": loaded, "nnls": cohcert.approx.nnls.__name__}))
 
 def test_bare_import_loads_no_submodule(tmp_path):
     assert run_fresh(LAZY_SCRIPT, cwd=tmp_path) == {"loaded": [], "nnls": "nnls"}
+
+
+FFT_SCRIPT = """
+import json, sys
+from cohcert.cli import main
+
+fringe, out = sys.argv[1:]
+commands = [
+    ["certify", "--state", "W:3"],
+    ["certify", "--input", fringe],
+    ["moments", "--state", "W:3"],
+    ["vertex-check"],
+    ["werner-sweep", "--k", "3"],
+    ["gue-sweep", "--k", "3", "--samples", "1"],
+    ["tables", "--restarts", "1"],
+    ["optimize", "--n", "3", "--k", "3"],
+    ["approx", "--target", "werner:4:0.3", "--q", "2"],
+    ["approx", "--target", "werner:4:0.8", "--q", "3", "--format", "csv"],
+]
+codes = [main(argv + ["--out", out]) for argv in commands]
+print(json.dumps({"codes": codes, "fft": "numpy.fft" in sys.modules}))
+"""
+
+
+def test_no_command_loads_numpy_fft(tmp_path):
+    # p is evaluated on grids through one cached basis, never by an FFT
+    fringe = tmp_path / "fringe.csv"
+    write_fringe(fringe)
+    result = run_fresh(FFT_SCRIPT, fringe, tmp_path / "out", cwd=tmp_path)
+    assert result == {"codes": [0] * 10, "fft": False}

@@ -157,3 +157,23 @@ def test_constructors_pass_own_invariants():
         rho = psi.density()
         assert abs(np.trace(rho.matrix) - 1) < 1e-12
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+
+
+def test_library_built_states_equal_their_validated_matrices():
+    # PureState.density and werner_state skip validation: the validating
+    # constructor accepts each of their matrices and stores the same bits
+    rng = np.random.default_rng(12)
+    built = [rand_pure(rng, d).density() for d in range(1, 9)]
+    built += [PureState.normalized(rng.standard_normal(d)).density() for d in range(1, 9)]
+    built += [w_state(k).density() for k in range(1, 9)]
+    built += [psi_star(k, n).density() for n in (3, 4, 5) for k in range(2, 6)]
+    built += [werner_state(WernerParams(k, lam)) for k in range(1, 9)
+              for lam in (0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0)]
+    for rho in built:
+        assert type(rho) is DensityMatrix
+        assert not rho.matrix.flags.writeable
+        checked = DensityMatrix(rho.matrix)
+        assert checked.matrix.dtype == rho.matrix.dtype
+        assert checked.matrix.tobytes() == rho.matrix.tobytes()
+        with pytest.raises(AttributeError):
+            rho.matrix = checked.matrix
