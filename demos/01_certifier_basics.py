@@ -35,14 +35,22 @@ print("sampling cross-check:", cc.moment(pattern, 3),
       "vs", cc.moment_by_sampling(pattern, 3, 64))
 
 # A noisy experimental record still certifies: fit, then certify.
+# certify_pattern refuses a fit that is not a probability, as certify --input does.
 rng = np.random.default_rng(1)
 t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
 noisy = pattern.evaluate(t) + 0.005 * rng.standard_normal(t.size)
 fit = cc.fit_pattern_from_samples(np.column_stack([t, noisy]), dim=5)
-r3_noisy = cc.ratio(fit.pattern, 3)
-print(f"fit from 200 noisy samples: R_3 = {r3_noisy:.4f} "
+_, noisy_verdict = cc.certify_pattern(fit.pattern)
+print(f"fit from 200 noisy samples: R_3 = {noisy_verdict.value:.4f} "
       f"(rms residual {fit.residual:.4f}, cond {fit.cond:.1f})")
-print("verdict:", cc.certify_r3(r3_noisy).certified_level, "coherent levels at least")
+print("verdict:", noisy_verdict.certified_level, "coherent levels at least")
+
+# The same record in percent: R_3 scales with p, so it is refused, not certified.
+percent = cc.fit_pattern_from_samples(np.column_stack([t, 100 * noisy]), dim=5)
+try:
+    cc.certify_pattern(percent.pattern)
+except ValueError as exc:
+    print("in percent:", exc)
 
 # Why imperfect measurements cannot overclaim: mixing projections is convex.
 rng = np.random.default_rng(7)

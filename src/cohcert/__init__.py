@@ -11,7 +11,8 @@ first lookup of a public name (``cohcert.certify_r3``) or of a submodule
 tool therefore loads only the modules its command runs.
 """
 
-# Each public name, listed under the submodule that defines it.
+# Each public name, listed under the submodule that defines it; that
+# submodule's __all__ is its entry here.
 _EXPORTS = {
     "approx": (
         "MixtureApprox",
@@ -25,6 +26,7 @@ _EXPORTS = {
         "DVector",
         "Verdict",
         "VertexRecord",
+        "certify_pattern",
         "certify_r3",
         "d_from_alpha",
         "hessian_principal_minors",

@@ -25,6 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _EXPORTS
 from .bounds import certifies
 # unused here; it stays because traced benchmark runs patch approx.minimize.
 # optimize's projected Newton solver is numpy only, like this module.
@@ -33,13 +34,7 @@ from .patterns import (PatternCoefficients, coefficient_gradient, grid_values,
                        matrix_coefficients)
 from .states import DensityMatrix, PureState, coherence_support
 
-__all__ = [
-    "MixtureApprox",
-    "ReproducibilityVerdict",
-    "pattern_distance",
-    "best_q_approximation",
-    "reproducibility_verdict",
-]
+__all__ = _EXPORTS["approx"]
 
 DECISION_TOL = 1e-6
 MAX_ITERS = 2000  # Frank-Wolfe iteration cap

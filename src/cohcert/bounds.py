@@ -16,22 +16,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .patterns import overlap_coefficients
+from . import _EXPORTS
+from .patterns import PatternCoefficients, moments, overlap_coefficients, ratio_from_moments
 
-__all__ = [
-    "R3_CERTIFICATION_THRESHOLDS",
-    "DVector",
-    "Verdict",
-    "VertexRecord",
-    "certify_r3",
-    "d_from_alpha",
-    "r3_from_d",
-    "vertex_table",
-    "hessian_principal_minors",
-    "r3_w_closed_form",
-    "w_resonance_counts",
-    "lambda_dec",
-]
+__all__ = _EXPORTS["bounds"]
 # certifies, the rule certify_r3 applies, is shared with the drift sweep and approx's
 # peak test, not public API.
 
@@ -41,6 +29,9 @@ R3_CERTIFICATION_THRESHOLDS = (Fraction(1), Fraction(5, 4), Fraction(179, 96))
 # above the round-off of the moment engine, so that a state sitting exactly
 # at a threshold (R_3(W_2) = 5/4) is never certified by float error alone.
 ROUNDOFF_MARGIN = 5e-14
+# certify_pattern rejects a pattern leaving [-RANGE_SLACK, 1 + RANGE_SLACK]: counts or percent
+# data, not a probability.  Noisy probability fringes stray a few 1e-3 outside [0, 1].
+RANGE_SLACK = 0.1
 # Slack on the vertex-family constraint inequalities, which are evaluated in floats.
 CONSTRAINT_TOL = 1e-9
 
@@ -89,6 +80,28 @@ def certify_r3(value: float) -> Verdict:
                    threshold_used=0.0 if used is None else float(used),
                    threshold_exact=used, margin_used=used_margin,
                    next_threshold_exact=nxt, margin_to_next=next_margin)
+
+
+def certify_pattern(pattern: PatternCoefficients) -> tuple[np.ndarray, Verdict]:
+    """The moments M_1..M_5 of a probability pattern and the R_3 verdict on it.
+
+    The proven maxima bound R_3 of patterns with values in [0, 1] only, and
+    R_3(c p) = c R_3(p), so a pattern that is not a probability raises
+    ValueError: one leaving [-RANGE_SLACK, 1 + RANGE_SLACK] on the
+    ``is_physical`` grid (counts or percent data), a dark one (M_1 <= 0),
+    and one with R_3 < 0 (a fit that dips below 0 where it is dark).
+    Patterns of validated states pass every check.
+    """
+    if not pattern.is_physical(tol=RANGE_SLACK):
+        raise ValueError(f"fitted p(t) leaves [{-RANGE_SLACK}, {1 + RANGE_SLACK}]; "
+                         "p must be a probability")
+    ms = moments(pattern, 5)
+    if ms[0] <= 0.0:
+        raise ValueError("dark pattern: M_1 = 0, ratios undefined")
+    r3 = float(ratio_from_moments(ms, 3))
+    if r3 < 0.0:
+        raise ValueError(f"fitted p(t) has R_3 = {r3} < 0; p must be a probability")
+    return ms, certify_r3(r3)
 
 
 class DVector:

@@ -30,9 +30,6 @@ from .reference import PUBLISHED_TABLE1, PUBLISHED_TABLE2, PUBLISHED_TABLE3, PUB
 from .states import PureState, WernerParams, psi_star, w_state, werner_state
 
 SCHEMA_VERSION = 1
-# certify --input rejects a fit leaving [-RANGE_SLACK, 1 + RANGE_SLACK]: counts or percent
-# data, not a probability.  Noisy probability fringes stray a few 1e-3 outside [0, 1].
-RANGE_SLACK = 0.1
 # np.loadtxt decompresses a path with one of these suffixes; such files keep the open handle
 COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
@@ -334,10 +331,8 @@ def _pattern_from_args(args, warnings):
     return fit.pattern, info
 
 
-def _moment_block(pat):
-    ms = moments(pat, 5)
-    if ms[0] <= 0.0:
-        raise CliInputError("dark pattern: M_1 = 0, ratios undefined")
+def _moment_block(pat, ms):
+    """The document form of a pattern and its moments M_1..M_5."""
     return {
         "coefficients": {"c0": pat.c0, "c": [{"re": z.real, "im": z.imag} for z in pat.c]},
         "moments": {f"M_{n}": float(ms[n - 1]) for n in range(1, 6)},
@@ -354,19 +349,14 @@ def _verdict(verdict) -> dict:
 
 def cmd_certify(args, warnings):
     pat, info = _pattern_from_args(args, warnings)
-    if args.input and not pat.is_physical(tol=RANGE_SLACK):
-        raise CliInputError(f"{args.input}: fitted p(t) leaves [{-RANGE_SLACK}, "
-                            f"{1 + RANGE_SLACK}]; p must be a probability")
-    block = _moment_block(pat)
-    r3 = block["ratios"]["R_3"]
-    if r3 < 0.0:  # M_3 < 0: a fit within RANGE_SLACK that dips below 0 where it is dark
-        raise CliInputError(f"{args.input}: fitted p(t) has R_3 = {r3} < 0; "
-                            "p must be a probability")
-    verdict = bounds.certify_r3(r3)
+    try:
+        ms, verdict = bounds.certify_pattern(pat)
+    except ValueError as exc:
+        raise CliInputError(f"{args.input}: {exc}" if args.input else str(exc)) from exc
     best_known = {f"C_{k} best known R_3": PUBLISHED_TABLE2[(3, k)][0] for k in (2, 3, 4, 5)}
     data = {
         "pattern": info,
-        **block,
+        **_moment_block(pat, ms),
         "verdict": {"n": 3, **_verdict(verdict)},
         "reference_maxima": best_known,
     }
@@ -375,7 +365,10 @@ def cmd_certify(args, warnings):
 
 def cmd_moments(args, warnings):
     pat, info = _pattern_from_args(args, warnings)
-    return {"pattern": info, **_moment_block(pat)}, None, None
+    ms = moments(pat, 5)
+    if ms[0] <= 0.0:
+        raise CliInputError("dark pattern: M_1 = 0, ratios undefined")
+    return {"pattern": info, **_moment_block(pat, ms)}, None, None
 
 
 def _search(res) -> dict:

@@ -33,22 +33,12 @@ from math import comb, inf
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import _EXPORTS
 from .bounds import r3_w_closed_form
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
 from .states import WernerParams
 
-__all__ = [
-    "OptimizationConfig",
-    "OptimizeResult",
-    "GrowthScan",
-    "ThresholdRecord",
-    "rn_of_alpha",
-    "maximize_rn_over_ck",
-    "growth_scan",
-    "werner_rn",
-    "lambda_threshold",
-    "decoherence_threshold_table",
-]
+__all__ = _EXPORTS["optimize"]
 # werner_coefficients, like the patterns kernel, is an unvalidated building block.
 
 MAX_ITERS = 200  # Newton iteration cap of one minimize call

@@ -11,18 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .bounds import R3_CERTIFICATION_THRESHOLDS, certifies
 from .patterns import batch_moments, overlap_coefficients, ratio_from_moments
 from .states import PureState, _readonly, psi_star
 
-__all__ = [
-    "ToleranceSweep",
-    "sample_gue",
-    "drifted_projection",
-    "measurement_deviation",
-    "tolerance_sweep",
-    "sweep_summary",
-]
+__all__ = _EXPORTS["robustness"]
 
 # tau = 0 (drift-free anchor) plus 50 log-spaced points in [1e-3, 1]
 TAU_GRID = _readonly(np.concatenate([[0.0], np.logspace(-3.0, 0.0, 50)]))

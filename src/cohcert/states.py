@@ -9,18 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .reference import PUBLISHED_TABLE2
 
-__all__ = [
-    "PureState",
-    "DensityMatrix",
-    "WernerParams",
-    "coherence_support",
-    "werner_state",
-    "l1_norm",
-    "w_state",
-    "psi_star",
-]
+__all__ = _EXPORTS["states"]
 
 NORM_TOL = 1e-12
 PSD_FLOOR = -1e-10

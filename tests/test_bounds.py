@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohcert import (
     DVector,
+    certify_pattern,
     certify_r3,
     d_from_alpha,
+    fit_pattern_from_samples,
     hessian_principal_minors,
     lambda_dec,
+    moments,
+    pattern_from_states,
     r3_from_d,
     r3_w_closed_form,
     rn_of_alpha,
@@ -16,7 +22,7 @@ from cohcert import (
     w_resonance_counts,
 )
 from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, VERTEX_CASES, certifies
-from conftest import rand_simplex
+from conftest import rand_density, rand_pure, rand_simplex
 
 
 def test_thresholds_are_exact_rationals():
@@ -253,3 +259,38 @@ def test_dvector_validation():
             DVector(0.5, [0.1, bad])
     dv = DVector(0.5, [0.25, 0.25])
     assert dv.at_frequency(1) == 0.25 and dv.at_frequency(7) == 0.0
+
+
+def fitted(func, n, dim=3):
+    """The library fit of ``func`` sampled at n evenly spaced times."""
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return fit_pattern_from_samples(np.column_stack([t, func(t)]), dim).pattern
+
+
+LEAVES_RANGE = r"^fitted p\(t\) leaves \[-0\.1, 1\.1\]; p must be a probability$"
+
+
+@pytest.mark.parametrize("func, n, match", [
+    (lambda t: 100 * (1 + np.cos(t)) / 2, 64, LEAVES_RANGE),
+    (lambda t: np.full(t.shape, 2.0), 64, LEAVES_RANGE),
+    (lambda t: 3 * (1 + np.cos(t)) / 2, 64, LEAVES_RANGE),
+    # stays inside [-0.1, 1.1] but dips below 0 far enough that M_3 < 0
+    (lambda t: 0.002 + 0.06 * np.cos(t) - 0.035 * np.cos(2 * t), 400,
+     r"^fitted p\(t\) has R_3 = -20\.0\d* < 0; p must be a probability$"),
+    (np.zeros_like, 64, r"^dark pattern: M_1 = 0, ratios undefined$"),
+], ids=["percent-w2", "constant-2", "3x-w2", "negative-m3", "dark"])
+def test_certify_pattern_refuses_what_certify_refuses(func, n, match):
+    # the percent fringe has R_3 = 125: through ratio and certify_r3 alone it claims 4 levels
+    with pytest.raises(ValueError, match=match):
+        certify_pattern(fitted(func, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), rank=st.integers(1, 6))
+def test_certify_pattern_passes_validated_states(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    pat = pattern_from_states(rand_density(rng, d, min(rank, d)), rand_pure(rng, d))
+    assume(pat.c0 > 1e-12)  # a dark pair has no ratios
+    ms, verdict = certify_pattern(pat)
+    assert np.array_equal(ms, moments(pat, 5))
+    assert verdict == certify_r3(ms[2] / ms[0] ** 2)

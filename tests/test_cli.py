@@ -505,6 +505,14 @@ def test_certify_dark_pattern_is_input_error(capsys):
     assert "dark pattern" in capsys.readouterr().err
 
 
+def test_certify_dark_fit_names_its_input(tmp_path, capsys):
+    path = write_samples_csv(tmp_path, lambda t: 0.0, n=64)
+    assert main(["certify", "--input", path, "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: dark pattern: M_1 = 0, ratios undefined\n"
+
+
 def test_certify_path_with_nul_byte_cannot_be_read(capsys):
     assert main(["certify", "--input", "a\x00b.csv"]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,17 @@ def test_fit_errors():
         fit_pattern_from_samples(bad_t, 3)  # all times identical: rank deficient
     with pytest.raises(ValueError):
         fit_pattern_from_samples(np.column_stack([t + 7.0, np.ones(5)]), 2)
+
+
+@pytest.mark.parametrize("column, value", [(0, np.nan), (1, np.inf)], ids=["nan-t", "inf-p"])
+def test_fit_names_the_first_non_finite_row(column, value):
+    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    samples = np.column_stack([t, (1 + np.cos(t)) / 2])
+    samples[[5, 9], column] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on the values
+        with pytest.raises(ValueError, match=r"^samples\[5\] is not finite: \(t, p\) = "):
+            fit_pattern_from_samples(samples, 3)
 
 
 def reference_fit(t, p, dim):
