@@ -23,9 +23,9 @@ for case in ("k3d3", "k3_general_generic", "k3_general_ratio12", "k4d4"):
 
 print("\nnumeric maxima and optimal profiles (32 restarts each):")
 cfg = cc.OptimizationConfig(restarts=32, seed=0)
-# one search per order, as `cohcert tables` runs them: k = 2..8 at n = 3, k = 2..5 at n = 4, 5
-for n, k_max in ((3, 8), (4, 5), (5, 5)):
-    scan = cc.growth_scan(k_max, n=n, cfg=cfg)
+# the maxima of `cohcert tables`: k = 2..8 at n = 3, k = 2..5 at n = 4, 5, in two
+# searches grouped by width (every order at k <= 5, then n = 3 at k = 6..8)
+for n, scan in cc.table_scans(cfg).items():
     for k, res in zip(scan.ks[:4], scan.results):
         print(f"  R_{n}, k={k}: max {res.value:8.4f}   alpha^2 {np.round(res.alpha, 3)}"
               f"   {res.n_agree}/{cfg.restarts} restarts agree")

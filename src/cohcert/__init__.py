@@ -46,6 +46,7 @@ _EXPORTS = {
         "lambda_threshold",
         "maximize_rn_over_ck",
         "rn_of_alpha",
+        "table_scans",
         "werner_rn",
     ),
     "patterns": (

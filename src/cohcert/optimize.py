@@ -5,15 +5,19 @@ overlap vectors summing to 1 on k adjacent levels (phases gone, preparation
 equal to projection).  Every search starts from the uniform row and from
 rows drawn by one generator seeded by the configuration's seed.  One
 call of ``minimize``, a batched projected Newton method (Bertsekas 1982) on
-the exact gradient and Hessian of R_n, moves every restart of every k of
-one order n on its own: each k's rows are padded with zeros to the largest
-k, a zero coordinate of a start row stays 0, and each row has its own
-active face of the simplex, its own Newton direction and its own Armijo
-step, and stops once it has converged.  A row can
-still end on a boundary point that is a genuine local maximum of R_n: a
-one-level vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2,
+the exact gradient and Hessian of R_n, moves every restart of a list of
+cells (n, k) on its own: each k's rows are padded with zeros to the largest
+k, a zero coordinate of a start row stays 0, each row is evaluated at its
+own order n, and each row has its own active face of the simplex, its own
+Newton direction and its own Armijo step, and stops once it has converged.
+A row can still end on a boundary point that is a genuine local maximum of
+R_n: a one-level vertex (R_n = 1; near a = (1, 0) at n = 3, k = 2,
 R_3 ~ 1 - 2 a_2), or at n = 3, k = 3 the face a = (1/2, 0, 1/2)
 (R_3 = 5/4).
+
+A call pays per Newton iteration until its slowest row stops, at a cost
+that grows with its width, so ``tables`` groups its cells by width
+(``table_scans``), the fastest grouping measured (see CHANGES.md).
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
 R_n is a polynomial in u = 1 - lam, increasing and convex on [0, 1], and a
@@ -183,28 +187,30 @@ def _newton_step(x, g, h, free):
 def minimize(fun, x0, args=()) -> NewtonResult:
     """Minimize ``fun`` from each row of ``x0`` on its own, by projected Newton.
 
-    ``fun(x, *args)`` returns the values, gradients and Hessians of the rows
-    of a (rows, k) array.  The rows live on the probability simplex, each
-    on the face of the coordinates that are positive in its (retracted)
-    start row: a coordinate that is 0 there stays 0, so a row padded with
-    zeros searches only its own leading levels.  Within that face a
-    coordinate is active, and stays 0, while it is 0 and its reduced
-    gradient g_i - x . g is positive; the retraction clips coordinates that
-    a step takes below 0.  Each iteration evaluates every row's trial point
-    in one batched call: a row whose trial passes the Armijo test moves
-    there and takes its next Newton step at full length, and a row whose
-    trial fails shortens its step for the next iteration.  A row stops once
-    its gradient projected on its face is below ``TOL * max(1, |value|)``,
-    or unconverged when its step length falls below MIN_STEP or after
-    MAX_ITERS iterations; ``stops`` and ``converged`` report each row's end.
+    ``fun(x, rows, *args)`` returns the values, gradients and Hessians of
+    the rows of a (rows, k) array ``x``, rows ``rows`` of ``x0`` in
+    increasing order, so ``fun`` can look up data of its own for each row.
+    The rows live on the probability simplex, each on the face of the
+    coordinates that are positive in its (retracted) start row: a coordinate
+    that is 0 there stays 0, so a row padded with zeros searches only its
+    own leading levels.  Within that face a coordinate is active, and stays
+    0, while it is 0 and its reduced gradient g_i - x . g is positive; the
+    retraction clips coordinates that a step takes below 0.  Each iteration
+    evaluates every row's trial point in one batched call: a row whose trial
+    passes the Armijo test moves there and takes its next Newton step at
+    full length, and a row whose trial fails shortens its step for the next
+    iteration.  A row stops once its gradient projected on its face is below
+    ``TOL * max(1, |value|)``, or unconverged when its step length falls
+    below MIN_STEP or after MAX_ITERS iterations; ``stops`` and
+    ``converged`` report each row's end.
     """
     xs = _retract(np.array(x0, dtype=float))
     support = xs > 0.0
-    f, g, h = fun(xs, *args)
+    live, step = np.arange(len(xs)), np.ones(len(xs))
+    f, g, h = fun(xs, live, *args)
     end = [np.empty_like(arr) for arr in (xs, f, g, h)]
     stops = np.zeros(len(xs), dtype=int)
     converged = np.zeros(len(xs), dtype=bool)
-    live, step = np.arange(len(xs)), np.ones(len(xs))
     nit = 0
     while True:
         free = support & ((xs > 0.0) | (g <= (xs * g).sum(axis=-1, keepdims=True)))
@@ -225,7 +231,7 @@ def minimize(fun, x0, args=()) -> NewtonResult:
             if not live.size:
                 break
         trial = _retract(xs + step[:, None] * _newton_step(xs, g, h, free))
-        ft, gt, ht = fun(trial, *args)
+        ft, gt, ht = fun(trial, live, *args)
         nit += 1
         # the Armijo test tolerates round-off, so a Newton step at round-off level passes
         slope = (g * (trial - xs)).sum(axis=-1)
@@ -314,6 +320,15 @@ def _neg_rn_over_simplex(a: np.ndarray, n: int):
     return -r[:, 0], c * a - u, hess
 
 
+def _neg_rn_of_orders(a: np.ndarray, rows: np.ndarray, orders: np.ndarray):
+    """``_neg_rn_over_simplex`` of the rows of ``a``, row i at order
+    ``orders[rows[i]]``, one evaluation per run of adjacent rows of one order."""
+    n = orders[rows]
+    cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(a)]
+    parts = [_neg_rn_over_simplex(a[lo:hi], int(n[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
 @functools.lru_cache(maxsize=None)
 def _face_basis(size: int) -> np.ndarray:
     """An orthonormal basis, as (size, size - 1) columns, of the directions
@@ -333,27 +348,26 @@ def _kkt_certificate(a: np.ndarray, g: np.ndarray, h: np.ndarray):
     return float(np.linalg.norm(g - g.mean())), float(np.linalg.eigvalsh(basis.T @ h @ basis).max())
 
 
-def _maximize(n: int, ks, cfg: OptimizationConfig | None = None) -> list:
-    """Maximize R_n over states populating k adjacent levels, for each k of
-    ``ks``, in one ``minimize`` call.
+def _maximize(cells, cfg: OptimizationConfig | None = None) -> list:
+    """Maximize R_n over states populating k adjacent levels, for each cell
+    (n, k) of ``cells``, in one ``minimize`` call.
 
-    Each k's start rows are padded with zeros to width max(ks); a padded row
-    searches its own k-level simplex, and R_n of it is R_n of its first k
-    entries (the objective's grid of n(max(ks) - 1) + 1 points is alias-free
-    for every k).  Each k's result is read from its own block of rows.
+    Each k's start rows serve every order, padded with zeros to the call's
+    width; R_n of a padded row is R_n of its first k entries (each order's
+    grid of n(width - 1) + 1 points is alias-free for every k).
     """
-    if n not in (3, 4, 5):
-        raise ValueError(f"n must be one of 3, 4, 5, got {n}")
-    if min(ks) < 2:
-        raise ValueError(f"k must be >= 2, got {min(ks)}")
+    for n, k in cells:
+        if n not in (3, 4, 5) or k < 2:
+            raise ValueError(f"n must be one of 3, 4, 5 and k must be >= 2, got n={n}, k={k}")
     cfg = cfg or OptimizationConfig()
     rows = cfg.restarts
-    x0 = np.zeros((len(ks) * rows, max(ks)))
-    for i, k in enumerate(ks):
-        x0[i * rows:(i + 1) * rows, :k] = _start_points(k, cfg)
-    res = minimize(_neg_rn_over_simplex, x0, args=(n,))
+    starts = {k: _start_points(k, cfg) for k in {k for _, k in cells}}
+    x0 = np.zeros((len(cells) * rows, max(starts)))
+    for i, (_, k) in enumerate(cells):
+        x0[i * rows:(i + 1) * rows, :k] = starts[k]
+    res = minimize(_neg_rn_of_orders, x0, args=(np.repeat([n for n, _ in cells], rows),))
     results = []
-    for i, k in enumerate(ks):
+    for i, (n, k) in enumerate(cells):
         block = slice(i * rows, (i + 1) * rows)
         values = -res.values[block]
         best = values.argmax()
@@ -379,7 +393,7 @@ def maximize_rn_over_ck(n: int, k: int, cfg: OptimizationConfig | None = None) -
     restart stopped short of its tolerance; the best value found is still
     reported.
     """
-    return _maximize(n, (k,), cfg)[0]
+    return _maximize([(n, k)], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -400,19 +414,32 @@ class GrowthScan:
         return all(res.converged for res in self.results)
 
 
-def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -> GrowthScan:
-    """Maximize R_n for k = 2..k_max in one search and fit a line through the
-    maxima."""
-    if k_max < 3:
-        raise ValueError(f"k_max must be >= 3 for a line through the maxima, got {k_max}")
-    cfg = cfg or OptimizationConfig()
-    ks = np.arange(2, k_max + 1)
-    results = _maximize(n, range(2, k_max + 1), cfg)
+def _growth_fit(n: int, results) -> GrowthScan:
+    """The scan of the maxima ``results`` of order n for k = 2, 3, ..."""
+    ks = np.arange(2, len(results) + 2)
     values = np.array([res.value for res in results])
     slope, intercept = np.polyfit(ks, values, 1)
     residuals = values - (slope * ks + intercept)
     return GrowthScan(n=n, ks=ks, values=values, slope=float(slope),
                       intercept=float(intercept), residuals=residuals, results=tuple(results))
+
+
+def growth_scan(k_max: int, n: int = 3, cfg: OptimizationConfig | None = None) -> GrowthScan:
+    """Maximize R_n for k = 2..k_max in one search and fit a line through the
+    maxima."""
+    if k_max < 3:
+        raise ValueError(f"k_max must be >= 3 for a line through the maxima, got {k_max}")
+    return _growth_fit(n, _maximize([(n, k) for k in range(2, k_max + 1)], cfg))
+
+
+def table_scans(cfg: OptimizationConfig | None = None) -> dict:
+    """The growth scans of ``tables``, n = 3 for k = 2..8 and n = 4, 5 for
+    k = 2..5, in two searches grouped by width: every order at k <= 5, then
+    n = 3 at k = 6..8."""
+    solves = ([(n, k) for n in (3, 4, 5) for k in range(2, 6)], [(3, k) for k in range(6, 9)])
+    found = {cell: res for cells in solves for cell, res in zip(cells, _maximize(cells, cfg))}
+    return {n: _growth_fit(n, [found[n, k] for k in range(2, k_max + 1)])
+            for n, k_max in ((3, 8), (4, 5), (5, 5))}
 
 
 def werner_coefficients(k: int, lam) -> np.ndarray:
@@ -426,9 +453,9 @@ def werner_coefficients(k: int, lam) -> np.ndarray:
     return cs
 
 
-def _neg_werner_rn(x: np.ndarray, k: int, lam: float, n: int):
+def _neg_werner_rn(x: np.ndarray, rows, k: int, lam: float, n: int):
     """-R_n of werner(k, lam) under the real projections x / |x| for the rows
-    x of ``x``, and its gradients and Hessians in x.
+    x of ``x`` (``rows`` is unused), and its gradients and Hessians in x.
 
     With S = sum x^2 and u = |sum_q x_q e^{iqt}|^2 / S, the pattern is
     (lam + (1 - lam) u) / k and M_1 = 1/k, so R_n = (1/k) sum_j C(n, j)

@@ -98,6 +98,19 @@ def test_certify_non_finite_csv_names_one_based_sample_row(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: sample row 1 is not finite: t=0.0, p=nan\n"
 
 
+@pytest.mark.parametrize("row", [1, 10_000])
+def test_non_finite_row_of_a_long_csv_is_named(tmp_path, row):
+    # the reader tests the whole array at once and looks for the row only on failure
+    t = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False).tolist()
+    lines = [f"{ti!r},0.5" for ti in t]
+    lines[row - 1] = f"{t[row - 1]!r},nan"
+    bad = tmp_path / "long.csv"
+    bad.write_text("t,p\n" + "\n".join(lines) + "\n")
+    with pytest.raises(CliInputError) as err:
+        read_pattern_csv(str(bad))
+    assert str(err.value) == f"{bad}: sample row {row} is not finite: t={t[row - 1]!r}, p=nan"
+
+
 @pytest.mark.parametrize("head, tail", [
     (b"\xff\xfe", b""),  # a UTF-16 byte-order mark: the header cannot be decoded
     (b"", b"\xff,0.5\n"),  # a bad byte far past the first chunk numpy reads
@@ -1116,26 +1129,29 @@ def test_tables_maximizes_each_cell_once(tmp_path, monkeypatch):
     from cohcert import optimize
 
     cfg = optimize.OptimizationConfig(restarts=3, seed=2)
-    calls, cells, minimize = [], [], optimize.minimize
+    widths, cells, minimize = [], [], optimize.minimize
 
     def counted(fun, x0, args=()):
-        (n,) = args
-        calls.append(n)
-        # one block of cfg.restarts start rows per k, zero-padded to the widest k
-        for block in np.split(x0, len(x0) // cfg.restarts):
-            k = int(np.count_nonzero(block[0]))
+        (orders,) = args
+        widths.append(x0.shape[1])
+        # one block of cfg.restarts start rows per cell, zero-padded to the solve's width
+        blocks = len(x0) // cfg.restarts
+        for block, block_orders in zip(np.split(x0, blocks), np.split(orders, blocks)):
+            k, n = int(np.count_nonzero(block[0])), int(block_orders[0])
             padded = np.zeros_like(block)
             padded[:, :k] = optimize._start_points(k, cfg)
             assert np.array_equal(block, padded)
+            assert np.all(block_orders == n)
             cells.append((n, k))
         return minimize(fun, x0, args)
 
     monkeypatch.setattr(optimize, "minimize", counted)
     rc, doc, _ = run_cli(["tables", "--restarts", "3", "--seed", "2"], tmp_path)
     assert rc == 0
-    # one search per order: Fig. 1 scans n = 3, k = 2..8; Table 2 adds n = 4, 5 for k = 2..5
-    assert calls == [3, 4, 5]
-    assert sorted(cells) == [(3, k) for k in range(2, 9)] + [(n, k) for n in (4, 5) for k in range(2, 6)]
+    # two searches, grouped by width: every order at k = 2..5, then n = 3 at k = 6..8;
+    # Fig. 1 scans n = 3, k = 2..8, and Table 2 adds n = 4, 5 for k = 2..5
+    assert widths == [5, 8]
+    assert cells == [(n, k) for n in (3, 4, 5) for k in range(2, 6)] + [(3, k) for k in range(6, 9)]
     data = doc["data"]
     fig1 = {row["k"]: row for row in data["fig1"]["rows"]}
     for row in data["table2"]:
@@ -1145,6 +1161,19 @@ def test_tables_maximizes_each_cell_once(tmp_path, monkeypatch):
     for row in data["table1"][1:]:
         assert row["best_known_computed"] == fig1[row["k"]]["max_computed"]
         assert row["search"] == fig1[row["k"]]["search"]
+
+
+def test_tables_cells_match_single_cell_searches(tmp_path):
+    # tables searches cells of several orders at once, and its (3, 4) cell at a
+    # width of 5 levels rather than 8; each matches its single-cell search
+    _, tables, _ = run_cli(["tables", "--restarts", "4"], tmp_path, name="tables.json")
+    for n, k in ((5, 5), (3, 4)):
+        argv = ["optimize", "--n", str(n), "--k", str(k), "--restarts", "4"]
+        one = run_cli(argv, tmp_path, name="one.json")[1]["data"]
+        row = next(r for r in tables["data"]["table2"] if (r["n"], r["k"]) == (n, k))
+        assert abs(one["max_value"] - row["max_computed"]) <= 1e-12 * one["max_value"], (n, k)
+        assert [one["search"][f] for f in ("nit", "n_agree")] == [
+            row["search"][f] for f in ("nit", "n_agree")], (one["search"], row["search"])
 
 
 def test_approx_csv_series_sums_components(tmp_path):

@@ -21,7 +21,7 @@ from cohcert import (
     werner_state,
 )
 from cohcert import optimize
-from cohcert.optimize import _neg_rn_over_simplex, _neg_werner_rn
+from cohcert.optimize import _neg_rn_of_orders, _neg_rn_over_simplex, _neg_werner_rn
 
 FAST = OptimizationConfig(restarts=6, seed=0)
 
@@ -316,7 +316,7 @@ def werner_rn_rows(x, lam, n):
 @settings(max_examples=40, deadline=None)
 @given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]), lam=st.floats(0.0, 1.0))
 def test_werner_objective_matches_kernel_and_central_differences(x, n, lam):
-    values, grad, _ = _neg_werner_rn(x, x.shape[1], lam, n)
+    values, grad, _ = _neg_werner_rn(x, None, x.shape[1], lam, n)
     np.testing.assert_allclose(values, -werner_rn_rows(x, lam, n), rtol=1e-12)
     num = central_differences(lambda y: -werner_rn_rows(y, lam, n), x)
     np.testing.assert_allclose(grad, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
@@ -337,7 +337,7 @@ def test_nonnegative_projection_not_worse_on_werner(k, n, lam, data):
 @given(x=stacks(), n=st.sampled_from([2, 3, 4, 5]), lam=st.floats(0.0, 1.0))
 def test_hessians_match_central_differences_of_exact_gradients(x, n, lam):
     for derivatives in (lambda y: _neg_rn_over_simplex(y, n),
-                        lambda y: _neg_werner_rn(y, x.shape[1], lam, n)):
+                        lambda y: _neg_werner_rn(y, None, x.shape[1], lam, n)):
         hess = derivatives(x)[2]
         num = central_differences(lambda y: derivatives(y)[1], x, h=1e-5)
         np.testing.assert_allclose(hess, num, rtol=0, atol=1e-6 * max(1.0, np.abs(num).max()))
@@ -350,7 +350,7 @@ def test_changing_one_row_leaves_other_gradient_blocks_unchanged(x, n, data):
     y = x.copy()
     y[i] = data.draw(hnp.arrays(float, x.shape[1], elements=st.floats(0.05, 1.0)))
     others = np.arange(len(x)) != i
-    for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_werner_rn, (x.shape[1], 0.3, n))):
+    for fun, args in ((_neg_rn_over_simplex, (n,)), (_neg_werner_rn, (None, x.shape[1], 0.3, n))):
         blocks = [fun(z, *args) for z in (x, y)]
         for before, after in zip(*blocks):
             assert np.array_equal(before[others], after[others])
@@ -367,7 +367,7 @@ def test_one_minimize_call_per_search(monkeypatch):
     monkeypatch.setattr(optimize, "minimize", counted)
     maximize_rn_over_ck(3, 4, FAST)
     werner_rn(4, 0.18, 3, projection="optimize", cfg=FAST)
-    assert calls == [_neg_rn_over_simplex, _neg_werner_rn]
+    assert calls == [_neg_rn_of_orders, _neg_werner_rn]
     # both searches start from the same rows for the same (k, cfg)
     assert np.array_equal(starts[0], starts[1])
 
@@ -401,11 +401,47 @@ def test_padded_cells_match_single_cell_searches(n, ks, restarts, seed):
     # every k of one search is padded with zeros to max(ks); each cell must come
     # out as its own unpadded search does, up to the round-off of a larger grid
     cfg = OptimizationConfig(restarts=restarts, seed=seed)
-    for k, res in zip(ks, optimize._maximize(n, ks, cfg)):
+    for k, res in zip(ks, optimize._maximize([(n, k) for k in ks], cfg)):
         ref = maximize_rn_over_ck(n, k, cfg)
         assert (res.nit, res.n_agree, res.converged) == (ref.nit, ref.n_agree, ref.converged)
         assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
         assert len(res.alpha) == k
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from([3, 4, 5]), st.integers(2, 8)), min_size=1,
+                      max_size=8, unique=True),
+       restarts=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_cells_of_mixed_orders_match_single_cell_searches(cells, restarts, seed):
+    # one search over cells of several orders: each row is evaluated at its own
+    # order, so each cell comes out as its own search does
+    cfg = OptimizationConfig(restarts=restarts, seed=seed)
+    for (n, k), res in zip(cells, optimize._maximize(cells, cfg)):
+        ref = maximize_rn_over_ck(n, k, cfg)
+        assert (res.nit, res.n_agree, res.converged) == (ref.nit, ref.n_agree, ref.converged)
+        assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        assert len(res.alpha) == k
+
+
+def test_table_scans_match_growth_scans():
+    # tables searches every order at k = 2..5 at once; its n = 4 and 5 rows are
+    # evaluated on their own, so their cells are those of growth_scan bit for bit
+    cfg = OptimizationConfig(restarts=8, seed=5)
+    scans = optimize.table_scans(cfg)
+    assert {n: list(scan.ks) for n, scan in scans.items()} == {
+        3: list(range(2, 9)), 4: list(range(2, 6)), 5: list(range(2, 6))}
+    for n in (4, 5):
+        ref = growth_scan(5, n=n, cfg=cfg)
+        for res, one in zip(scans[n].results, ref.results):
+            assert res.value == one.value and np.array_equal(res.alpha, one.alpha)
+            assert (res.nit, res.n_agree, res.converged, res.spread, res.kkt_gradient,
+                    res.kkt_curvature) == (one.nit, one.n_agree, one.converged, one.spread,
+                                           one.kkt_gradient, one.kkt_curvature)
+        assert (scans[n].slope, scans[n].intercept) == (ref.slope, ref.intercept)
+    ref = growth_scan(8, cfg=cfg)
+    for res, one in zip(scans[3].results, ref.results):
+        assert (res.nit, res.n_agree, res.converged) == (one.nit, one.n_agree, one.converged)
+        assert res.value == pytest.approx(one.value, rel=1e-12, abs=0.0)
 
 
 def test_growth_scan_beyond_table_range_needs_no_warm_start():
@@ -443,12 +479,10 @@ def test_newton_maximum_not_below_lbfgsb(n, k, seed):
 
 
 def test_kkt_certificates_of_table2_and_fig1():
-    # the cells of tables, one scan per order: Fig. 1's scan holds n = 3, k = 2..8,
-    # and Table 2 adds n = 4, 5 for k = 2..5
-    cells = {}
-    for n, k_max in ((3, 8), (4, 5), (5, 5)):
-        scan = growth_scan(k_max, n=n)
-        cells.update({(n, int(k)): res for k, res in zip(scan.ks, scan.results)})
+    # the cells of tables: Fig. 1's scan holds n = 3, k = 2..8, and Table 2 adds
+    # n = 4, 5 for k = 2..5
+    cells = {(n, int(k)): res for n, scan in optimize.table_scans().items()
+             for k, res in zip(scan.ks, scan.results)}
     for (n, k), res in cells.items():
         assert res.kkt_gradient <= 1e-9 * max(1.0, res.value), (n, k)
         assert res.kkt_curvature < 0.0, (n, k)
@@ -491,7 +525,7 @@ def test_row_without_descent_stops_at_its_start():
     # step shrinks below MIN_STEP while the other rows converge in one step
     c = np.array([0.5, 0.5])
 
-    def fun(x):
+    def fun(x, rows):
         sign = np.where(x[:, :1] > 0.9, -1.0, 1.0)
         return 0.5 * ((x - c) ** 2).sum(axis=-1), sign * (x - c), np.tile(np.eye(2), (len(x), 1, 1))
 
@@ -508,7 +542,7 @@ def test_row_without_descent_stops_at_its_start():
 def test_zero_start_coordinate_stays_zero():
     # f = -x_2 favours the last level, but the first row starts without it and
     # keeps it at exactly 0; the second row starts with it and moves there
-    def fun(x):
+    def fun(x, rows):
         return -x[:, 2], np.tile([0.0, 0.0, -1.0], (len(x), 1)), np.zeros((len(x), 3, 3))
 
     res = optimize.minimize(fun, np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
@@ -516,12 +550,30 @@ def test_zero_start_coordinate_stays_zero():
     assert np.array_equal(res.x[1], [0.0, 0.0, 1.0]) and res.values[1] == -1.0
 
 
+def test_objective_reads_the_start_indices_of_its_rows():
+    # f = |x - c_i|^2 / 2 with a target c_i of its own for each start row i,
+    # looked up by the indices minimize passes; row 0 starts at its target and
+    # stops at once, so the one Newton step evaluates rows 1 and 2 alone
+    targets = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+    seen = []
+
+    def fun(x, rows):
+        seen.append(rows.tolist())
+        d = x - targets[rows]
+        return 0.5 * (d * d).sum(axis=-1), d, np.tile(np.eye(2), (len(x), 1, 1))
+
+    res = optimize.minimize(fun, np.array([[0.5, 0.5], [0.3, 0.7], [0.6, 0.4]]))
+    assert res.success and np.allclose(res.x, targets, rtol=0, atol=1e-15)
+    assert seen == [[0, 1, 2], [1, 2]]
+
+
 def test_each_row_stops_as_it_would_alone():
     # rows of one call move independently: a row's stop iteration and flag are
     # those of a call on that row alone, and nit is the last row's stop
     starts = optimize._start_points(5, OptimizationConfig(restarts=8, seed=1))
-    res = optimize.minimize(_neg_rn_over_simplex, starts, args=(4,))
-    alone = [optimize.minimize(_neg_rn_over_simplex, row[None], args=(4,)) for row in starts]
+    res = optimize.minimize(_neg_rn_of_orders, starts, args=(np.full(len(starts), 4),))
+    alone = [optimize.minimize(_neg_rn_of_orders, row[None], args=(np.full(1, 4),))
+             for row in starts]
     assert res.stops.tolist() == [r.nit for r in alone]
     assert res.converged.tolist() == [r.success for r in alone]
     assert res.nit == res.stops.max() > res.stops.min()
@@ -530,7 +582,7 @@ def test_each_row_stops_as_it_would_alone():
 def test_zero_face_hessian_takes_a_shifted_step():
     # f = -x_0 with a zero Hessian: every face Hessian is singular and its
     # Gershgorin bound is 0, so the Newton step needs a positive shift
-    def fun(x):
+    def fun(x, rows):
         return -x[:, 0], np.tile([-1.0, 0.0, 0.0], (len(x), 1)), np.zeros((len(x), 3, 3))
 
     res = optimize.minimize(fun, np.array([[0.2, 0.3, 0.5]]))
@@ -541,7 +593,7 @@ def test_non_finite_trial_shrinks_and_stops():
     # f = -x_0 is NaN past x_0 = 0.7: every trial across that edge fails and
     # shrinks by 1/10, so the row creeps up to the edge and stops by MIN_STEP
     # instead of carrying a NaN step length to MAX_ITERS
-    def fun(x):
+    def fun(x, rows):
         f = np.where(x[:, 0] > 0.7, np.nan, -x[:, 0])
         return f, np.tile([-1.0, 0.0], (len(x), 1)), np.tile(np.eye(2), (len(x), 1, 1))
 
@@ -553,7 +605,7 @@ def test_non_finite_trial_shrinks_and_stops():
 def test_iteration_cap_stops_every_row(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITERS", 2)
     starts = optimize._start_points(6, FAST)
-    res = optimize.minimize(_neg_rn_over_simplex, starts, args=(3,))
+    res = optimize.minimize(_neg_rn_of_orders, starts, args=(np.full(len(starts), 3),))
     assert res.nit == 2 and res.nfev == 3 and not res.success
     assert res.x.shape == starts.shape and np.allclose(res.x.sum(axis=-1), 1.0)
 
