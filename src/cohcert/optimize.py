@@ -21,11 +21,7 @@ that grows with its width, so ``tables`` groups its cells by width
 
 The Werner family needs no search: its pattern is 1/k + (1 - lam) q(t), so
 R_n is a polynomial in u = 1 - lam, increasing and convex on [0, 1], and a
-threshold is its one root there.  Newton's method from u = 1, safeguarded by
-a bisection bracket, finds it from values of the polynomial on [0, 1] alone;
-a leading coefficient that is round-off (the odd moments of q vanish at
-k = 2) moves those values by as little, where a companion-matrix root finder
-divides by it.
+threshold is its one root there (``_increasing_root``).
 """
 
 import functools
@@ -442,12 +438,17 @@ def table_scans(cfg: OptimizationConfig | None = None) -> dict:
             for n, k_max in ((3, 8), (4, 5), (5, 5))}
 
 
+def _uniform_pattern(k: int) -> np.ndarray:
+    """Coefficients of W_k under W_k: the autocorrelation of the uniform
+    profile 1/k on k levels."""
+    return overlap_coefficients(np.full(k, 1.0 / k))
+
+
 def werner_coefficients(k: int, lam) -> np.ndarray:
     """Coefficients of werner(k, lam) under the W_k projection: c_0 = 1/k and
-    c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``.  The W_k
-    pattern under W_k, c^W, is the autocorrelation of the uniform profile
-    1/k, as in the threshold code."""
-    c_w = overlap_coefficients(np.full(k, 1.0 / k))
+    c_m = (1 - lam) c_m^W, one row per entry of an array ``lam``, with c^W
+    the W_k pattern under W_k."""
+    c_w = _uniform_pattern(k)
     cs = np.multiply.outer(1.0 - np.asarray(lam, dtype=float), c_w)
     cs[..., 0] = 1.0 / k
     return cs
@@ -538,7 +539,10 @@ def _increasing_root(c, target: float) -> float:
     it and need no midpoint.  It stops once a step moves u by at most 4
     ulps.  Only values of P on [0, 1] enter, so a round-off error d in a
     coefficient moves P by at most |d| there and the root by |d| / P'; the
-    degree and the leading coefficient play no role.
+    degree and the leading coefficient play no role.  A companion-matrix
+    root finder divides by that coefficient, which can be round-off: at
+    k = 2 the odd moments of the centred Werner pattern cos(t) / 2 vanish,
+    and the computed ones are about 1e-17.
     """
     lo, hi, u = 0.0, 1.0, 1.0
     for _ in range(100):  # 100 halvings of [0, 1] reach an ulp of any root above 4e-15
@@ -581,21 +585,14 @@ def lambda_threshold(n: int, k: int, threshold: float) -> ThresholdRecord:
     and R_n = sum_j C(n, j) k^(j-1) mu_j u^j, kept in the u basis (better
     conditioned than lam).  dR_n/du = n k^(n-1) <q p^(n-1)> >= 0 since p >= 0
     grows with q and <q> = 0, so a bracketed root is unique, and
-    d2R_n/du2 = n(n-1) k^(n-1) <q^2 p^(n-2)> >= 0.  The root is found on
-    [0, 1] by Newton's method from u = 1, safeguarded by bisection
-    (``_increasing_root``), which evaluates the polynomial there and never
-    divides by its leading coefficient.  That coefficient can be round-off:
-    at k = 2 the odd moments of q = cos(t) / 2 vanish and the computed ones
-    are about 1e-17, so the roots of the companion matrix other than the
-    bracketed one lie anywhere, while the values on [0, 1] move by only that
-    much.
+    d2R_n/du2 = n(n-1) k^(n-1) <q^2 p^(n-2)> >= 0; ``_increasing_root``
+    finds the root.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    # the W_k pattern under W_k is the autocorrelation of the uniform profile 1/k
-    q = overlap_coefficients(np.full(k, 1.0 / k))
+    q = _uniform_pattern(k)
     q[0] = 0.0
     return _werner_threshold(n, k, batch_moments(q, n).tolist(), threshold)
 
@@ -617,8 +614,8 @@ def decoherence_threshold_table(k_values=range(3, 11)):
         raise ValueError(f"k must be >= 2, got {min(ks)}")
     cs = np.zeros((2, len(ks), max(ks, default=2)))
     for row, k in enumerate(ks):
-        cs[0, row, :k] = overlap_coefficients(np.full(k, 1.0 / k))
-        cs[1, row, :k - 1] = overlap_coefficients(np.full(k - 1, 1.0 / (k - 1)))
+        cs[0, row, :k] = _uniform_pattern(k)
+        cs[1, row, :k - 1] = _uniform_pattern(k - 1)
     cs[0, :, 0] = 0.0
     mu, ms = batch_moments(cs, 5).tolist()
     return [_werner_threshold(n, k, mu[row], ms[row][n - 1] / ms[row][0] ** (n - 1))

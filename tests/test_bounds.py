@@ -21,7 +21,7 @@ from cohcert import (
     vertex_table,
     w_resonance_counts,
 )
-from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, VERTEX_CASES, certifies
+from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, ROUNDOFF_MARGIN, VERTEX_CASES, certifies
 from conftest import rand_density, rand_pure, rand_simplex
 
 
@@ -52,11 +52,12 @@ def test_certify_strictness_at_thresholds():
 
 
 def test_certifies_is_the_rule_of_certify_r3():
-    margins = np.array([-1e-15, 0.0, 1e-14, 4e-14, 6e-14, 1e-12])
+    # the rule is strict: a value on thr * (1 + ROUNDOFF_MARGIN) does not certify
+    margins = np.array([-1e-15, 0.0, 1e-14, 4e-14, ROUNDOFF_MARGIN, 6e-14, 1e-12])
     for k, thr in enumerate(R3_CERTIFICATION_THRESHOLDS, start=1):
         values = float(thr) * (1 + margins)
         got = certifies(values, thr).tolist()
-        assert got == [False] * 4 + [True] * 2
+        assert got == [False] * 5 + [True] * 2
         assert got == [certify_r3(v).certified_level > k for v in values]
 
 

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from cohcert import bounds
 from cohcert.cli import main, parse_state_spec, read_pattern_csv, to_json, CliInputError
 from cohcert.patterns import COND_LIMIT
+from conftest import run_python, write_w3_fringe
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -270,6 +271,26 @@ def test_gue_sweep_json_summary(tmp_path):
     assert len(doc["data"]["records"]) == 5 * 51
 
 
+def test_gue_sweep_documents(tmp_path):
+    argv = ["gue-sweep", "--k", "3", "--samples", "2", "--seed", "1"]
+    _, _, text = run_cli(argv + ["--format", "csv"], tmp_path, name="sweep.csv")
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows[0] == "seed,tau,D,r3" and len(rows) == 1 + 2 * 51
+    # the record table is written as a fill of each field's distinct values,
+    # and the document equals json's own indent=2 text
+    _, _, text = run_cli(argv, tmp_path)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_gue_sweep_anchors_every_sample_at_zero_drift(tmp_path):
+    rc, doc, _ = run_cli(["gue-sweep", "--k", "4", "--samples", "40", "--seed", "7"], tmp_path)
+    assert rc == 0
+    data = doc["data"]
+    anchors = [r for r in data["records"] if r["tau"] == 0.0]
+    assert len(anchors) == 40
+    assert all(r["D"] == 0.0 and r["r3"] == data["summary"]["drift_free_r3"] for r in anchors)
+
+
 def test_approx_command(tmp_path):
     rc, doc, _ = run_cli(
         ["approx", "--target", "werner:3:0.54", "--q", "2", "--restarts", "8"], tmp_path
@@ -315,9 +336,12 @@ def test_approx_csv_mixture_is_weighted_sum_of_component_columns(tmp_path):
 
 
 def test_tables_command(tmp_path):
-    rc, doc, _ = run_cli(["tables", "--restarts", "8"], tmp_path)
+    # Table 2 is reproduced from the uniform row and one seeded draw alone,
+    # with no published profile among the starts
+    rc, doc, _ = run_cli(["tables", "--restarts", "2"], tmp_path)
     assert rc == 0
     data = doc["data"]
+    assert len(data["table2"]) == 12
     row_k2 = next(r for r in data["table1"] if r["k"] == 2)
     assert row_k2["threshold_exact"] == "5/4" and row_k2["threshold"] == 1.25
     cell_r4k4 = next(r for r in data["table2"] if (r["n"], r["k"]) == (4, 4))
@@ -335,15 +359,18 @@ def test_tables_w_values_are_table3_thresholds(tmp_path):
     # comparison threshold at k + 1: one value, from Table 3's moment pass
     from cohcert.optimize import rn_of_alpha
 
-    rc, doc, _ = run_cli(["tables", "--restarts", "1"], tmp_path)
-    assert rc == 0
-    used = {(row["n"], row["k"]): row["threshold_used"] for row in doc["data"]["table3"]}
-    for row in doc["data"]["table2"]:
-        n, k = row["n"], row["k"]
-        assert row["w_value_computed"] == used[(n, k + 1)], (n, k)
-        assert row["w_value_computed"] == pytest.approx(rn_of_alpha(np.full(k, 1 / k), n), rel=1e-14)
-    assert all(0.0 < row["lambda_thr_computed"] < 1.0 for row in doc["data"]["table3"])
-    assert len(doc["data"]["table3"]) == 24 and not doc["warnings"]
+    for argv in (["--restarts", "1"], ["--restarts", "32", "--seed", "1"]):
+        rc, doc, _ = run_cli(["tables", *argv], tmp_path)
+        assert rc == 0
+        used = {(row["n"], row["k"]): row["threshold_used"] for row in doc["data"]["table3"]}
+        for row in doc["data"]["table2"]:
+            n, k = row["n"], row["k"]
+            assert row["w_value_computed"] == used[(n, k + 1)], (n, k)
+            assert row["w_value_computed"] == pytest.approx(rn_of_alpha(np.full(k, 1 / k), n),
+                                                            rel=1e-14)
+        # every threshold is reachable inside (0, 1)
+        assert all(0.0 < row["lambda_thr_computed"] < 1.0 for row in doc["data"]["table3"])
+        assert len(doc["data"]["table3"]) == 24 and not doc["warnings"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -629,6 +656,39 @@ def test_certify_reads_a_pipe_like_a_file(tmp_path):
     assert piped == plain
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_certify_reads_a_fringe_piped_to_standard_input(tmp_path):
+    # `cat fringe.csv | cohcert certify --input /dev/stdin`: a pipe is read through
+    # the open handle, not reopened by its path
+    path = tmp_path / "fringe.csv"
+    write_w3_fringe(path)
+    rc, doc, _ = run_cli(["certify", "--input", str(path), "--dim", "3"], tmp_path)
+    assert rc == 0 and doc["data"]["verdict"]["certified_level"] == 3
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as pipe:  # the 64 rows fit in the pipe's buffer
+        pipe.write(path.read_bytes())
+    saved = os.dup(0)
+    os.dup2(read_end, 0)
+    os.close(read_end)
+    try:
+        rc, piped, _ = run_cli(["certify", "--input", "/dev/stdin", "--dim", "3"], tmp_path)
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+    assert rc == 0 and piped["data"]["verdict"]["certified_level"] == 3
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m cohcert.cli` runs main through the module's __main__ guard
+    proc = run_python(["-m", "cohcert.cli", "certify", "--state", "W:3"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["verdict"]["certified_level"] == 3
+    proc = run_python(["-m", "cohcert.cli", "certify", "--state", "nope:3"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_ratios_derive_from_reported_moments(tmp_path):
     for spec in ("W:3", "PSI:4", "werner:4:0.3", "vec:0.3,0.9,0.5"):
         _, doc, _ = run_cli(["moments", "--state", spec], tmp_path)
@@ -714,6 +774,30 @@ def test_approx_peak_bound_holds_for_every_projection(tmp_path, projection):
     # a peak above q M_1 proves q + 1 levels under any projection, and the fit agrees
     assert doc["data"]["peak_bound_exceeded"] is True
     assert doc["data"]["exceeds_q_coherence"] is True
+
+
+def test_approx_peak_test_splits_werner_at_lambda_dec(tmp_path):
+    # the peak test shares the certification rule: it fires just below
+    # lambda_dec(3, 2) = 0.5, and not on it
+    for lam, exceeded in (("0.499999999", True), ("0.5", False)):
+        rc, doc, _ = run_cli(["approx", "--target", f"werner:3:{lam}", "--q", "2"], tmp_path)
+        assert rc == 0
+        assert doc["data"]["peak_bound_exceeded"] is exceeded, lam
+
+
+@pytest.mark.parametrize("spec, q", [
+    ("werner:4:0.3", 2), ("werner:4:0.9", 2), ("werner:4:0.5", 3), ("werner:4:0.8", 3),
+])
+def test_approx_werner_targets_on_both_sides_of_lambda_patt(tmp_path, spec, q):
+    # beyond reach of q-coherent mixtures below lambda_patt = (k - q) / (k - 1),
+    # reproduced above it, with weights summing to 1
+    rc, doc, _ = run_cli(["approx", "--target", spec, "--q", str(q)], tmp_path)
+    assert rc == 0
+    data = doc["data"]
+    _, k, lam = spec.split(":")
+    k, lam = int(k), float(lam)
+    assert data["exceeds_q_coherence"] == (lam < (k - q) / (k - 1))
+    assert abs(sum(c["weight"] for c in data["components"]) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,19 +1,15 @@
 """Every script under demos/ runs to completion against the source tree."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([script], cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
