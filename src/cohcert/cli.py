@@ -116,8 +116,10 @@ def read_pattern_csv(path: str) -> np.ndarray:
     return arr
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None), np.float64))
-_STR = frozenset((str,))
+# a table's place in the json.dumps text until its own text fills it; no argv,
+# path or number holds a NUL, so no other value of a document encodes as this
+_TABLE = "\0table\0"
+_TABLE_JSON = json.dumps(_TABLE)
 
 
 def _default(obj):
@@ -130,27 +132,7 @@ def _default(obj):
         return int(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return list(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(depth: int):
-    """Compact sorted-key encoder whose item separator carries the indent of ``depth``.
-
-    A container of scalars encoded by it reads as ``indent=2`` output once a
-    newline and indent follow its opening and precede its closing bracket.
-    Called as ``encoder(obj, 0)``; both forms return an iterable of chunks.
-    """
-    item_separator = ",\n" + "  " * depth
-    if json.encoder.c_make_encoder is None:  # no C accelerator: the pure-Python encoder
-        return json.JSONEncoder(sort_keys=True, separators=(item_separator, ": "),
-                                default=_default, check_circular=False).iterencode
-    return json.encoder.c_make_encoder(None, _default, json.encoder.encode_basestring_ascii,
-                                       None, ": ", item_separator, True, False, True)
 
 
 def _is_table(obj) -> bool:
@@ -162,15 +144,19 @@ def _is_table(obj) -> bool:
         for name in names)
 
 
-def _write_table(arr: np.ndarray, depth: int, out: list) -> None:
-    """Append the ``indent=2`` JSON text of a structured array, as a list of records.
+def _scalar_texts(values: list) -> list:
+    """The JSON text of each of ``values``, numbers and booleans, from one encoder call."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _table_text(arr: np.ndarray) -> str:
+    """The compact JSON text of a table, as a list of records.
 
     Each field's distinct bit patterns (so -0.0 stays apart from 0.0, and NaN
-    payloads apart from each other) go through one encoder call; an encoded
-    scalar holds no raw newline, so the separator ",\\n" splits the text into
-    one text per distinct value, and the inverse index spreads them over the
-    rows.  One record template (names sorted, "%" doubled), repeated, takes the
-    texts of all rows in one % fill.
+    payloads apart from each other) go through one ``_scalar_texts`` call, and
+    the inverse index spreads their texts over the rows.  One record template
+    (names sorted, "%" doubled), repeated, takes the texts of all rows in one
+    % fill.
     """
     names = sorted(arr.dtype.names)
     cells = np.empty((arr.size, len(names)), dtype=object)
@@ -178,75 +164,43 @@ def _write_table(arr: np.ndarray, depth: int, out: list) -> None:
         field = arr[name]
         _, first, inverse = np.unique(field.view(f"u{field.itemsize}"),
                                       return_index=True, return_inverse=True)
-        texts = "".join(_flat_encoder(0)(field[first].tolist(), 0))[1:-1].split(",\n")
-        cells[:, j] = np.array(texts, dtype=object)[inverse]
-    pad = "\n" + "  " * (depth + 1)
-    inner = pad + "  "
-    record = "{" + inner + ("," + inner).join(
-        json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-        for name in names) + pad + "}"
-    body = ("," + pad).join([record] * arr.size) % tuple(cells.ravel().tolist())
-    out += "[", pad, body, pad[:-2], "]"
-
-
-def _write(obj, depth: int, out: list) -> None:
-    """Append the ``indent=2`` JSON text of ``obj``, nested ``depth`` levels deep, to ``out``."""
-    kind = type(obj)
-    if kind in _SCALARS:
-        out.extend(_flat_encoder(0)(obj, 0))
-        return
-    if kind is dict:
-        flat = _STR.issuperset(map(type, obj)) and _SCALARS.issuperset(map(type, obj.values()))
-    elif kind is list or kind is tuple:
-        flat = _SCALARS.issuperset(map(type, obj))
-    elif _is_table(obj):
-        _write_table(obj, depth, out)
-        return
-    else:
-        _write(_default(obj), depth, out)
-        return
-    if not obj:
-        out.append("{}" if kind is dict else "[]")
-        return
-    pad = "\n" + "  " * (depth + 1)
-    if flat:
-        text = "".join(_flat_encoder(depth + 1)(obj, 0))
-        out += text[0], pad, text[1:-1], pad[:-2], text[-1]
-        return
-    sep = pad
-    if kind is dict:
-        out.append("{")
-        # keys are compared as the strings they print as
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
-            out += sep, json.encoder.encode_basestring_ascii(key), ": "
-            _write(value, depth + 1, out)
-            sep = "," + pad
-    else:
-        out.append("[")
-        for value in obj:
-            out.append(sep)
-            _write(value, depth + 1, out)
-            sep = "," + pad
-    out += pad[:-2], "}" if kind is dict else "]"
+        cells[:, j] = np.array(_scalar_texts(field[first].tolist()), dtype=object)[inverse]
+    record = "{" + ",".join(json.encoder.encode_basestring_ascii(name).replace("%", "%%") + ":%s"
+                            for name in names) + "}"
+    return "[" + ",".join([record] * arr.size) % tuple(cells.ravel().tolist()) + "]"
 
 
 def to_json(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written in one pass.
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
 
-    numpy scalars and arrays become Python numbers and lists, complex numbers
-    ``{"re": ..., "im": ...}``, and dict keys print and sort as ``str(key)``.
-    Containers of scalars go through one C encoder call each, so a list of
-    records is written one record at a time.  A table, a non-empty 1-d
-    structured array of bool, int, uint and float fields (such as a sweep's
-    record array), is written as the list of its records, one dict per row:
-    each field goes through one encoder call that sees each of its distinct
-    bit patterns once, and the texts fill one repeated record template.  So a
-    table costs about one compact encoding of its distinct values, which pays
-    off where a column repeats, like the tau grid of a drift sweep.  Any other
-    structured array is written as ``tolist()`` writes it, a list of lists.
+    numpy scalars and arrays become Python numbers and lists, and complex
+    numbers ``{"re": ..., "im": ...}``.  A table, a non-empty 1-d structured
+    array of bool, int, uint and float fields (such as a sweep's record
+    array), is written as the list of its records, one dict per row: each
+    field goes through one encoder call that sees each of its distinct bit
+    patterns once, and the texts fill one repeated record template.  So a
+    table costs about one encoding of its distinct values, which pays off
+    where a column repeats, like the tau grid of a drift sweep; ``default``
+    writes the string ``_TABLE`` in its place, which the table's text then
+    replaces, and a text with more such places than tables raises ValueError.
+    Any other structured array is written as ``tolist()`` writes it, a list of
+    lists.
     """
-    out: list = []
-    _write(obj, 0, out)
+    tables = []
+
+    def default(value):
+        if _is_table(value):
+            tables.append(value)
+            return _TABLE
+        return _default(value)
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+    parts = text.split(_TABLE_JSON)
+    if len(parts) != len(tables) + 1:
+        raise ValueError(f"{len(parts) - 1} table places in the text of {len(tables)} tables")
+    out = [parts[0]]
+    for table, part in zip(tables, parts[1:]):
+        out += _table_text(table), part
     return "".join(out)
 
 
@@ -549,15 +503,8 @@ def cmd_gue_sweep(args, warnings):
         warnings.append(
             f"{args.samples - summary['crossings_found']} samples never crossed the threshold"
         )
-    header = ("seed", "tau", "D", "r3")
-    # the library's fields under the document's names (deviation -> D), through a
-    # view with a new dtype of the same offsets: no copy, and the sweep's dtype
-    # keeps its names
-    dtype = sweep.records.dtype
-    formats, offsets = zip(*(dtype.fields[name] for name in dtype.names))
-    records = sweep.records.view(np.dtype({"names": header, "formats": formats,
-                                           "offsets": offsets, "itemsize": dtype.itemsize}))
-    return {"summary": summary, "records": records}, _gue_rows(records), header
+    records = sweep.records
+    return {"summary": summary, "records": records}, _gue_rows(records), records.dtype.names
 
 
 def _approx_rows(target, components, proj, points):

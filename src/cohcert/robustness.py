@@ -104,12 +104,12 @@ class ToleranceSweep:
     """Full record set of a drift sweep plus D-binned ensemble statistics.
 
     ``records`` is a read-only record array with one row per (sample, tau),
-    sample-major over ``TAU_GRID``, and fields ``seed``, ``tau``,
-    ``deviation`` and ``r3``.  ``crossing`` holds, per sample, the first
-    deviation at which R_3 stops certifying k-coherence under
-    ``bounds.certifies`` (NaN if it never does on the grid).  Binning covers
-    deviations up to ``bin_edges[-1]``; records beyond that window are kept
-    but not binned.
+    sample-major over ``TAU_GRID``, and fields ``seed``, ``tau``, ``D`` (the
+    deviation) and ``r3``, the names of ``gue-sweep``'s document and CSV
+    header.  ``crossing`` holds, per sample, the first deviation at which R_3
+    stops certifying k-coherence under ``bounds.certifies`` (NaN if it never
+    does on the grid).  Binning covers deviations up to ``bin_edges[-1]``;
+    records beyond that window are kept but not binned.
     """
 
     k: int
@@ -158,7 +158,7 @@ def tolerance_sweep(k: int, n_samples: int, seed: int = 0) -> ToleranceSweep:
 
     records = _readonly(np.rec.fromarrays(
         [np.repeat(seeds, taus.size), np.tile(taus, n_samples), devs.ravel(), r3s.ravel()],
-        names=("seed", "tau", "deviation", "r3")))
+        names=("seed", "tau", "D", "r3")))
     below = ~certifies(r3s, threshold)
     first = below.argmax(axis=1)
     i = np.arange(n_samples)

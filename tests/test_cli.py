@@ -277,9 +277,9 @@ def test_gue_sweep_documents(tmp_path):
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     assert rows[0] == "seed,tau,D,r3" and len(rows) == 1 + 2 * 51
     # the record table is written as a fill of each field's distinct values,
-    # and the document equals json's own indent=2 text
+    # and the document equals json's own compact text
     _, _, text = run_cli(argv, tmp_path)
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_gue_sweep_anchors_every_sample_at_zero_drift(tmp_path):
@@ -472,7 +472,7 @@ def test_shared_parser_leaks_no_defaults(tmp_path):
         assert run_cli(argv, tmp_path, name=f"fresh{i}.json")[2] == shared[i]
 
 
-@pytest.mark.parametrize("spec,level", [("W:1", 1), ("W:2", 2)])
+@pytest.mark.parametrize("spec,level", [("W:1", 1), ("W:2", 2), ("PSI:1", 1)])
 def test_certify_threshold_states_not_overclaimed(tmp_path, spec, level):
     rc, doc, _ = run_cli(["certify", "--state", spec], tmp_path)
     assert rc == 0
@@ -551,6 +551,14 @@ def test_certify_dark_fit_names_its_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: dark pattern: M_1 = 0, ratios undefined\n"
+
+
+def test_moments_dark_fit_is_input_error(tmp_path, capsys):
+    path = write_samples_csv(tmp_path, lambda t: 0.0, n=64)
+    assert main(["moments", "--input", path, "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dark pattern: M_1 = 0, ratios undefined\n"
 
 
 def test_certify_path_with_nul_byte_cannot_be_read(capsys):
@@ -828,14 +836,14 @@ def reference_form(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
-        return {str(k): reference_form(v) for k, v in obj.items()}
+        return {k: reference_form(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [reference_form(x) for x in obj]
     return obj
 
 
 def reference_encoding(obj):
-    return json.dumps(reference_form(obj), sort_keys=True, indent=2)
+    return json.dumps(reference_form(obj), sort_keys=True, separators=(",", ":"))
 
 
 json_text = st.text(st.sampled_from(list('aZ0 "\\/\n\t\x00\x7féλ€😀')), max_size=6) | st.text(max_size=4)
@@ -846,14 +854,12 @@ json_leaves = st.one_of(
     hnp.arrays(st.sampled_from([np.float64, np.complex128]),
                hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
 )
-# integer keys sort differently as numbers and as the strings they print as
-json_keys = json_text | st.integers(-20, 200)
 Pair = namedtuple("Pair", "a b")
 json_trees = st.recursive(
     json_leaves,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(json_keys, kids, max_size=4)
-                  | st.dictionaries(json_keys, kids, max_size=2).map(OrderedDict)
+                  | st.dictionaries(json_text, kids, max_size=4)
+                  | st.dictionaries(json_text, kids, max_size=2).map(OrderedDict)
                   | st.builds(Pair, kids, kids)),
     max_leaves=24,
 )
@@ -861,8 +867,6 @@ json_trees = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(json_trees)
-@example({10: 1.0, 2: 2.0})
-@example({"a": [{10: "x", 2: None, "1": True}], "b": {}})
 @example([[], (), {}, [1.5, float("nan"), -float("inf")], {"k": np.float64(0.1)}])
 def test_to_json_matches_reference_encoding(obj):
     assert to_json(obj) == reference_encoding(obj)
@@ -870,17 +874,13 @@ def test_to_json_matches_reference_encoding(obj):
 
 @contextlib.contextmanager
 def without_c_encoder():
-    """``to_json`` with the pure-Python encoder, as where the C accelerator is missing."""
-    from cohcert import cli
-
+    """json with its pure-Python encoder, as where the C accelerator is missing."""
     c_make_encoder = json.encoder.c_make_encoder
     json.encoder.c_make_encoder = None
-    cli._flat_encoder.cache_clear()
     try:
         yield
     finally:
         json.encoder.c_make_encoder = c_make_encoder
-        cli._flat_encoder.cache_clear()
 
 
 def test_to_json_without_c_encoder():
@@ -888,7 +888,7 @@ def test_to_json_without_c_encoder():
 
     sweep = tolerance_sweep(3, 2, seed=4)
     obj = {"records": sweep.records, "bins": sweep.bin_mean,
-           "flat": {"b": True, "a": None, "c": "\u00e9"}, 10: [1, 2.5], 2: ()}
+           "flat": {"b": True, "a": None, "c": "\u00e9"}, "10": [1, 2.5], "2": ()}
     expected = reference_encoding(obj)
     with without_c_encoder():
         assert to_json(obj) == expected
@@ -901,12 +901,9 @@ def test_to_json_encodes_record_tables(monkeypatch):
     from cohcert import cli
 
     calls = []
-    flat_encoder = cli._flat_encoder
-
-    def counting_encoder(depth):
-        return lambda obj, level: calls.append(obj) or flat_encoder(depth)(obj, level)
-
-    monkeypatch.setattr(cli, "_flat_encoder", counting_encoder)
+    scalar_texts = cli._scalar_texts
+    monkeypatch.setattr(cli, "_scalar_texts", lambda values: calls.append(values)
+                        or scalar_texts(values))
     specials = [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 3.0, 1e-300]
     n = 2040
     i = np.arange(n)
@@ -920,15 +917,14 @@ def test_to_json_encodes_record_tables(monkeypatch):
     assert [len(values) for values in calls] == [3, n, n, 2, 8, n, 51]  # sorted names
     for obj in ({"data": {"records": table, "last": [table[:1]]}}, (table[:2],)):
         assert to_json(obj) == reference_encoding(obj)
-    # a list of records is written one record at a time
-    records = reference_form(table[:6])
-    del calls[:]
-    assert to_json(records) == reference_encoding(records)
-    assert len(calls) == len(records)
+    # a string that reads as a table's place is refused, not filled with a table
+    for obj in ({"records": table[:2], "note": cli._TABLE}, [cli._TABLE]):
+        with pytest.raises(ValueError, match="table places"):
+            to_json(obj)
     # structured arrays that are not tables are written as tolist() writes them
     complex_field = np.zeros(2, dtype=[("a", "f8"), ("z", "c16")])
     for obj in (table[:0], table[:4].reshape(2, 2), complex_field):
-        assert to_json(obj) == json.dumps(obj.tolist(), sort_keys=True, indent=2,
+        assert to_json(obj) == json.dumps(obj.tolist(), sort_keys=True, separators=(",", ":"),
                                           default=lambda z: {"re": z.real, "im": z.imag})
 
 
@@ -939,7 +935,7 @@ table_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), j
 @st.composite
 def record_tables(draw):
     """Lists of 1-6 records sharing one key set, sometimes with one record perturbed."""
-    keys = draw(st.lists(json_keys, min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
     row = st.lists(table_leaves, min_size=len(keys), max_size=len(keys))
     records = [dict(zip(draw(st.permutations(keys)), draw(row)))
                for _ in range(draw(st.integers(1, 6)))]
@@ -948,7 +944,7 @@ def record_tables(draw):
                                     "float32"]))
     name = keys[0]
     if perturb == "extra":
-        records[i] = {**records[i], draw(json_keys): draw(table_leaves)}
+        records[i] = {**records[i], draw(json_text): draw(table_leaves)}
     elif perturb == "drop":
         records[i] = {k: v for k, v in records[i].items() if k != name}
     elif perturb == "rename":
@@ -1042,34 +1038,13 @@ def test_gue_sweep_json_and_csv_rows_match_the_records():
     sweep = tolerance_sweep(4, 3, seed=8)
     data, rows, header = cli.cmd_gue_sweep(Namespace(k=4, samples=3, seed=8), [])
     assert header == ("seed", "tau", "D", "r3")
-    # the sweep's record array under the document's names, written as a table
+    # the sweep's record array, under its own names, written as a table
     doc_records = data["records"]
     assert doc_records.dtype.names == header and cli._is_table(doc_records)
-    assert sweep.records.dtype.names == ("seed", "tau", "deviation", "r3")
     assert doc_records.tolist() == sweep.records.tolist()
     assert len(doc_records) == 3 * 51
-    assert list(rows) == [(int(rec.seed), repr(float(rec.tau)), repr(float(rec.deviation)),
+    assert list(rows) == [(int(rec.seed), repr(float(rec.tau)), repr(float(rec.D)),
                            repr(float(rec.r3))) for rec in sweep.records]
-
-
-def test_gue_sweep_renames_its_records_through_a_view(tmp_path, monkeypatch):
-    from cohcert import cli, robustness
-
-    sweeps, docs = [], []
-    sweep_fn, build = robustness.tolerance_sweep, cli.build_document
-    monkeypatch.setattr(robustness, "tolerance_sweep",
-                        lambda *a, **kw: sweeps.append(sweep_fn(*a, **kw)) or sweeps[-1])
-    monkeypatch.setattr(cli, "build_document", lambda *a: docs.append(build(*a)) or docs[-1])
-    _, _, text = run_cli(["gue-sweep", "--k", "4", "--samples", "5", "--seed", "2"], tmp_path)
-    (sweep,) = sweeps
-    assert sweep.records.dtype.names == ("seed", "tau", "deviation", "r3")
-    records = docs[0]["data"]["records"]
-    assert records.dtype.names == ("seed", "tau", "D", "r3")
-    assert np.shares_memory(records, sweep.records)
-    # the document equals the one written from a renamed copy
-    docs[0]["data"]["records"] = np.rec.fromarrays(
-        [sweep.records[name] for name in sweep.records.dtype.names], names=records.dtype.names)
-    assert text == cli.to_json(docs[0]) + "\n"
 
 
 def test_gue_sweep_builds_csv_rows_only_for_csv(tmp_path, monkeypatch):

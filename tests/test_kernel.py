@@ -192,10 +192,10 @@ def test_batched_sweep_matches_record_loop(k, n_samples, seed, extra_taus):
     assert len(sweep.records) == len(rows)
     for rec, (s, tau, dev, r3) in zip(sweep.records, rows):
         assert (rec.seed, rec.tau) == (s, tau)
-        assert rec.deviation == pytest.approx(dev, abs=TOL)
+        assert rec.D == pytest.approx(dev, abs=TOL)
         assert rec.r3 == pytest.approx(r3, abs=TOL)
         if tau == 0.0:
-            assert rec.deviation == 0.0 and rec.r3 == sweep.drift_free_r3
+            assert rec.D == 0.0 and rec.r3 == sweep.drift_free_r3
     assert (~np.isnan(sweep.crossing)).tolist() == crossed
     assert sweep.drift_free_r3 == pytest.approx(_r3_loop(*(psi_star(k).amplitudes,) * 2), abs=TOL)
 
@@ -205,7 +205,7 @@ def test_default_sweep_matches_record_loop():
     rows, crossed = _sweep_loop(4, 6, 11, robustness.TAU_GRID)
     np.testing.assert_allclose([r.r3 for r in sweep.records], [r[3] for r in rows],
                                rtol=0, atol=TOL)
-    np.testing.assert_allclose([r.deviation for r in sweep.records], [r[2] for r in rows],
+    np.testing.assert_allclose([r.D for r in sweep.records], [r[2] for r in rows],
                                rtol=0, atol=TOL)
     assert (~np.isnan(sweep.crossing)).tolist() == crossed
 

@@ -139,7 +139,7 @@ def test_tolerance_sweep_zero_drift_anchor():
     zero_recs = [r for r in sweep.records if r.tau == 0.0]
     assert len(zero_recs) == 8
     for r in zero_recs:
-        assert r.deviation == 0.0
+        assert r.D == 0.0
         assert r.r3 == sweep.drift_free_r3
     assert sweep.drift_free_r3 == pytest.approx(2.3211, abs=1e-3)
 
@@ -184,7 +184,7 @@ def test_sweep_csv_and_summary(tmp_path):
 def test_sweep_records_are_one_read_only_array():
     sweep = tolerance_sweep(3, 40, seed=2)
     recs = sweep.records
-    assert recs.dtype.names == ("seed", "tau", "deviation", "r3")
+    assert recs.dtype.names == ("seed", "tau", "D", "r3")
     assert len(recs) == 40 * robustness.TAU_GRID.size
     with pytest.raises(ValueError):
         recs.r3[0] = 0.0
@@ -216,7 +216,7 @@ def test_sweep_hamiltonians_equal_sample_gue(monkeypatch):
 def test_sweep_bins_equal_the_mask_loop(k, n_samples, seed):
     """The sorted-slice bins against one boolean mask per bin, bit for bit."""
     sweep = tolerance_sweep(k, n_samples, seed=seed)
-    idx = np.digitize(sweep.records.deviation, sweep.bin_edges) - 1
+    idx = np.digitize(sweep.records.D, sweep.bin_edges) - 1
     mean = np.full(robustness.N_BINS, np.nan)
     std = np.full(robustness.N_BINS, np.nan)
     count = np.zeros(robustness.N_BINS, dtype=int)
