@@ -1,9 +1,9 @@
 """Command-line interface: certification, table reproduction, sweeps.
 
-Every output document embeds a schema version, the master seed and a full
-parameter echo; no timestamps are written, so re-running a seeded command
-reproduces its output byte for byte.  Exit codes: 0 success, 1 finished
-with warnings (e.g. optimizer nonconvergence), 2 input error.
+Every output document embeds a schema version, the seed (null for a command
+without --seed) and a full parameter echo, and no timestamps, so re-running a
+seeded command reproduces its output byte for byte.  Exit codes: 0 success,
+1 finished with warnings (e.g. optimizer nonconvergence), 2 input error.
 """
 
 import argparse
@@ -215,25 +215,18 @@ def build_document(command: str, params: dict, data, warnings, seed) -> dict:
     }
 
 
-def encode(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> str:
-    """The text of the document as JSON, or as CSV when ``fmt`` is "csv".
-
-    CSV output keeps the provenance as leading comment lines so the data
-    section stays machine-readable and byte-reproducible.
-    """
-    if fmt == "csv":
-        if csv_rows is None:
-            raise CliInputError(f"command {doc['command']!r} has no CSV series; use --format json")
-        buf = io.StringIO()
-        buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
-        buf.write(f"# command: {doc['command']}\n")
-        buf.write(f"# seed: {doc['seed']}\n")
-        buf.write(f"# params: {json.dumps(doc['params'], sort_keys=True)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        return buf.getvalue()
-    return to_json(doc) + "\n"
+def to_csv(doc: dict, rows, header) -> str:
+    """The text of a command's CSV series under comment lines of the document's
+    provenance, so the data section stays machine-readable and byte-reproducible."""
+    buf = io.StringIO()
+    buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
+    buf.write(f"# command: {doc['command']}\n")
+    buf.write(f"# seed: {json.dumps(doc['seed'])}\n")
+    buf.write(f"# params: {json.dumps(doc['params'], sort_keys=True)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write(text: str, path: str | None) -> None:
@@ -314,7 +307,7 @@ def cmd_certify(args, warnings):
         "verdict": {"n": 3, **_verdict(verdict)},
         "reference_maxima": best_known,
     }
-    return data, None, None
+    return data
 
 
 def cmd_moments(args, warnings):
@@ -322,7 +315,7 @@ def cmd_moments(args, warnings):
     ms = moments(pat, 5)
     if ms[0] <= 0.0:
         raise CliInputError("dark pattern: M_1 = 0, ratios undefined")
-    return {"pattern": info, **_moment_block(pat, ms)}, None, None
+    return {"pattern": info, **_moment_block(pat, ms)}
 
 
 def _search(res) -> dict:
@@ -403,7 +396,7 @@ def cmd_tables(args, warnings):
             "certification_thresholds": [float(t) for t in bounds.R3_CERTIFICATION_THRESHOLDS],
         },
     }
-    return data, None, None
+    return data
 
 
 def cmd_optimize(args, warnings):
@@ -428,7 +421,7 @@ def cmd_optimize(args, warnings):
         warnings.append(f"optimizer did not converge for (n={args.n}, k={args.k})")
     data = {"n": args.n, "k": args.k, "max_value": res.value,
             "alpha": list(res.alpha), "converged": res.converged, "search": _search(res)}
-    return data, None, None
+    return data, [(args.k, repr(float(res.value)))], ("k", "max_value")
 
 
 def cmd_vertex_check(args, warnings):
@@ -457,7 +450,7 @@ def cmd_vertex_check(args, warnings):
             entry["published_overall_max"] = ref
             entry["abs_diff_overall"] = abs(overall - ref)
         data[case] = entry
-    return data, None, None
+    return data
 
 
 def cmd_werner_sweep(args, warnings):
@@ -556,18 +549,6 @@ def _above(lo):
     return parse
 
 
-def _add_common(parser, needs_restarts=False):
-    parser.add_argument("--seed", type=_above(-1), default=0, help="master RNG seed (u64)")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--timings", metavar="PATH", default=None,
-                        help="write the wall seconds of the compute, encode and write stages "
-                             "as JSON to PATH")
-    if needs_restarts:
-        parser.add_argument("--restarts", type=_above(0), default=32,
-                            help="multi-start restarts for numeric searches")
-
-
 def _add_pattern_source(parser):
     parser.add_argument("--state",
                         help="state spec: W:k | PSI:k | werner:k:lambda | vec:a0,a1,...")
@@ -577,11 +558,22 @@ def _add_pattern_source(parser):
                         help="fit dimension for CSV input")
 
 
+# --restarts and --seed go to the commands that search, --seed alone to those
+# that draw random numbers, --format to those with a CSV series.  approx, one
+# convex solve, reads neither --restarts nor --seed, but keeps them while the
+# cohbench approx workload passes them.
+SEARCHING = ("tables", "optimize", "approx")
+SEEDED = (*SEARCHING, "gue-sweep")
+CSV_SERIES = ("optimize", "werner-sweep", "gue-sweep", "approx")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohcert",
         description="Certify multi-level coherence from interference-pattern moment ratios.",
     )
+    # what main reads of every command; the commands that declare an option override these
+    parser.set_defaults(seed=None, format="json", scan=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, func, text in (
@@ -589,35 +581,30 @@ def make_parser() -> argparse.ArgumentParser:
             ("moments", cmd_moments, "moments and ratios only, no verdict")):
         p = sub.add_parser(name, help=text)
         _add_pattern_source(p)
-        _add_common(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("tables", help="reproduce the threshold tables and growth series")
-    _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("optimize", help="maximize R_n over k-coherent states")
     p.add_argument("--n", type=int, default=3, choices=(3, 4, 5))
-    p.add_argument("--k", type=_above(1), default=3)
-    p.add_argument("--scan", type=_above(2), default=0,
-                   help="scan k = 2..SCAN and fit the linear growth")
-    _add_common(p, needs_restarts=True)
+    cells = p.add_mutually_exclusive_group()
+    cells.add_argument("--k", type=_above(1), default=3)
+    cells.add_argument("--scan", type=_above(2), default=0,
+                       help="scan k = 2..SCAN and fit the linear growth")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("vertex-check", help="polytope vertex bounds for R_3")
-    _add_common(p)
     p.set_defaults(func=cmd_vertex_check)
 
     p = sub.add_parser("werner-sweep", help="certifier values on the Werner family")
     p.add_argument("--k", type=_above(0), default=3)
     p.add_argument("--points", type=_above(0), default=101)
-    _add_common(p)
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("gue-sweep", help="faulty-measurement Monte Carlo sweep")
     p.add_argument("--k", type=int, default=4, choices=(3, 4))
     p.add_argument("--samples", type=_above(0), default=100)
-    _add_common(p)
     p.set_defaults(func=cmd_gue_sweep)
 
     p = sub.add_parser("approx", help="best q-coherent mixture approximation of a pattern")
@@ -625,8 +612,20 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_above(0), required=True)
     p.add_argument("--projection", help="projection state spec (default: W on target levels)")
     p.add_argument("--plot-points", type=_above(0), default=256)
-    _add_common(p, needs_restarts=True)
     p.set_defaults(func=cmd_approx)
+
+    for name, p in sub.choices.items():
+        if name in SEEDED:
+            p.add_argument("--seed", type=_above(-1), default=0, help="master RNG seed (u64)")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name in CSV_SERIES:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--timings", metavar="PATH", default=None,
+                       help="write the wall seconds of the compute, encode and write stages "
+                            "as JSON to PATH")
+        if name in SEARCHING:
+            p.add_argument("--restarts", type=_above(0), default=32,
+                           help="multi-start restarts for numeric searches")
     return parser
 
 
@@ -638,25 +637,27 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     The document's ``params`` echo every option that has a value, given or
-    defaulted, except ``--out``, ``--format`` and ``--timings``; ``--dim``
-    shapes only a pattern fitted to ``--input``, so it is echoed only with
-    ``--input``.  Wall times vary from run to run, so they go only to the
-    ``--timings`` file: ``encode`` includes the CSV series a command computes
-    as it is written.
+    defaulted, except ``--out``, ``--format`` and ``--timings``, and except
+    ``--dim`` without ``--input`` and ``optimize --k`` with ``--scan``, which
+    shape nothing there.  A command without ``--seed`` has seed null.  Wall
+    times vary from run to run, so they go only to the ``--timings`` file,
+    whose ``encode`` stage includes the CSV series a command computes as it
+    is written.
     """
     args = _shared_parser().parse_args(argv)
     warnings: list = []
     try:
         start = time.perf_counter()
-        data, csv_rows, csv_header = args.func(args, warnings)
+        result = args.func(args, warnings)
+        data, *series = result if args.command in CSV_SERIES else (result,)
         params = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "out", "format", "timings") and v is not None
-            and (k != "dim" or args.input)
+            and (k != "dim" or args.input) and (k != "k" or not args.scan)
         }
         doc = build_document(args.command, params, data, warnings, args.seed)
         computed = time.perf_counter()
-        text = encode(doc, args.format, csv_rows, csv_header)
+        text = to_csv(doc, *series) if args.format == "csv" else to_json(doc) + "\n"
         encoded = time.perf_counter()
         write(text, args.out)
         if args.timings:

@@ -56,6 +56,8 @@ def test_certify_state_spec(tmp_path):
     rc, doc, _ = run_cli(["certify", "--state", "W:3"], tmp_path)
     assert rc == 0
     assert doc["schema_version"] == 1
+    # certify draws no random numbers: no seed, and none in the echo
+    assert doc["seed"] is None and doc["params"] == {"command": "certify", "state": "W:3"}
     assert doc["data"]["ratios"]["R_3"] == pytest.approx(1.7407, abs=1e-4)
     assert doc["data"]["verdict"]["certified_level"] == 3
     assert doc["data"]["moments"]["M_1"] == pytest.approx(1 / 3, abs=1e-12)
@@ -205,6 +207,17 @@ def test_optimize_scan_csv(tmp_path):
     assert lines[0].startswith("# schema_version:")
     header_idx = next(i for i, l in enumerate(lines) if l == "k,max_value")
     assert len(lines) - header_idx - 1 == 3  # k = 2, 3, 4
+    # a scan reads no --k, so its echo leaves k out
+    assert lines[3] == ('# params: {"command": "optimize", "n": 3, "restarts": 3, "scan": 4, '
+                        '"seed": 0}')
+
+
+def test_optimize_cell_csv_is_one_scan_row(tmp_path):
+    argv = ["optimize", "--n", "3", "--k", "4"]
+    _, doc, _ = run_cli(argv, tmp_path)
+    rc, _, text = run_cli(argv + ["--format", "csv"], tmp_path, name="cell.csv")
+    assert rc == 0
+    assert text.splitlines()[4:] == ["k,max_value", f"4,{doc['data']['max_value']!r}"]
 
 
 def test_vertex_check_command(tmp_path):
@@ -252,6 +265,7 @@ def test_werner_sweep_csv(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert "lambda,r3,r4,r5" in lines
+    assert lines[2] == "# seed: null"
 
 
 def test_gue_sweep_deterministic(tmp_path):
@@ -391,6 +405,7 @@ def test_tables_w_values_are_table3_thresholds(tmp_path):
     ["optimize", "--seed", "-5"],
     ["tables", "--restarts", "1", "--seed", "-1"],
     ["gue-sweep", "--k", "3", "--samples", "1", "--seed", "-1"],
+    ["optimize", "--scan", "4", "--k", "9"],
 ])
 def test_out_of_range_numeric_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -410,8 +425,22 @@ def test_unwritable_out_is_input_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and not out.parent.exists()
 
 
-def test_csv_rejected_for_non_series(tmp_path):
-    assert main(["certify", "--state", "W:2", "--format", "csv"]) == 2
+def test_csv_rejected_for_non_series(capsys):
+    # only the commands with a CSV series take --format, and only those that
+    # draw random numbers take --seed; elsewhere either is a usage error
+    for argv in (["certify", "--state", "W:2", "--format", "csv"],
+                 ["moments", "--state", "W:2", "--format", "json"],
+                 ["tables", "--format", "json"],
+                 ["vertex-check", "--format", "json"],
+                 ["certify", "--state", "W:2", "--seed", "0"],
+                 ["moments", "--state", "W:2", "--seed", "1"],
+                 ["vertex-check", "--seed", "0"],
+                 ["werner-sweep", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_read_pattern_csv_roundtrip(tmp_path):
@@ -1261,3 +1290,103 @@ def test_approx_json_builds_no_plot_series(tmp_path, monkeypatch):
     rc, doc, _ = run_cli(["approx", "--target", "werner:4:0.3", "--q", "2"], tmp_path)
     assert rc == 0 and len(doc["data"]["components"]) > 1
     assert len(built) == 1  # the target only
+
+
+def declared_options():
+    """(command, option) for every option that make_parser() declares."""
+    import argparse
+
+    from cohcert.cli import make_parser
+
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(name, action.option_strings[-1]) for name, p in sub.choices.items()
+            for action in p._actions if action.dest != "help"}
+
+
+# a command line of each command
+BASE = {
+    "certify": ["certify", "--state", "W:3"],
+    "moments": ["moments", "--state", "W:3"],
+    "tables": ["tables", "--restarts", "1"],
+    "optimize": ["optimize", "--restarts", "1"],
+    "vertex-check": ["vertex-check"],
+    "werner-sweep": ["werner-sweep", "--points", "5"],
+    "gue-sweep": ["gue-sweep", "--samples", "1"],
+    "approx": ["approx", "--target", "werner:3:0.3", "--q", "2"],
+}
+# (command, option): a command line and a value for the option, which differs
+# from the value the command line gives it or leaves it at
+OPTION_EFFECTS = {
+    **{(command, "--out"): (argv, "doc.json") for command, argv in BASE.items()},
+    **{(command, "--timings"): (argv, "timings.json") for command, argv in BASE.items()},
+    **{(command, "--format"): (BASE[command], "csv")
+       for command in ("optimize", "werner-sweep", "gue-sweep", "approx")},
+    **{(command, option): (argv, value)
+       for command in ("certify", "moments")
+       for option, argv, value in (("--state", [command], "W:3"),
+                                   ("--input", [command], "{csv}"),
+                                   ("--projection", BASE[command], "vec:1,2,1"),
+                                   ("--dim", [command, "--input", "{csv}"], "2"))},
+    ("tables", "--restarts"): (BASE["tables"], "2"),
+    ("tables", "--seed"): (["tables", "--restarts", "2"], "1"),
+    ("optimize", "--n"): (BASE["optimize"], "4"),
+    ("optimize", "--k"): (BASE["optimize"], "4"),
+    ("optimize", "--scan"): (BASE["optimize"], "3"),
+    ("optimize", "--restarts"): (BASE["optimize"], "2"),
+    ("optimize", "--seed"): (["optimize", "--restarts", "2"], "1"),
+    ("werner-sweep", "--k"): (BASE["werner-sweep"], "4"),
+    ("werner-sweep", "--points"): (BASE["werner-sweep"], "6"),
+    ("gue-sweep", "--k"): (BASE["gue-sweep"], "3"),
+    ("gue-sweep", "--samples"): (BASE["gue-sweep"], "2"),
+    ("gue-sweep", "--seed"): (BASE["gue-sweep"], "1"),
+    ("approx", "--target"): (BASE["approx"], "werner:3:0.9"),
+    ("approx", "--q"): (BASE["approx"], "1"),
+    ("approx", "--projection"): (BASE["approx"], "vec:1,2,1"),
+    ("approx", "--plot-points"): (BASE["approx"] + ["--format", "csv"], "4"),
+}
+# declared but read by nothing: approx has run no search since it became one
+# convex solve, and keeps these while the cohbench approx workload passes them
+UNREAD_OPTIONS = {
+    ("approx", "--restarts"): (BASE["approx"], "1"),
+    ("approx", "--seed"): (BASE["approx"], "1"),
+}
+
+
+def test_option_table_covers_every_declared_option():
+    assert set(OPTION_EFFECTS) | set(UNREAD_OPTIONS) == declared_options()
+
+
+def effect(argv, tmp_path_factory, capsys, monkeypatch):
+    """What a command line does, apart from echoing its options: the exit code,
+    the document's other fields (or the CSV text without its echo lines) and
+    the names of the files it writes, in a fresh working directory."""
+    fringe = tmp_path_factory.mktemp("fringe") / "w3.csv"
+    write_w3_fringe(fringe)
+    workdir = tmp_path_factory.mktemp("run")
+    monkeypatch.chdir(workdir)
+    try:
+        code = main([str(fringe) if a == "{csv}" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if out.startswith("{"):
+        doc = json.loads(out)
+        del doc["seed"], doc["params"]
+        out = doc
+    else:
+        out = [line for line in out.splitlines() if not line.startswith(("# seed:", "# params:"))]
+    return code, out, sorted(os.listdir(workdir))
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_EFFECTS), ids=" ".join)
+def test_every_option_changes_what_its_command_does(tmp_path_factory, capsys, monkeypatch, key):
+    argv, value = OPTION_EFFECTS[key]
+    assert (effect(argv + [key[1], value], tmp_path_factory, capsys, monkeypatch)
+            != effect(argv, tmp_path_factory, capsys, monkeypatch))
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_OPTIONS), ids=" ".join)
+def test_unread_options_change_nothing(tmp_path_factory, capsys, monkeypatch, key):
+    argv, value = UNREAD_OPTIONS[key]
+    assert (effect(argv + [key[1], value], tmp_path_factory, capsys, monkeypatch)
+            == effect(argv, tmp_path_factory, capsys, monkeypatch))
