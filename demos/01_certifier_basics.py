@@ -31,7 +31,7 @@ print("closed form R_3(W_3) =", cc.r3_w_closed_form(3))
 
 # Moments are exact coefficient convolutions; a uniform-grid average must
 # agree to machine precision once it out-samples the bandwidth.
-print("sampling cross-check:", cc.moment(pattern, 3),
+print("sampling cross-check:", ms[2],
       "vs", cc.moment_by_sampling(pattern, 3, 64))
 
 # A noisy experimental record still certifies: fit, then certify.

@@ -18,7 +18,6 @@ _EXPORTS = {
         "MixtureApprox",
         "ReproducibilityVerdict",
         "best_q_approximation",
-        "pattern_distance",
         "reproducibility_verdict",
     ),
     "bounds": (
@@ -34,7 +33,6 @@ _EXPORTS = {
         "r3_from_d",
         "r3_w_closed_form",
         "vertex_table",
-        "w_resonance_counts",
     ),
     "optimize": (
         "GrowthScan",
@@ -50,14 +48,11 @@ _EXPORTS = {
         "werner_rn",
     ),
     "patterns": (
-        "OverlapVector",
         "PatternCoefficients",
         "PatternFit",
         "fit_pattern_from_samples",
-        "moment",
         "moment_by_sampling",
         "moments",
-        "pattern_from_overlaps",
         "pattern_from_states",
         "ratio",
     ),
@@ -74,7 +69,6 @@ _EXPORTS = {
         "PureState",
         "WernerParams",
         "coherence_support",
-        "l1_norm",
         "psi_star",
         "w_state",
         "werner_state",

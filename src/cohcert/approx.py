@@ -44,17 +44,6 @@ GAP_RTOL = 1e-6
 ROUNDOFF_RESIDUAL = 1e-28  # round-off of an exact reproduction
 
 
-def pattern_distance(a: PatternCoefficients, b: PatternCoefficients) -> float:
-    """Mean-square deviation (1/2pi) int (p_a - p_b)^2 dt, exactly.
-
-    In coefficient space this is (c0_a - c0_b)^2 + 2 sum_m |c_ma - c_mb|^2;
-    its square root is the L2 metric on patterns.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.sum(_coeff_residual_vector(a.one_sided() - b.one_sided()) ** 2))
-
-
 @dataclass(frozen=True)
 class MixtureApprox:
     """Best mixture found: (weight, state) pairs with the residual distance.

@@ -10,6 +10,7 @@ family attains its maximum at a rational end point of its D_0 range, so the
 maxima are evaluated exactly in Fraction arithmetic.
 """
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -178,21 +179,6 @@ def r3_from_d(dv: DVector) -> float:
     return float(_r3(dv.d0, dv.dtilde.tolist()))
 
 
-def w_resonance_counts(k: int) -> tuple[int, int]:
-    """Counts (A, B) of resonant cosine pairs/triples in the W_k pattern.
-
-    A counts matched pairs, B matched triples where the largest frequency
-    equals the sum of the other two (with their ordering multiplicities);
-    R_3(W_k) = 1/k + 6 A / k^3 + 2 B / k^4.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a = Fraction(k * (k - 1) * (2 * k - 1), 6)
-    b = Fraction(k * (k - 1) * (k - 2) * (2 - 7 * k + 11 * k * k), 40)
-    assert a.denominator == 1 and b.denominator == 1
-    return int(a), int(b)
-
-
 def r3_w_closed_form(k: int) -> float:
     """Exact R_3 of the equal superposition of k adjacent levels.
 
@@ -210,9 +196,9 @@ def lambda_dec(k: int, q: int) -> float:
     the Werner pattern is reproducible by q-coherent mixtures: a single
     pattern then resolves q-coherence fully.
     """
-    if k < 2:
+    if operator.index(k) < 2:
         raise ValueError("k must be >= 2")
-    if not 1 <= q <= k:
+    if not 1 <= operator.index(q) <= k:
         raise ValueError(f"q must lie in 1..{k}, got {q}")
     return (k - q) / (k - 1)
 

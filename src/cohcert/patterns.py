@@ -24,7 +24,6 @@ __all__ = _EXPORTS["patterns"]
 # (batch_moments, ratio_from_moments) are unvalidated array building blocks
 # shared by the other modules; they stay out of the public API.
 
-RANGE_TOL = 1e-9
 SAMPLES_PER_DIM = 16
 # fit_pattern_from_samples rejects a design whose condition number exceeds this
 COND_LIMIT = 1e6
@@ -65,7 +64,7 @@ class PatternCoefficients:
         vals = self.c0 + 2.0 * (phases @ self.c).real
         return vals
 
-    def is_physical(self, tol: float = RANGE_TOL) -> bool:
+    def is_physical(self, tol: float) -> bool:
         """Check p(t) stays inside [-tol, 1 + tol] on a dense grid (16 points per
         level), evaluated through the cached grid basis of ``grid_values``."""
         vals = grid_values(self.one_sided(), SAMPLES_PER_DIM * self.dim)
@@ -73,41 +72,6 @@ class PatternCoefficients:
 
     def __repr__(self):
         return f"PatternCoefficients(c0={self.c0:.6g}, dim={self.dim})"
-
-
-class OverlapVector:
-    """Phase-free parametrization: overlaps a_p >= 0 with phases phi_p.
-
-    The a_p are the moduli of psi_p * conj(chi_p); Cauchy-Schwarz bounds
-    their sum by 1, with equality when preparation and projection coincide.
-    """
-
-    __slots__ = ("alpha", "phi")
-
-    def __init__(self, alpha, phi=None):
-        a = np.array(alpha, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("alpha must be a non-empty 1-d vector")
-        p = np.zeros_like(a) if phi is None else np.array(phi, dtype=float)
-        if p.shape != a.shape:
-            raise ValueError("phi must match alpha in shape")
-        if not (np.isfinite(a).all() and np.isfinite(p).all()):
-            raise ValueError("alpha and phi must be finite")
-        if a.min() < 0:
-            raise ValueError("alpha entries must be nonnegative")
-        if a.sum() > 1.0 + 1e-12:
-            raise ValueError(f"sum(alpha) = {a.sum()!r} exceeds the Cauchy-Schwarz bound 1")
-        a.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "phi", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OverlapVector is immutable")
-
-    @property
-    def dim(self):
-        return self.alpha.size
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -262,22 +226,6 @@ def pattern_from_states(rho, sigma) -> PatternCoefficients:
         raise ValueError(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
     cs = matrix_coefficients(r, s)
     return PatternCoefficients(cs[0].real, cs[1:])
-
-
-def pattern_from_overlaps(ov: OverlapVector) -> PatternCoefficients:
-    """Pattern c0 = sum a_p^2, c_m = sum_p a_{p+m} a_p e^{i(phi_{p+m}-phi_p)}.
-
-    Validation keeps p(t) <= (sum_p a_p)^2 <= 1, so no range check runs here.
-    """
-    cs = overlap_coefficients(ov.alpha * np.exp(1j * ov.phi))
-    return PatternCoefficients(cs[0].real, cs[1:])
-
-
-def moment(pat: PatternCoefficients, n: int) -> float:
-    """Exact n-th moment (1/2pi) int p(t)^n dt, no quadrature error."""
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    return float(batch_moments(pat.one_sided(), n)[n - 1])
 
 
 def moments(pat: PatternCoefficients, nmax: int) -> np.ndarray:

@@ -5,6 +5,7 @@ Levels are 0-indexed, level n carrying energy n, so the dynamics is
 operations are pure functions, safe for concurrent use.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ class WernerParams:
     lam: float
 
     def __post_init__(self):
-        if self.k < 1:
+        if operator.index(self.k) < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
@@ -146,8 +147,8 @@ def coherence_support(psi: PureState, tol: float = 1e-10) -> int:
     tolerance is exposed because experimentally reconstructed states carry
     noise; there is no canonical cutoff.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     return int(np.count_nonzero(np.abs(psi.amplitudes) > tol))
 
 
@@ -185,9 +186,3 @@ def werner_state(params: WernerParams) -> DensityMatrix:
     mat = np.full((k, k), (1.0 - lam) / k, dtype=complex)
     mat[np.diag_indices(k)] = 1.0 / k
     return DensityMatrix._trusted(mat)
-
-
-def l1_norm(rho: DensityMatrix) -> float:
-    """Sum of the moduli of all off-diagonal entries."""
-    mat = rho.matrix
-    return float(np.abs(mat).sum() - np.abs(np.diagonal(mat)).sum())

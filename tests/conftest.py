@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from cohcert import DensityMatrix, PureState
+from cohcert import DensityMatrix, PatternCoefficients, PureState
+from cohcert.patterns import overlap_coefficients
 
 
 def rand_pure(rng, d):
@@ -24,6 +26,24 @@ def rand_density(rng, d, rank=None):
 def rand_simplex(rng, d):
     x = rng.random(d) + 1e-3
     return x / x.sum()
+
+
+def pattern_from_overlaps(alpha, phi=0.0):
+    """Pattern of the overlaps z_p = alpha_p e^{i phi_p} = psi_p conj(chi_p), through
+    the kernel's pure-state fast path: c_m = sum_p alpha_{p+m} alpha_p e^{i(phi_{p+m} - phi_p)}.
+    Overlaps alpha_p >= 0 summing to at most 1 keep p(t) <= (sum_p alpha_p)^2 <= 1."""
+    cs = overlap_coefficients(np.asarray(alpha) * np.exp(1j * np.asarray(phi)))
+    return PatternCoefficients(cs[0].real, cs[1:])
+
+
+def w_resonance_counts(k):
+    """Counts (A, B) of resonant cosine pairs and triples in the W_k pattern: A matched
+    pairs, B triples whose largest frequency is the sum of the other two (with their
+    ordering multiplicities), so that R_3(W_k) = 1/k + 6 A / k^3 + 2 B / k^4."""
+    a = Fraction(k * (k - 1) * (2 * k - 1), 6)
+    b = Fraction(k * (k - 1) * (k - 2) * (2 - 7 * k + 11 * k * k), 40)
+    assert a.denominator == 1 and b.denominator == 1
+    return int(a), int(b)
 
 
 def run_python(args, cwd, timeout=120):

@@ -11,7 +11,7 @@ import numpy as np
 
 import cohcert as cc
 from cohcert.cli import PUBLISHED_TABLE2, PUBLISHED_TABLE3, main as cli_main
-from conftest import rand_density, rand_pure, rand_simplex
+from conftest import pattern_from_overlaps, rand_density, rand_pure, rand_simplex
 
 _cache = {}
 
@@ -194,7 +194,7 @@ def test_criterion_7_property_suites():
         rho, sigma = rand_density(rng, d), rand_density(rng, d)
         pat = cc.pattern_from_states(rho, sigma)
         n = int(rng.integers(1, 6))
-        exact = cc.moment(pat, n)
+        exact = cc.moments(pat, n)[n - 1]
         sampled = cc.moment_by_sampling(pat, n, 2 * n * (d - 1) + 1)
         # dense quadrature straight from the matrices, no shared coefficients
         phases = np.exp(-1j * np.outer(tgrid, np.arange(d)))
@@ -217,8 +217,8 @@ def test_criterion_7_property_suites():
         alpha = rand_simplex(rng, d) * rng.uniform(0.2, 1.0)
         phi = rng.uniform(0, 2 * np.pi, d)
         n = int(rng.integers(3, 6))
-        flat = cc.ratio(cc.pattern_from_overlaps(cc.OverlapVector(alpha)), n)
-        phased = cc.ratio(cc.pattern_from_overlaps(cc.OverlapVector(alpha, phi)), n)
+        flat = cc.ratio(pattern_from_overlaps(alpha), n)
+        phased = cc.ratio(pattern_from_overlaps(alpha, phi), n)
         worst_d = max(worst_d, phased - flat)
     dominance_ok = worst_d <= 1e-9
 

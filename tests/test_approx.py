@@ -16,7 +16,6 @@ from cohcert import (
     coherence_support,
     lambda_dec,
     maximize_rn_over_ck,
-    pattern_distance,
     pattern_from_states,
     psi_star,
     reproducibility_verdict,
@@ -31,41 +30,17 @@ def werner_pattern(lam, k=3):
     return pattern_from_states(rho, w_state(k).density())
 
 
-def test_pattern_distance_examples():
-    pat = werner_pattern(0.3)
-    assert pattern_distance(pat, pat) == 0.0
-    a = PatternCoefficients(0.5, [0.1 + 0.05j])
-    b = PatternCoefficients(0.6, [0.1 + 0.05j])
-    assert pattern_distance(a, b) == pytest.approx(0.01, abs=1e-15)
-    w2 = w_state(2)
-    fringe = pattern_from_states(w2.density(), w2.density())
-    flat = PatternCoefficients(0.5, [0.0])
-    assert pattern_distance(fringe, flat) == pytest.approx(1 / 8, abs=1e-14)
-    with pytest.raises(ValueError):
-        pattern_distance(fringe, werner_pattern(0.3))
-
-
 def test_pattern_distance_is_mean_square_deviation():
+    # the residual is the mean-square deviation of the mixture's pattern over one period
     rng = np.random.default_rng(1)
-    a = pattern_from_states(rand_density(rng, 4), rand_density(rng, 4))
-    b = pattern_from_states(rand_density(rng, 4), rand_density(rng, 4))
+    target = pattern_from_states(rand_density(rng, 4), rand_density(rng, 4))
+    chi = rand_density(rng, 4)
+    approx = best_q_approximation(target, chi, 1)
     t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    direct = np.mean((a.evaluate(t) - b.evaluate(t)) ** 2)
-    assert pattern_distance(a, b) == pytest.approx(direct, abs=1e-10)
-
-
-def test_sqrt_distance_satisfies_metric_axioms():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        pats = [pattern_from_states(rand_density(rng, 4), rand_density(rng, 4))
-                for _ in range(3)]
-        dab = np.sqrt(pattern_distance(pats[0], pats[1]))
-        dba = np.sqrt(pattern_distance(pats[1], pats[0]))
-        dbc = np.sqrt(pattern_distance(pats[1], pats[2]))
-        dac = np.sqrt(pattern_distance(pats[0], pats[2]))
-        assert dab == pytest.approx(dba, abs=1e-14)
-        assert dab >= 0 and np.sqrt(pattern_distance(pats[0], pats[0])) == 0
-        assert dac <= dab + dbc + 1e-12
+    mixed = sum(w * pattern_from_states(s.density(), chi).evaluate(t) for w, s in approx.components)
+    direct = np.mean((target.evaluate(t) - mixed) ** 2)
+    assert approx.residual > 1e-4
+    assert approx.residual == pytest.approx(direct, abs=1e-10)
 
 
 def test_best_q_approx_reproducible_werner():

@@ -19,10 +19,9 @@ from cohcert import (
     r3_w_closed_form,
     rn_of_alpha,
     vertex_table,
-    w_resonance_counts,
 )
 from cohcert.bounds import R3_CERTIFICATION_THRESHOLDS, ROUNDOFF_MARGIN, VERTEX_CASES, certifies
-from conftest import rand_density, rand_pure, rand_simplex
+from conftest import rand_density, rand_pure, rand_simplex, w_resonance_counts
 
 
 def test_thresholds_are_exact_rationals():
@@ -246,6 +245,10 @@ def test_lambda_dec_examples():
         lambda_dec(1, 1)
     with pytest.raises(ValueError):
         lambda_dec(3, 4)
+    with pytest.raises(TypeError):
+        lambda_dec(3, 1.5)
+    with pytest.raises(TypeError):
+        lambda_dec(3.0, 2)
 
 
 def test_dvector_validation():

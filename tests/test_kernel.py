@@ -19,7 +19,7 @@ from cohcert import (
     sample_gue,
     tolerance_sweep,
 )
-from cohcert import patterns, robustness
+from cohcert import bounds, patterns, robustness
 from cohcert.patterns import (
     batch_moments,
     coefficient_gradient,
@@ -257,7 +257,7 @@ def test_is_physical_decides_patterns_at_its_bounds(seed, d, side, edge):
     c *= 0.2 / max(2.0 * np.abs(c).sum(), 1e-300)  # a swing of at most 0.4
     n = patterns.SAMPLES_PER_DIM * d
     osc = 2.0 * np.fft.fft(np.concatenate([[0.0], c]), n).real
-    tol = patterns.RANGE_TOL
+    tol = bounds.RANGE_SLACK
     if edge == "top":
         c0 = 1.0 + tol + side * 1e-9 - osc.max()
     else:
@@ -266,4 +266,4 @@ def test_is_physical_decides_patterns_at_its_bounds(seed, d, side, edge):
     fft_vals = 2.0 * np.fft.fft(pat.one_sided(), n).real - pat.c0
     expected = bool(fft_vals.min() >= -tol and fft_vals.max() <= 1.0 + tol)
     assert expected is (side < 0)
-    assert pat.is_physical() is expected
+    assert pat.is_physical(tol) is expected

@@ -22,6 +22,7 @@ from cohcert import (
 )
 from cohcert import optimize
 from cohcert.optimize import _neg_rn_of_orders, _neg_rn_over_simplex, _neg_werner_rn
+from conftest import w_resonance_counts
 
 FAST = OptimizationConfig(restarts=6, seed=0)
 
@@ -106,8 +107,6 @@ def test_growth_linear_extrapolation_to_k10():
 
 def test_werner_rn_closed_cubic():
     # under the W_k projection the Werner certifier is an exact cubic in 1-lam
-    from cohcert.bounds import w_resonance_counts
-
     for k in (3, 5, 8):
         a, b = w_resonance_counts(k)
         for lam in (0.0, 0.18, 0.5, 0.9, 1.0):

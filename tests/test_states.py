@@ -6,7 +6,6 @@ from cohcert import (
     PureState,
     WernerParams,
     coherence_support,
-    l1_norm,
     psi_star,
     w_state,
     werner_state,
@@ -61,6 +60,8 @@ def test_werner_params_validation():
         WernerParams(0, 0.5)
     with pytest.raises(ValueError):
         WernerParams(3, 1.2)
+    with pytest.raises(TypeError):
+        WernerParams(2.5, 0.5)
 
 
 def test_coherence_support_examples():
@@ -73,8 +74,9 @@ def test_coherence_support_tolerance():
     psi = PureState.normalized([1.0, 1e-11, 0.0])
     assert coherence_support(psi) == 1
     assert coherence_support(psi, tol=1e-12) == 2
-    with pytest.raises(ValueError):
-        coherence_support(psi, tol=-1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            coherence_support(psi, tol=bad)
 
 
 def test_coherence_support_permutation_covariant():
@@ -100,28 +102,6 @@ def test_werner_state_entries():
     off = (1 - 0.18) / 3
     assert np.allclose(np.diagonal(rho), 1 / 3)
     assert abs(rho[0, 1] - off) < 1e-15 and abs(rho[0, 2] - off) < 1e-15
-
-
-def test_l1_norm_examples():
-    assert l1_norm(DensityMatrix(np.diag([0.2, 0.3, 0.5]))) == 0.0
-    assert abs(l1_norm(w_state(4).density()) - 3.0) < 1e-12
-
-
-def test_l1_norm_werner_closed_form():
-    for k in range(2, 11):
-        for lam in np.linspace(0, 1, 11):
-            got = l1_norm(werner_state(WernerParams(k, float(lam))))
-            assert abs(got - (k - 1) * (1 - lam)) < 1e-12
-
-
-def test_l1_norm_equal_modulus_pure_state():
-    rng = np.random.default_rng(3)
-    for q in (1, 2, 4, 6):
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-        amps = np.zeros(8, dtype=complex)
-        idx = rng.choice(8, size=q, replace=False)
-        amps[idx] = phases / np.sqrt(q)
-        assert abs(l1_norm(PureState(amps).density()) - (q - 1)) < 1e-12
 
 
 def test_w_state_profile():
