@@ -87,10 +87,27 @@ def matrix_coefficients(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Kernel, matrix form: c_m = sum_p rho_{p,p-m} sigma_{p-m,p}, m = 0..d-1.
 
     Covers mixed states and mixed projections; ``rho`` may also be a stack
-    of states (n, d, d), giving one row of coefficients per state.
+    of states (n, d, d), giving one row of coefficients per state.  c_m is
+    the sum over lag m of the elementwise product rho * sigma^T: one gather
+    by the cached index of ``_lag_runs`` lays its lower triangle out lag by
+    lag, and one ``np.add.reduceat`` adds each lag's run.
     """
     d = sigma.shape[0]
-    return np.array([np.diagonal(rho, -m, -2, -1) @ np.diagonal(sigma, m) for m in range(d)]).T
+    flat, starts = _lag_runs(d)
+    prod = (rho * sigma.T).reshape(rho.shape[:-2] + (d * d,))
+    return np.add.reduceat(prod.take(flat, axis=-1), starts, axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _lag_runs(d: int):
+    """Flat indices of the lower triangle of a d x d matrix in lag order (lag m
+    holds the entries (p, p - m), p = m..d-1) and the start of each lag's
+    run; read-only."""
+    flat = np.concatenate([np.arange(m, d) * (d + 1) - m for m in range(d)])
+    starts = np.concatenate(([0], np.cumsum(np.arange(d, 1, -1))))
+    for arr in (flat, starts):
+        arr.setflags(write=False)
+    return flat, starts
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,7 +29,8 @@ class PureState:
 
     Amplitudes must be finite and their Euclidean norm must equal 1 within
     1e-12; use :meth:`normalized` to build a state from an unnormalized
-    amplitude vector.
+    amplitude vector.  The library's own unit vectors, ``approx``'s mixture
+    components, go through ``_trusted`` and skip the checks.
     """
 
     __slots__ = ("amplitudes",)
@@ -64,6 +65,14 @@ class PureState:
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(amps / nrm)
+
+    @classmethod
+    def _trusted(cls, amps):
+        """Wrap a complex vector that has unit norm by construction, without
+        validation or a copy; the vector becomes read-only."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "amplitudes", _readonly(amps))
+        return psi
 
     @property
     def dim(self):

@@ -308,6 +308,19 @@ def test_scipy_entry_points_stay_patchable(monkeypatch):
     assert calls[-1] == "minimize" and calls.count("minimize") == 1
 
 
+def test_approx_minimize_resolves_to_the_solver(monkeypatch):
+    # approx imports no solver, yet benchmark tracers patch approx.minimize:
+    # the name resolves to optimize.minimize on first lookup and stays patchable
+    assert cohcert.approx.minimize is cohcert.optimize.minimize
+    sentinel = object()
+    monkeypatch.setattr(cohcert.approx, "minimize", sentinel)
+    assert cohcert.approx.minimize is sentinel
+    monkeypatch.undo()
+    assert cohcert.approx.minimize is cohcert.optimize.minimize
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cohcert.approx.no_such_name
+
+
 def best_q_approximation_reference(target, chi, q):
     """The Frank-Wolfe loop before its atoms moved into buffers, kept as the
     reference: every iteration re-stacks each atom array and re-indexes them all."""
@@ -367,8 +380,12 @@ def test_best_q_approx_matches_restacking_reference(seed, d, q, pure_sigma, wern
     approx = best_q_approximation(target, chi, q)
     weights, psis, residual, converged, lower = best_q_approximation_reference(target, chi, q)
     assert [w for w, _ in approx.components] == [float(w) for w in weights]
+    # each component skips PureState's checks: it holds the bytes that the
+    # validating PureState.normalized builds from the reference atom, read-only
     for (_, state), psi in zip(approx.components, psis):
+        assert type(state) is PureState
         assert state.amplitudes.tobytes() == PureState.normalized(psi).amplitudes.tobytes()
+        assert not state.amplitudes.flags.writeable
     assert (approx.residual, approx.converged, approx.lower_bound) == (residual, converged, lower)
 
 

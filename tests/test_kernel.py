@@ -50,6 +50,31 @@ def test_kernel_matches_direct_trace(seed, d, t):
     assert pattern(matrix_coefficients(rho, sigma)).evaluate(t)[0] == pytest.approx(direct, abs=TOL)
 
 
+def matrix_coefficients_by_diagonals(rho, sigma):
+    """The kernel's former arithmetic: one dot of matching diagonals per lag."""
+    d = sigma.shape[0]
+    return np.array([np.diagonal(rho, -m, -2, -1) @ np.diagonal(sigma, m) for m in range(d)]).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, d=st.integers(1, 8), batch=st.sampled_from([(), (1,), (5,)]))
+def test_kernel_matches_diagonal_dots(seed, d, batch):
+    """The gather-and-sum kernel against the diagonal dots, on mixed complex
+    states and projections: each entry within 4 ulps of sum_p |rho||sigma|."""
+    rng = np.random.default_rng(seed)
+    rho = np.array([rand_density(rng, d).matrix for _ in range(int(np.prod(batch)))])
+    rho = rho.reshape(batch + (d, d))
+    sigma = rand_density(rng, d).matrix
+    got = matrix_coefficients(rho, sigma)
+    ref = matrix_coefficients_by_diagonals(rho, sigma)
+    assert got.shape == ref.shape == batch + (d,)
+    scale = matrix_coefficients_by_diagonals(np.abs(rho), np.abs(sigma)).real
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+    for arr in patterns._lag_runs(d):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, d=dims, batch=st.integers(1, 5))
 def test_fast_path_matches_matrix_form(seed, d, batch):

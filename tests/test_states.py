@@ -15,12 +15,21 @@ from conftest import rand_pure
 
 def test_pure_state_norm_enforced():
     PureState([1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state not normalized"):
         PureState([1.0, 0.5])
     psi = PureState.normalized([1.0, 1.0])
     assert np.allclose(psi.amplitudes, [1 / np.sqrt(2)] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
         PureState.normalized([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [[], [[1.0]], [[0.6, 0.8]]])
+def test_pure_state_rejects_non_vectors(bad):
+    with pytest.raises(ValueError, match="non-empty 1-d vector"):
+        PureState(bad)
+    # normalized refuses the empty vector by its norm, before the shape check
+    with pytest.raises(ValueError, match="non-empty 1-d vector" if bad else "zero vector"):
+        PureState.normalized(bad)
 
 
 @pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 0.0], [np.nan, 0.0]])
@@ -74,9 +83,16 @@ def test_coherence_support_tolerance():
     psi = PureState.normalized([1.0, 1e-11, 0.0])
     assert coherence_support(psi) == 1
     assert coherence_support(psi, tol=1e-12) == 2
-    for bad in (-1.0, np.nan):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
             coherence_support(psi, tol=bad)
+
+
+def test_coherence_support_at_zero_tolerance_counts_nonzero_amplitudes():
+    # tol=0 is a legitimate call: every amplitude that is not exactly 0 counts,
+    # down to the smallest subnormal
+    amps = np.array([0.6, 0.0, 1e-300, -0.0, 5e-324j, 0.8])
+    assert coherence_support(PureState(amps), tol=0) == np.count_nonzero(amps) == 4
 
 
 def test_coherence_support_permutation_covariant():
