@@ -281,7 +281,8 @@ def _pattern_from_args(args, warnings):
 def _moment_block(pat, ms):
     """The document form of a pattern and its moments M_1..M_5."""
     return {
-        "coefficients": {"c0": pat.c0, "c": [{"re": z.real, "im": z.imag} for z in pat.c]},
+        "coefficients": {"c0": pat.c0,
+                         "c": [{"re": z.real, "im": z.imag} for z in pat.c.tolist()]},
         "moments": {f"M_{n}": float(ms[n - 1]) for n in range(1, 6)},
         "ratios": {f"R_{n}": float(ratio_from_moments(ms, n)) for n in (3, 4, 5)},
     }
@@ -500,11 +501,11 @@ def cmd_gue_sweep(args, warnings):
     return {"summary": summary, "records": records}, _gue_rows(records), records.dtype.names
 
 
-def _approx_rows(target, components, proj, points):
+def _approx_rows(target, components, chi, points):
     """CSV rows of t, the target's p, the mixture's p and each component's p,
     computed only when ``--format csv`` consumes them."""
     grid = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    comp_vals = [pattern_from_states(state, proj).evaluate(grid) for _, state in components]
+    comp_vals = [pattern_from_states(state, chi).evaluate(grid) for _, state in components]
     mix_vals = sum(w * vals for (w, _), vals in zip(components, comp_vals))
     for t, target_p, approx_p, *comp_p in zip(grid, target.evaluate(grid), mix_vals, *comp_vals):
         yield [repr(float(v)) for v in (t, target_p, approx_p, *comp_p)]
@@ -514,8 +515,9 @@ def cmd_approx(args, warnings):
     from .approx import reproducibility_verdict
 
     rho, proj = _state_and_projection(args.target, args.projection)
-    target = pattern_from_states(rho, proj)
-    verdict = reproducibility_verdict(target, proj.density(), args.q)
+    chi = proj.density()
+    target = pattern_from_states(rho, chi)
+    verdict = reproducibility_verdict(target, chi, args.q)
     approx = verdict.approx
     if not approx.converged:
         warnings.append("mixture fit did not converge; residual is an upper bound")
@@ -528,14 +530,14 @@ def cmd_approx(args, warnings):
         "peak_bound_exceeded": verdict.peak_exceeded,
         "components": [
             {"weight": w,
-             "amplitudes": [{"re": z.real, "im": z.imag} for z in s.amplitudes]}
+             "amplitudes": [{"re": z.real, "im": z.imag} for z in s.amplitudes.tolist()]}
             for w, s in approx.components
         ],
     }
     header = ["t", "target_p", "approx_p"] + [
         f"component{i}_p" for i in range(len(approx.components))
     ]
-    return data, _approx_rows(target, approx.components, proj, args.plot_points), header
+    return data, _approx_rows(target, approx.components, chi, args.plot_points), header
 
 
 def _above(lo):
@@ -565,15 +567,18 @@ def _add_pattern_source(parser):
 SEARCHING = ("tables", "optimize", "approx")
 SEEDED = (*SEARCHING, "gue-sweep")
 CSV_SERIES = ("optimize", "werner-sweep", "gue-sweep", "approx")
+# what main reads of every command; the commands that declare an option override these
+COMMON_DEFAULTS = {"seed": None, "format": "json", "scan": None}
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The whole parser tree and the map from each command's name to its
+    subparser, the one its ``add_subparsers`` action holds."""
     parser = argparse.ArgumentParser(
         prog="cohcert",
         description="Certify multi-level coherence from interference-pattern moment ratios.",
     )
-    # what main reads of every command; the commands that declare an option override these
-    parser.set_defaults(seed=None, format="json", scan=None)
+    parser.set_defaults(**COMMON_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, func, text in (
@@ -626,16 +631,44 @@ def make_parser() -> argparse.ArgumentParser:
         if name in SEARCHING:
             p.add_argument("--restarts", type=_above(0), default=32,
                            help="multi-start restarts for numeric searches")
-    return parser
+    return parser, sub.choices
 
 
-# Parsing leaves the parser unchanged, so one tree serves every call.
-_shared_parser = functools.lru_cache(maxsize=1)(make_parser)
+def make_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: ``cohcert`` with one subparser per command."""
+    return _build_parser()[0]
+
+
+# Parsing leaves the parsers unchanged, so one tree serves every call.
+_shared_parser = functools.lru_cache(maxsize=1)(_build_parser)
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace of ``make_parser().parse_args(argv)``, in one pass where it can.
+
+    The top-level parser hands every token after the command's name to that
+    command's subparser, so when ``argv[0]`` names a command its subparser
+    alone parses the rest, and the top-level defaults (``COMMON_DEFAULTS``)
+    that it does not set and ``command`` are added, as the whole tree adds
+    them.  When the subparser leaves a token unrecognized, or ``argv[0]``
+    names no command (no arguments, ``--help``, an unknown name), the whole
+    tree parses ``argv`` again, so every usage line, error message, exit code
+    and help text is argparse's own.  ``argv`` None reads ``sys.argv[1:]``.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _shared_parser()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return argparse.Namespace(**{"command": argv[0], **COMMON_DEFAULTS, **vars(args)})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
+    ``parse_args`` reads the command line, so help and usage errors exit
+    through argparse's ``SystemExit`` (0 for help, 2 for an error).
     The document's ``params`` echo every option that has a value, given or
     defaulted, except ``--out``, ``--format`` and ``--timings``, and except
     ``--dim`` without ``--input`` and ``optimize --k`` with ``--scan``, which
@@ -644,7 +677,7 @@ def main(argv=None) -> int:
     whose ``encode`` stage includes the CSV series a command computes as it
     is written.
     """
-    args = _shared_parser().parse_args(argv)
+    args = parse_args(argv)
     warnings: list = []
     try:
         start = time.perf_counter()

@@ -724,6 +724,20 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    # an option certify does not declare: the one-pass parse falls back to the whole tree
+    proc = run_python(["-m", "cohcert.cli", "certify", "--state", "W:3", "--seed", "1"],
+                      cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: cohcert [-h]\n")
+    assert proc.stderr.endswith("\ncohcert: error: unrecognized arguments: --seed 1\n")
+
+
+@pytest.mark.parametrize("projection, code", [("werner:2:5e-10", 0), ("werner:2:2e-9", 2)])
+def test_projection_purity_slack_is_1e_9(capsys, projection, code):
+    # Tr sigma^2 = 1 - 5e-10 passes as pure; 1 - 2e-9 is refused as mixed
+    assert main(["moments", "--state", "W:2", "--projection", projection]) == code
+    assert ("--projection must be a pure state spec" in capsys.readouterr().err) == (code == 2)
 
 
 def test_ratios_derive_from_reported_moments(tmp_path):
@@ -1390,3 +1404,88 @@ def test_unread_options_change_nothing(tmp_path_factory, capsys, monkeypatch, ke
     argv, value = UNREAD_OPTIONS[key]
     assert (effect(argv + [key[1], value], tmp_path_factory, capsys, monkeypatch)
             == effect(argv, tmp_path_factory, capsys, monkeypatch))
+
+
+# command lines beyond the option table: the spellings of an option argparse
+# accepts, and lines that end in a usage error or in help
+PARSE_LINES = [
+    ["certify", "--state=W:3"],
+    ["werner-sweep", "--poi", "5"],  # an abbreviated option
+    ["werner-sweep", "--points", "5", "--points", "6"],  # a repeated option
+    ["certify", "--state", "W:3", "extra"],  # a stray positional
+    ["certify", "--state", "W:3", "--"],
+    ["certify", "--", "--state", "W:3"],
+    ["certify", "--state", "W:3", "--dim", "0"],  # a bad value
+    ["certify", "--state", "W:3", "--seed", "1"],  # an option certify does not declare
+    ["optimize", "--k", "3", "--scan", "3"],  # mutually exclusive options
+    ["approx", "--q", "2"],  # a required option missing
+    ["approx", "-h"],
+    ["optimize", "--help"],
+    [],
+    ["--help"],
+    ["nope"],
+]
+
+
+def whole_tree(argv):
+    """The reference parse: a freshly built tree parses the whole command line."""
+    from cohcert.cli import make_parser
+
+    return make_parser().parse_args(argv)
+
+
+def parsed_run(parse, argv, workdir, capsys, monkeypatch):
+    """The exit code, stdout and stderr of ``main(argv)`` run in ``workdir`` with
+    ``parse`` reading its command line, and the items of the namespace it parsed."""
+    from cohcert import cli
+
+    parsed = []
+    monkeypatch.setattr(cli, "parse_args", lambda a=None: parsed.append(parse(a)) or parsed[-1])
+    monkeypatch.chdir(workdir)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, [list(vars(args).items()) for args in parsed]
+
+
+@pytest.mark.parametrize("argv", [
+    *BASE.values(),
+    *(argv + [key[1], value] for key, (argv, value) in sorted({**OPTION_EFFECTS,
+                                                              **UNREAD_OPTIONS}.items())),
+    *PARSE_LINES,
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_pass_parse_equals_the_whole_tree(tmp_path_factory, capsys, monkeypatch, argv):
+    from cohcert.cli import parse_args
+
+    fringe = tmp_path_factory.mktemp("fringe") / "w3.csv"
+    write_w3_fringe(fringe)
+    argv = [str(fringe) if a == "{csv}" else a for a in argv]
+    one_pass = parsed_run(parse_args, argv, tmp_path_factory.mktemp("one"), capsys, monkeypatch)
+    reference = parsed_run(whole_tree, argv, tmp_path_factory.mktemp("whole"), capsys, monkeypatch)
+    assert one_pass == reference
+
+
+@pytest.mark.parametrize("argv, code", [(["certify", "--state", "W:3"], 0),
+                                        (["certify", "--state", "W:3", "--seed", "1"], 2)])
+def test_one_pass_parse_reads_sys_argv(tmp_path_factory, capsys, monkeypatch, argv, code):
+    import sys
+
+    from cohcert.cli import parse_args
+
+    monkeypatch.setattr(sys, "argv", ["cohcert", *argv])
+    runs = [parsed_run(parse, None, tmp_path_factory.mktemp("run"), capsys, monkeypatch)
+            for parse in (parse_args, whole_tree)]
+    assert runs[0] == runs[1] and runs[0][0] == code
+
+
+def test_a_parsed_command_line_skips_the_whole_tree(tmp_path, capsys, monkeypatch):
+    # the top-level parser runs only for help and usage errors
+    from cohcert import cli
+
+    parser, _ = cli._shared_parser()
+    monkeypatch.setattr(parser, "parse_args", lambda *a: pytest.fail("the whole tree parsed"))
+    for argv in BASE.values():
+        assert main(argv + ["--out", str(tmp_path / "doc.json")]) == 0
+    assert capsys.readouterr() == ("", "")

@@ -235,13 +235,42 @@ def test_fit_with_noise():
 def test_fit_errors():
     t = np.linspace(0, 2 * np.pi, 5, endpoint=False)
     samples = np.column_stack([t, np.ones(5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least"):
         fit_pattern_from_samples(samples, 4)  # too few samples
     bad_t = np.column_stack([np.zeros(9), np.ones(9)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ill-conditioned"):
         fit_pattern_from_samples(bad_t, 3)  # all times identical: rank deficient
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one period"):
         fit_pattern_from_samples(np.column_stack([t + 7.0, np.ones(5)]), 2)
+
+
+@pytest.mark.parametrize("samples", [np.zeros((9, 3)), np.zeros(18), np.zeros((9, 2, 1))],
+                         ids=["three-columns", "flat", "three-axes"])
+def test_fit_refuses_samples_not_in_rows_of_two(samples):
+    with pytest.raises(ValueError, match=r"^samples must be an \(N, 2\) array of \(t, p\) rows$"):
+        fit_pattern_from_samples(samples, 3)
+
+
+@pytest.mark.parametrize("index, time, accepted", [
+    (0, -5e-10, True), (-1, 2 * np.pi + 5e-10, True),
+    (0, -2e-9, False), (-1, 2 * np.pi + 2e-9, False),
+])
+def test_fit_period_slack_is_1e_9(index, time, accepted):
+    # sample times may overshoot the period [0, 2pi) by up to 1e-9 at either end
+    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    t[index] = time
+    samples = np.column_stack([t, (1 + np.cos(t)) / 2])
+    if accepted:
+        assert fit_pattern_from_samples(samples, 2).pattern.c0 == pytest.approx(0.5)
+    else:
+        with pytest.raises(ValueError, match="one period"):
+            fit_pattern_from_samples(samples, 2)
+
+
+@pytest.mark.parametrize("c", [[[0.1, 0.2]], 0.1], ids=["two-axes", "scalar"])
+def test_pattern_coefficients_refuse_c_not_a_vector(c):
+    with pytest.raises(ValueError, match="^c must be a 1-d vector of complex coefficients$"):
+        PatternCoefficients(0.5, c)
 
 
 @pytest.mark.parametrize("column, value", [(0, np.nan), (1, np.inf)], ids=["nan-t", "inf-p"])

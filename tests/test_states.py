@@ -59,6 +59,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("matrix", [np.full((2, 3), 0.5), np.zeros((0, 0)), np.array([0.5, 0.5]),
+                                    np.eye(2)[None] / 2],
+                         ids=["2x3", "0x0", "vector", "three-axes"])
+def test_density_matrix_refuses_non_square_shapes(matrix):
+    with pytest.raises(ValueError, match="^density matrix must be square and non-empty$"):
+        DensityMatrix(matrix)
+
+
 def test_density_matrix_psd_floor_tolerates_roundoff():
     DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
 
@@ -86,6 +94,11 @@ def test_coherence_support_tolerance():
     for bad in (-1.0, -1e-300, np.nan):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             coherence_support(psi, tol=bad)
+
+
+def test_coherence_support_default_tolerance_is_1e_10():
+    assert coherence_support(PureState([1.0, 5e-10])) == 2
+    assert coherence_support(PureState([1.0, 5e-11])) == 1
 
 
 def test_coherence_support_at_zero_tolerance_counts_nonzero_amplitudes():
